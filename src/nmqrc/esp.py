@@ -78,9 +78,9 @@ def dual_trajectory(
     engine = _engine(real, cfg, obs)
     env = range(p.n_sys, p.n_qubits)
 
-    rho1 = np.array(initial_states[0].matrix)
-    rho2 = np.array(initial_states[1].matrix)
-    records = [_record(0, 0.0, rho1, rho2, env, p.n_qubits)]
+    rho1 = engine.to_state(initial_states[0].matrix)
+    rho2 = engine.to_state(initial_states[1].matrix)
+    records = [_record(0, 0.0, initial_states[0].matrix, initial_states[1].matrix, env, p.n_qubits)]
     for k, s in enumerate(inputs):
         try:
             rho1, f1 = engine.step(rho1, s)
@@ -88,7 +88,9 @@ def dual_trajectory(
         except (NumericalError, ValueError) as exc:
             raise NumericalError(f"trajectory pair failed at step {k}: {exc}") from exc
         sqnorm = float(np.sum((f1 - f2) ** 2))
-        records.append(_record(k + 1, sqnorm, rho1, rho2, env, p.n_qubits))
+        records.append(
+            _record(k + 1, sqnorm, engine.to_register(rho1), engine.to_register(rho2), env, p.n_qubits)
+        )
     return records
 
 

@@ -129,12 +129,55 @@ def embed_pauli(axis: str, qubit: int, n: int) -> np.ndarray:
     return _embed({qubit: PAULI[axis]}, n)
 
 
+def _components(pattern: np.ndarray) -> np.ndarray:
+    """Label each basis state with the smallest index in its connected
+    component of the (symmetric) nonzero ``pattern``."""
+    rows, cols = np.nonzero(pattern)
+    label = np.arange(pattern.shape[0])
+    while True:
+        new = label.copy()
+        np.minimum.at(new, rows, label[cols])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _sector_eig(h: np.ndarray) -> tuple[np.ndarray, HermitianEigen]:
+    """Split H into the connected components of its nonzero pattern and
+    eigendecompose each block.
+
+    Returns ``order``, the register basis indices listed sector after
+    sector, and the eigendecompositions of the k blocks of m states that H
+    has in that order, stacked: eigenvalues (k, m), eigenvectors (k, m, m).
+    Every term of this module's Hamiltonian keeps the Z-parity of the system
+    block and of the environment block, so the components are parity
+    sectors (more of them when alpha = 0 or n_env <= 1). Components of
+    unequal size are treated as one sector, so a term that breaks the
+    symmetry gets the plain full-register eigendecomposition.
+    """
+    label = _components(h != 0)
+    sizes = np.unique(label, return_counts=True)[1]
+    if sizes.min() == sizes.max():
+        order = np.argsort(label, kind="stable")
+        k = sizes.size
+    else:
+        order = np.arange(h.shape[0])
+        k = 1
+    eigs = [hermitian_eig(h[np.ix_(idx, idx)]) for idx in order.reshape(k, -1)]
+    return order, HermitianEigen(
+        eigenvalues=np.stack([e.eigenvalues for e in eigs]),
+        eigenvectors=np.stack([e.eigenvectors for e in eigs]),
+    )
+
+
 class HamiltonianRealization:
     """A sampled Hamiltonian plus cached spectral data.
 
-    The eigendecomposition is computed once on first use; propagators for
-    any time step are then assembled in O(dim^2). Instances are treated as
-    immutable and are safe to share across trajectory runs.
+    The sector eigendecomposition (what the step engine uses) and the full
+    eigendecomposition (behind ``propagator``) are each computed once on
+    first use. Instances are treated as immutable and are safe to share
+    across trajectory runs.
     """
 
     def __init__(self, params: ReservoirParams, couplings: CouplingSet, h_full: np.ndarray):
@@ -144,6 +187,7 @@ class HamiltonianRealization:
         h_full.flags.writeable = False
         self.h_full = h_full
         self._eigen: HermitianEigen | None = None
+        self._sectors: tuple[np.ndarray, HermitianEigen] | None = None
         self._propagators: dict[float, np.ndarray] = {}
         self._engines: dict = {}
 
@@ -152,6 +196,13 @@ class HamiltonianRealization:
         if self._eigen is None:
             self._eigen = hermitian_eig(self.h_full)
         return self._eigen
+
+    @property
+    def sectors(self) -> tuple[np.ndarray, HermitianEigen]:
+        """(basis order, stacked block eigendecompositions); see ``_sector_eig``."""
+        if self._sectors is None:
+            self._sectors = _sector_eig(self.h_full)
+        return self._sectors
 
     def propagator(self, dt: float) -> np.ndarray:
         """exp(-i H dt), cached per dt."""

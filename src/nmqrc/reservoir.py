@@ -13,12 +13,24 @@ observables after each one. Two multiplexing conventions are supported:
 The per-step feature slice is laid out node-major with the observable index
 varying fastest, and a constant bias 1 is appended as the last column.
 
-Internally a step engine works in the Hamiltonian eigenbasis: with
-H = W diag(lam) W^dag fixed, a sub-step of length dt multiplies the state
-(in that basis) elementwise by phases exp(-i (lam_a - lam_b) dt), so all v
-sub-step readouts of one input step reduce to a single matrix product
-against a precomputed phase table. This is exactly unitary conjugation by
-exp(-i H dt), just associated differently.
+Internally a step engine uses the sectors of the register basis that H
+never mixes: the connected components of its nonzero pattern. Every term of
+the Hamiltonian keeps the Z-parity of the system block and of the
+environment block, so there are k = 4 sectors (more when alpha = 0 or
+n_env <= 1), and H, its eigenvectors W and the Z_i / Z_i Z_j readout are all
+block diagonal over them. With the state kept in sector order, a step
+
+* injects the input through precomputed gathers,
+* evolves by exp(-i H v dt) with one stacked product of k blocks per side,
+* reads all v nodes from the k diagonal blocks of sigma = W^dag rho W: a
+  sub-step of length dt multiplies sigma elementwise by the phases
+  exp(-i (lam_p - lam_q) dt), so the readouts reduce to one product against
+  a precomputed phase table of d^2/k entries per node.
+
+This is exactly unitary conjugation by exp(-i H dt), just associated
+differently. Sectors of unequal size, or an observable that couples two
+sectors, make the engine treat the whole register as one sector (k = 1), so
+a term that breaks the symmetry costs speed, not correctness.
 """
 
 from __future__ import annotations
@@ -33,7 +45,7 @@ import numpy as np
 from . import linalg
 from .errors import ConfigError, NumericalError
 from .hamiltonian import PAULI, HamiltonianRealization
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, HermitianEigen
 
 OBSERVABLE_KINDS = ("z_only", "z_and_zz")
 MULTIPLEX_MODES = ("per_node", "sub_step")
@@ -41,8 +53,8 @@ MULTIPLEX_MODES = ("per_node", "sub_step")
 FEATURE_IMAG_ATOL = 1e-9
 STEP_TRACE_ATOL = 1e-9
 
-# Above this many phase-table entries (dim^2 * v) the engine falls back to
-# per-sub-step evolution instead of one batched table.
+# The phase table holds as many nodes as fit in this many entries (d^2/k per
+# node), and at least one; further nodes reuse it after a phase shift.
 _BATCH_LIMIT = 4_000_000
 
 
@@ -237,7 +249,14 @@ def _check_real(vals: np.ndarray) -> None:
 
 
 class _StepEngine:
-    """Precomputed machinery for one (realization, config, observables) triple."""
+    """Precomputed machinery for one (realization, config, observables) triple.
+
+    The state it steps is the full-register density matrix in sector order,
+    stored as its k column blocks, shape (k, d, m): the layout the right-hand
+    block product leaves it in, so no step copies it into another. The
+    injection gathers read that layout directly. ``to_state`` and
+    ``to_register`` convert from and to a register-order (d, d) matrix.
+    """
 
     def __init__(self, real: HamiltonianRealization, cfg: ReservoirConfig, obs: ObservableSet):
         p = real.params
@@ -245,62 +264,111 @@ class _StepEngine:
             raise ConfigError(f"input qubit {cfg.input_qubit} is not a system qubit (n_sys={p.n_sys})")
         if obs.operators.shape[1] != 2 ** p.n_sys:
             raise ValueError("observable dimension does not match the system register")
-        self.n = p.n_qubits
-        self.dim = p.dim
-        self.n_sys = p.n_sys
-        self.n_env = p.n_env
+        d = p.dim
         self.v = cfg.v
         self.n_obs = len(obs)
-        self.input_qubit = cfg.input_qubit
         self.dt = cfg.tau * cfg.sub_dt_factor
 
-        eig = real.eigen
-        self.basis = eig.eigenvectors
-        self.basis_h = self.basis.conj().T
-        delta = np.subtract.outer(eig.eigenvalues, eig.eigenvalues).ravel()
+        # An observable O_i x I_env with entries between two sectors (none of
+        # the built-in ones has them) needs the whole register as one sector.
+        order, eig = real.sectors
+        k = eig.eigenvalues.shape[0]
+        if any(
+            np.count_nonzero(_diagonal_blocks(op, order, k, p.n_env)) != np.count_nonzero(op) << p.n_env
+            for op in obs.operators
+        ):
+            order = np.arange(d)
+            eig = HermitianEigen(real.eigen.eigenvalues[None], real.eigen.eigenvectors[None])
+        k, m = eig.eigenvalues.shape
+        self.shape = (k, m, d)
+        self.order = order
+        self.position = np.argsort(order)
+        self.diag = np.arange(k)
 
-        if self.dim ** 2 * self.v <= _BATCH_LIMIT:
-            ticks = np.arange(1, self.v + 1)
-            self.phase_table = np.exp(np.outer(-1j * self.dt * delta, ticks))
-            self.phase_step = None
-        else:
-            self.phase_table = None
-            self.phase_step = np.exp(-1j * self.dt * delta).reshape(self.dim, self.dim)
+        # Eigenvectors W and the step propagator exp(-i H v dt), as stacks of
+        # k blocks.
+        lam = eig.eigenvalues
+        self.w = eig.eigenvectors
+        self.w_h = np.ascontiguousarray(self.w.conj().transpose(0, 2, 1))
+        self.u = (self.w * np.exp(-1j * self.v * self.dt * lam)[:, None, :]) @ self.w_h
+        self.u_h = np.ascontiguousarray(self.u.conj().transpose(0, 2, 1))
 
-        # System observables extended over the environment and rotated into
-        # the eigenbasis; row i holds (W^dag (O_i x I_env) W)^T flattened so a
-        # feature is a plain dot product with the flattened state.
-        i_env = np.eye(2 ** p.n_env, dtype=complex)
-        rows = np.empty((self.n_obs, self.dim ** 2), dtype=complex)
-        for k in range(self.n_obs):
-            full = np.kron(obs.operators[k], i_env)
-            rows[k] = (self.basis_h @ full @ self.basis).T.ravel()
+        # Injection as gathers from the stored state: the trace over the input
+        # qubit adds the two entries that differ only in its bit, and entry
+        # (i, j) of the product state is rho_in at the pair of input bits of
+        # i and j times that trace at the pair of their remaining bits.
+        def flat(i, j):  # offset of sector-order entry (i, j) in a (k, d, m) state
+            return (j // m) * (d * m) + i * m + j % m
+
+        shift = p.n_qubits - 1 - cfg.input_qubit
+        low = (1 << shift) - 1
+        reg = order
+        r = np.arange(d // 2)
+        reg0 = ((r >> shift) << (shift + 1)) | (r & low)
+        p0, p1 = self.position[reg0], self.position[reg0 | (1 << shift)]
+        self.trace_idx = (flat(p0[:, None], p0), flat(p1[:, None], p1))
+        rest = ((reg >> (shift + 1)) << shift) | (reg & low)
+        bit = (reg >> shift) & 1
+        self.inject_idx = (bit[:, None] * 2 + bit) * (d // 2) ** 2 + rest[:, None] * (d // 2) + rest
+
+        # Readout from the diagonal blocks of sigma = W^dag rho W. Row i holds
+        # the blocks of (W^dag O_i W)^T flattened, so a feature at node j is a
+        # dot product with the flattened blocks of sigma times column j of the
+        # phase table exp(-i (lam_p - lam_q) j dt). The table holds as many
+        # nodes as fit under _BATCH_LIMIT entries; later nodes reuse it after
+        # a phase shift by its whole span.
+        delta = (lam[:, :, None] - lam[:, None, :]).ravel()
+        nodes = max(1, min(self.v, _BATCH_LIMIT // delta.size))
+        self.phase_table = np.exp(np.outer(-1j * self.dt * delta, np.arange(1, nodes + 1)))
+        self.phase_shift = np.exp(-1j * nodes * self.dt * delta)
+        rows = np.empty((self.n_obs, delta.size), dtype=complex)
+        for i, op in enumerate(obs.operators):
+            block = _diagonal_blocks(op, self.order, k, p.n_env)
+            rows[i] = (self.w_h @ block @ self.w).transpose(0, 2, 1).ravel()
         self.obs_rows = rows
 
-    def step(self, rho: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
+    def to_state(self, rho: np.ndarray) -> np.ndarray:
+        k, m, d = self.shape
+        sectors = rho[np.ix_(self.order, self.order)]
+        return np.ascontiguousarray(sectors.reshape(d, k, m).transpose(1, 0, 2))
+
+    def to_register(self, state: np.ndarray) -> np.ndarray:
+        k, m, d = self.shape
+        return state.transpose(1, 0, 2).reshape(d, d)[np.ix_(self.position, self.position)]
+
+    def step(self, state: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
         """One input step: inject, evolve v sub-steps, read out after each."""
-        rho = _inject(rho, _encode(s), self.input_qubit, self.n)
-        sigma = self.basis_h @ rho @ self.basis
-        flat = sigma.ravel()
-        if self.phase_table is not None:
-            fmat = (self.obs_rows * flat) @ self.phase_table  # (m, v)
+        k, m, d = self.shape
+        traced = state.take(self.trace_idx[0]) + state.take(self.trace_idx[1])
+        rho = np.multiply.outer(_encode(s).ravel(), traced).take(self.inject_idx)  # (d, d), sector order
+
+        sigma = self.w_h @ rho.reshape(k, m, k, m)[self.diag, :, self.diag, :] @ self.w
+        weighted = self.obs_rows * sigma.ravel()
+        feats = np.empty((self.v, self.n_obs))
+        span = self.phase_table.shape[1]
+        for start in range(0, self.v, span):
+            if start:
+                weighted *= self.phase_shift
+            stop = min(start + span, self.v)
+            fmat = weighted @ self.phase_table[:, : stop - start]  # (n_obs, nodes)
             _check_real(fmat)
-            feats = fmat.real.T.ravel()
-            sigma_end = (flat * self.phase_table[:, -1]).reshape(self.dim, self.dim)
-        else:
-            feats = np.empty(self.v * self.n_obs)
-            current = sigma
-            for j in range(self.v):
-                current = current * self.phase_step
-                vals = self.obs_rows @ current.ravel()
-                _check_real(vals)
-                feats[j * self.n_obs:(j + 1) * self.n_obs] = vals.real
-            sigma_end = current
-        rho_next = self.basis @ sigma_end @ self.basis_h
-        trace_err = abs(float(rho_next.trace().real) - 1.0)
+            feats[start:stop] = fmat.real.T
+
+        half = (self.u @ rho.reshape(k, m, d)).reshape(d, k, m).transpose(1, 0, 2)
+        state = half @ self.u_h
+        trace_err = abs(float(np.einsum("aapp->", state.reshape(k, k, m, m)).real) - 1.0)
         if trace_err > STEP_TRACE_ATOL:
             raise NumericalError(f"state trace drifted by {trace_err:.3e} > {STEP_TRACE_ATOL:.1e}")
-        return rho_next, feats
+        return state, feats.ravel()
+
+
+def _diagonal_blocks(op: np.ndarray, order: np.ndarray, k: int, n_env: int) -> np.ndarray:
+    """The k diagonal blocks, shape (k, m, m), of the system operator
+    ``op`` x I_env with the register basis taken in ``order``."""
+    idx = order.reshape(k, -1)
+    sys_idx, env_idx = idx >> n_env, idx & ((1 << n_env) - 1)
+    same_env = env_idx[:, :, None] == env_idx[:, None, :]
+    return op[sys_idx[:, :, None], sys_idx[:, None, :]] * same_env
 
 
 def _engine(real: HamiltonianRealization, cfg: ReservoirConfig, obs: ObservableSet) -> _StepEngine:
@@ -327,8 +395,8 @@ def evolve_step(
             f"state has {rho.qubit_count} qubits but the realization has {real.params.n_qubits}"
         )
     engine = _engine(real, cfg, obs)
-    mat, feats = engine.step(np.array(rho.matrix), s)
-    return DensityMatrix(mat), feats
+    mat, feats = engine.step(engine.to_state(rho.matrix), s)
+    return DensityMatrix(engine.to_register(mat)), feats
 
 
 def run_trajectory(
@@ -356,11 +424,11 @@ def run_trajectory(
         )
     labels = feature_labels(obs, cfg.v)
     rows = np.ones((inputs.size, len(labels)))
-    rho = np.array(initial_state.matrix)
+    rho = engine.to_state(initial_state.matrix)
     for k, s in enumerate(inputs):
         try:
             rho, feats = engine.step(rho, s)
         except (NumericalError, ValueError) as exc:
             raise NumericalError(f"trajectory failed at step {k}: {exc}") from exc
         rows[k, :-1] = feats
-    return FeatureMatrix(values=rows, labels=labels), DensityMatrix(rho)
+    return FeatureMatrix(values=rows, labels=labels), DensityMatrix(engine.to_register(rho))

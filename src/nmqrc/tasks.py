@@ -14,6 +14,7 @@ turns any residual blow-up into a diagnosable error.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -139,15 +140,18 @@ def narma_series(u, order: int, constants=NARMA_CONSTANTS, guard: float = NARMA_
     if u.size and (u.min() < 0.0 or u.max() > NARMA_INPUT_MAX):
         raise ValueError(f"raw inputs must lie in [0, {NARMA_INPUT_MAX}]")
     a, b, c, d = constants
-    y = np.zeros(u.size)
+    # The recurrence runs on Python floats: numpy scalars cost several times
+    # more per operation, and the arithmetic is the same IEEE double either way.
+    u = u.tolist()
+    y = [0.0] * len(u)
     history_sum = 0.0  # running sum of y[k-1] ... y[k-n]
-    for k in range(n, u.size):
+    for k in range(n, len(u)):
         y_k = a * y[k - 1] + b * y[k - 1] * history_sum / n + c * u[k - n] * u[k - 1] + d
-        if not np.isfinite(y_k) or abs(y_k) > guard:
+        if not math.isfinite(y_k) or abs(y_k) > guard:
             raise DivergenceError(f"series diverged at step {k} (order {n}): y = {y_k!r}")
         y[k] = y_k
         history_sum += y[k] - y[k - n]
-    return y
+    return np.array(y)
 
 
 def scale_inputs(u, u_max: float = NARMA_INPUT_MAX) -> np.ndarray:
