@@ -18,7 +18,6 @@ g row-major over (i, k)) so a seed maps to a stable realization.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConfigError
-from .linalg import HermitianEigen, hermitian_eig, propagator_from_eigen
+from .linalg import HermitianEigen, hermitian_eig
 
 PAULI = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -175,8 +174,8 @@ class HamiltonianRealization:
     """A sampled Hamiltonian plus cached spectral data.
 
     The sector eigendecomposition (what the step engine uses) and the full
-    eigendecomposition (behind ``propagator``) are each computed once on
-    first use. Instances are treated as immutable and are safe to share
+    eigendecomposition (the engine's fallback when an observable couples
+    sectors) are each computed once on first use. Instances are treated as immutable and are safe to share
     across trajectory runs.
     """
 
@@ -188,7 +187,6 @@ class HamiltonianRealization:
         self.h_full = h_full
         self._eigen: HermitianEigen | None = None
         self._sectors: tuple[np.ndarray, HermitianEigen] | None = None
-        self._propagators: dict[float, np.ndarray] = {}
         self._engines: dict = {}
 
     @property
@@ -203,17 +201,6 @@ class HamiltonianRealization:
         if self._sectors is None:
             self._sectors = _sector_eig(self.h_full)
         return self._sectors
-
-    def propagator(self, dt: float) -> np.ndarray:
-        """exp(-i H dt), cached per dt."""
-        if dt <= 0:
-            raise ValueError(f"propagator time step must be > 0, got {dt}")
-        u = self._propagators.get(dt)
-        if u is None:
-            u = propagator_from_eigen(self.eigen, dt)
-            u.flags.writeable = False
-            self._propagators[dt] = u
-        return u
 
     def __getstate__(self):
         # Caches hold derived data only; drop them so workers re-derive.
@@ -262,11 +249,6 @@ def _check_couplings(params: ReservoirParams, couplings: CouplingSet) -> None:
         raise ConfigError("g exceeds the |g| <= beta*j0 bound")
 
 
-def build_propagator(realization: HamiltonianRealization, dt: float) -> np.ndarray:
-    """exp(-i H dt) for a realization, cached inside it for reuse."""
-    return realization.propagator(dt)
-
-
 def export_couplings(realization: HamiltonianRealization) -> dict:
     """JSON-ready document {params, j_sys, j_env, g} for provenance and replay."""
     p = realization.params
@@ -294,13 +276,3 @@ def import_couplings(doc: dict) -> HamiltonianRealization:
     g = np.asarray(doc["g"], dtype=float).reshape(params.n_sys, params.n_env if params.n_env else 0)
     couplings = CouplingSet(j_sys=np.asarray(doc["j_sys"]), j_env=np.asarray(doc["j_env"]), g=g)
     return build_hamiltonian(params, couplings)
-
-
-def save_couplings(realization: HamiltonianRealization, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(export_couplings(realization), fh, indent=2)
-
-
-def load_couplings(path) -> HamiltonianRealization:
-    with open(path, encoding="utf-8") as fh:
-        return import_couplings(json.load(fh))

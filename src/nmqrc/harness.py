@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 
@@ -30,11 +31,6 @@ from .reservoir import ReservoirConfig, run_trajectory
 from .tasks import NARMA_DEFAULT_ORDERS, NARMA_INPUT_MAX, SplitSpec, gen_uniform_inputs, narma_series, scale_inputs, stm_targets
 
 CONFIG_SCHEMA_VERSION = 1
-TASKS = ("stm", "narma", "esp")
-
-# (alpha, beta) presets; esp reuses the stm table.
-STM_REGIME_PRESETS = {"markov": (10.0, 0.01), "non_markov": (0.01, 10.0), "intermediate": (1.0, 1.0)}
-NARMA_REGIME_PRESETS = {"markov": (5.0, 0.1), "non_markov": (0.1, 5.0), "intermediate": (1.0, 1.0)}
 
 _INPUT_STREAM_TAG = 1
 
@@ -42,7 +38,9 @@ _INPUT_STREAM_TAG = 1
 @dataclass(frozen=True)
 class RegimeSpec:
     """A labeled (alpha, beta) point; ``n_env`` overrides the register split
-    (used by the env-free baseline regime ``fn``)."""
+    (used by the env-free baseline regime ``fn``). The label names the
+    regime's output directory, so it may not hold a path separator or be
+    ``.`` or ``..``."""
 
     label: str
     alpha: float
@@ -52,6 +50,11 @@ class RegimeSpec:
     def __post_init__(self):
         if not self.label:
             raise ConfigError("regime label must be non-empty")
+        if "/" in self.label or "\\" in self.label or self.label in (".", ".."):
+            raise ConfigError(
+                f"regime label {self.label!r} names an output directory: it may not "
+                "contain '/' or '\\' or be '.' or '..'"
+            )
         for name in ("alpha", "beta"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
@@ -61,7 +64,7 @@ class RegimeSpec:
 def parse_regime(text: str, task: str) -> RegimeSpec:
     """Parse a preset name ('markov', 'non_markov', 'intermediate', 'fn')
     or a custom 'label:alpha:beta' triple."""
-    presets = NARMA_REGIME_PRESETS if task == "narma" else STM_REGIME_PRESETS
+    presets = _TASKS[task].presets
     if text == "fn":
         return RegimeSpec(label="fn", alpha=0.0, beta=0.0, n_env=0)
     if text in presets:
@@ -105,8 +108,7 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.task not in TASKS:
-            raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
+        _check_task(self.task)
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
         for s in self.seeds:
@@ -164,16 +166,8 @@ def make_params(cfg: ExperimentConfig, regime: RegimeSpec, seed: int) -> Reservo
     """Resolve a regime against the config; h_env defaults to alpha * j0."""
     n_env = cfg.n_env if regime.n_env is None else regime.n_env
     h_env = cfg.h_env if cfg.h_env is not None else regime.alpha * cfg.j0
-    return ReservoirParams(
-        n_sys=cfg.n_sys,
-        n_env=n_env,
-        alpha=regime.alpha,
-        beta=regime.beta,
-        h_sys=cfg.h_sys,
-        h_env=h_env,
-        seed=seed,
-        j0=cfg.j0,
-    )
+    return ReservoirParams(n_sys=cfg.n_sys, n_env=n_env, alpha=regime.alpha, beta=regime.beta,
+                           h_sys=cfg.h_sys, h_env=h_env, seed=seed, j0=cfg.j0)
 
 
 def reservoir_config(cfg: ExperimentConfig) -> ReservoirConfig:
@@ -187,50 +181,62 @@ def input_stream(seed: int, length: int, lo: float, hi: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# defaults and config files
+# the task table and config files
 
-_PAPER_DEFAULTS = {
-    "stm": dict(n_sys=4, n_env=3, h_sys=0.5, tau=0.5, v=50, observables="z_only",
-                split=SplitSpec(1000, 3000, 1000), seeds=tuple(range(10)),
-                regime_names=("markov", "non_markov", "intermediate"), tau_d_max=20),
-    "narma": dict(n_sys=5, n_env=2, h_sys=1.0, tau=0.5, v=20, observables="z_and_zz",
-                  split=SplitSpec(1000, 3000, 1000), seeds=tuple(range(10)),
-                  regime_names=("fn", "markov", "non_markov", "intermediate"),
-                  orders=NARMA_DEFAULT_ORDERS),
-    "esp": dict(n_sys=4, n_env=3, h_sys=0.5, tau=0.5, v=50, observables="z_only",
-                seeds=(0, 1, 2), regime_names=("markov", "non_markov", "intermediate"),
-                esp_steps=2500, window=(1500, 2500)),
+@dataclass(frozen=True)
+class _Task:
+    """One task's protocol. ``paper`` holds the paper-scale defaults and
+    ``quick`` the reduced-scale overrides, both as config-file values; ``keys``
+    are the file keys only this task takes. ``axis`` gives a sweep's scored
+    points (None for esp), named by the first ``header`` column; ``row``
+    turns one result into a ``summary.csv`` row."""
+
+    presets: dict
+    keys: tuple[str, ...]
+    paper: dict
+    quick: dict
+    header: tuple[str, ...]
+    row: Callable
+    axis: Callable | None = None
+
+
+_STM_PRESETS = {"markov": (10.0, 0.01), "non_markov": (0.01, 10.0), "intermediate": (1.0, 1.0)}
+_REGIMES = ("markov", "non_markov", "intermediate")
+_TASKS = {
+    "stm": _Task(
+        presets=_STM_PRESETS,
+        keys=("washout", "train", "val", "tau_d_max"),
+        paper=dict(n_sys=4, n_env=3, h_sys=0.5, tau=0.5, v=50, observables="z_only", washout=1000,
+                   train=3000, val=1000, seeds=range(10), regimes=_REGIMES, tau_d_max=20),
+        quick=dict(v=10, washout=200, train=600, val=200, seeds=(0, 1, 2), tau_d_max=20),
+        header=("tau_d", "regime", "mean_cstm", "std_cstm", "n_seeds"),
+        row=lambda cfg, r: [r.axis, r.regime, repr(r.mean), repr(r.std), r.n_seeds],
+        axis=lambda cfg: range(cfg.tau_d_max + 1),
+    ),
+    "narma": _Task(
+        presets={"markov": (5.0, 0.1), "non_markov": (0.1, 5.0), "intermediate": (1.0, 1.0)},
+        keys=("washout", "train", "val", "orders"),
+        paper=dict(n_sys=5, n_env=2, h_sys=1.0, tau=0.5, v=20, observables="z_and_zz", washout=1000,
+                   train=3000, val=1000, seeds=range(10), regimes=("fn",) + _REGIMES,
+                   orders=NARMA_DEFAULT_ORDERS),
+        quick=dict(v=10, washout=200, train=600, val=200, seeds=(0, 1, 2)),
+        header=("order", "tau", "regime", "mean_r2", "std_r2", "n_seeds"),
+        row=lambda cfg, r: [r.axis, repr(cfg.tau), r.regime, repr(r.mean), repr(r.std), r.n_seeds],
+        axis=lambda cfg: cfg.orders,
+    ),
+    "esp": _Task(
+        presets=_STM_PRESETS,
+        keys=("esp_steps", "window_start", "window_end"),
+        paper=dict(n_sys=4, n_env=3, h_sys=0.5, tau=0.5, v=50, observables="z_only", seeds=(0, 1, 2),
+                   regimes=_REGIMES, esp_steps=2500, window_start=1500, window_end=2500),
+        quick=dict(v=10, seeds=(0, 1, 2), esp_steps=600, window_start=300, window_end=600),
+        header=("seed", "regime", "window_mean_sqnorm", "window_max_sqnorm", "backflow_count_sys"),
+        row=lambda cfg, r: [r.seed, r.regime, repr(r.stats.mean_sqnorm), repr(r.stats.max_sqnorm),
+                            r.backflow_sys[0]],
+    ),
 }
-
-_QUICK_OVERRIDES = {
-    "stm": dict(v=10, split=SplitSpec(200, 600, 200), seeds=(0, 1, 2), tau_d_max=20),
-    "narma": dict(v=10, split=SplitSpec(200, 600, 200), seeds=(0, 1, 2)),
-    "esp": dict(v=10, seeds=(0, 1, 2), esp_steps=600, window=(300, 600)),
-}
-
-_COMMON_KEYS = {
-    "schema_version", "task", "n_sys", "n_env", "j0", "h_sys", "h_env", "tau", "v",
-    "observables", "multiplex", "seeds", "regimes", "output_dir", "workers",
-}
-_TASK_KEYS = {
-    "stm": {"washout", "train", "val", "tau_d_max"},
-    "narma": {"washout", "train", "val", "orders"},
-    "esp": {"esp_steps", "window_start", "window_end"},
-}
-
-
-def default_config(task: str, scale: str = "paper") -> ExperimentConfig:
-    """Built-in per-task protocol parameters at paper or quick (CI) scale."""
-    if task not in TASKS:
-        raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
-    if scale not in ("paper", "quick"):
-        raise ConfigError(f"scale must be 'paper' or 'quick', got {scale!r}")
-    values = dict(_PAPER_DEFAULTS[task])
-    if scale == "quick":
-        values.update(_QUICK_OVERRIDES[task])
-    regime_names = values.pop("regime_names")
-    regimes = tuple(parse_regime(name, task) for name in regime_names)
-    return ExperimentConfig(task=task, regimes=regimes, **values)
+TASKS = tuple(_TASKS)
+_TASK_KEYS = {key for spec in _TASKS.values() for key in spec.keys}
 
 
 def _want_int(key, value) -> int:
@@ -243,6 +249,10 @@ def _want_num(key, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key}: expected a number, got {value!r}")
     return float(value)
+
+
+def _want_num_or_null(key, value) -> float | None:
+    return None if value is None else _want_num(key, value)
 
 
 def _want_str(key, value) -> str:
@@ -261,6 +271,54 @@ def _want_str_list(key, value) -> tuple[str, ...]:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{key}: expected a non-empty list of strings, got {value!r}")
     return tuple(_want_str(key, x) for x in value)
+
+
+# Every config-file key and its parser.
+_PARSERS = {
+    "schema_version": _want_int, "task": _want_str,
+    "n_sys": _want_int, "n_env": _want_int, "j0": _want_num, "h_sys": _want_num,
+    "h_env": _want_num_or_null, "tau": _want_num, "v": _want_int,
+    "observables": _want_str, "multiplex": _want_str, "seeds": _want_int_list,
+    "regimes": _want_str_list, "output_dir": _want_str, "workers": _want_int,
+    "washout": _want_int, "train": _want_int, "val": _want_int, "tau_d_max": _want_int,
+    "orders": _want_int_list, "esp_steps": _want_int, "window_start": _want_int, "window_end": _want_int,
+}
+
+
+def _from_doc(task: str, doc: dict) -> ExperimentConfig:
+    """Build a config from config-file values; keys the doc leaves out keep
+    the task's paper defaults. ``config_to_dict`` is its inverse."""
+    values = {**_TASKS[task].paper, **doc}
+    kwargs = {f.name: values[f.name] for f in dc_fields(ExperimentConfig) if f.name in values}
+    kwargs.update(task=task, seeds=tuple(values["seeds"]),
+                  regimes=tuple(parse_regime(text, task) for text in values["regimes"]))
+    if "orders" in values:
+        kwargs["orders"] = tuple(values["orders"])
+    if "window_start" in values:
+        kwargs["window"] = (values["window_start"], values["window_end"])
+    if "washout" in values:
+        try:
+            kwargs["split"] = SplitSpec(values["washout"], values["train"], values["val"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(**kwargs)
+
+
+def _check_task(task) -> None:
+    if task not in TASKS:
+        raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
+
+
+def _check_scale(scale) -> None:
+    if scale not in ("paper", "quick"):
+        raise ConfigError(f"scale must be 'paper' or 'quick', got {scale!r}")
+
+
+def default_config(task: str, scale: str = "paper") -> ExperimentConfig:
+    """Built-in per-task protocol parameters at paper or quick (CI) scale."""
+    _check_task(task)
+    _check_scale(scale)
+    return _from_doc(task, _TASKS[task].quick if scale == "quick" else {})
 
 
 def load_config(
@@ -284,10 +342,8 @@ def load_config(
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
         version = data.get("schema_version")
-        if version != CONFIG_SCHEMA_VERSION:
-            raise ConfigError(
-                f"schema_version: expected {CONFIG_SCHEMA_VERSION}, got {version!r}"
-            )
+        if version is None or _want_int("schema_version", version) != CONFIG_SCHEMA_VERSION:
+            raise ConfigError(f"schema_version: expected {CONFIG_SCHEMA_VERSION}, got {version!r}")
         file_task = data.get("task")
         if file_task is not None:
             _want_str("task", file_task)
@@ -296,124 +352,52 @@ def load_config(
             task = file_task
     if task is None:
         raise ConfigError("no task given (pass one or set 'task' in the config file)")
-    if task not in TASKS:
-        raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
+    _check_task(task)
 
-    allowed = _COMMON_KEYS | _TASK_KEYS[task]
-    other_task_keys = {k for keys in _TASK_KEYS.values() for k in keys}
+    spec = _TASKS[task]
     for key in data:
-        if key in allowed:
-            continue
-        if key in other_task_keys:
+        if key not in _PARSERS:
+            raise ConfigError(f"{key}: unknown config key")
+        if key in _TASK_KEYS and key not in spec.keys:
             raise ConfigError(f"{key}: not applicable to task {task!r}")
-        raise ConfigError(f"{key}: unknown config key")
-
-    base = default_config(task, "paper")
-    kwargs = {f.name: getattr(base, f.name) for f in dc_fields(ExperimentConfig)}
-
-    split = kwargs["split"]
-    washout, train, val = split.washout, split.train, split.val
-    window = kwargs["window"]
-    win_start, win_stop = window
-
-    for key, value in data.items():
-        if key in ("schema_version", "task"):
-            continue
-        elif key in ("n_sys", "n_env", "v", "workers", "tau_d_max", "esp_steps"):
-            kwargs[key] = _want_int(key, value)
-        elif key in ("j0", "h_sys", "tau"):
-            kwargs[key] = _want_num(key, value)
-        elif key == "h_env":
-            kwargs[key] = None if value is None else _want_num(key, value)
-        elif key in ("observables", "multiplex"):
-            kwargs[key] = _want_str(key, value)
-        elif key == "output_dir":
-            kwargs[key] = _want_str(key, value)
-        elif key == "seeds":
-            kwargs[key] = _want_int_list(key, value)
-        elif key == "orders":
-            kwargs[key] = _want_int_list(key, value)
-        elif key == "regimes":
-            kwargs[key] = tuple(parse_regime(t, task) for t in _want_str_list(key, value))
-        elif key == "washout":
-            washout = _want_int(key, value)
-        elif key == "train":
-            train = _want_int(key, value)
-        elif key == "val":
-            val = _want_int(key, value)
-        elif key == "window_start":
-            win_start = _want_int(key, value)
-        elif key == "window_end":
-            win_stop = _want_int(key, value)
-
+    doc = {key: _PARSERS[key](key, value) for key, value in data.items()}
     if scale is not None:
-        if scale not in ("paper", "quick"):
-            raise ConfigError(f"scale must be 'paper' or 'quick', got {scale!r}")
+        _check_scale(scale)
         if scale == "quick":
-            for key, value in _QUICK_OVERRIDES[task].items():
-                if key == "split":
-                    washout, train, val = value.washout, value.train, value.val
-                elif key == "window":
-                    win_start, win_stop = value
-                else:
-                    kwargs[key] = value
-
+            doc.update(spec.quick)
     if seeds_override is not None:
         if seeds_override < 1:
             raise ConfigError(f"seed count override must be >= 1, got {seeds_override}")
-        kwargs["seeds"] = tuple(range(seeds_override))
+        doc["seeds"] = range(seeds_override)
     if output_override is not None:
-        kwargs["output_dir"] = output_override
+        doc["output_dir"] = output_override
     if workers_override is not None:
-        kwargs["workers"] = workers_override
-
-    try:
-        kwargs["split"] = SplitSpec(washout, train, val)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    kwargs["window"] = (win_start, win_stop)
-    kwargs["task"] = task
-    return ExperimentConfig(**kwargs)
+        doc["workers"] = workers_override
+    return _from_doc(task, doc)
 
 
 def _regime_text(r: RegimeSpec, task: str) -> str:
     """Inverse of parse_regime where possible, else a label:alpha:beta triple."""
-    presets = NARMA_REGIME_PRESETS if task == "narma" else STM_REGIME_PRESETS
     if r.label == "fn" and r.n_env == 0:
         return "fn"
-    if r.n_env is None and presets.get(r.label) == (r.alpha, r.beta):
+    if r.n_env is None and _TASKS[task].presets.get(r.label) == (r.alpha, r.beta):
         return r.label
     return f"{r.label}:{r.alpha}:{r.beta}"
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Flat, file-schema-shaped echo of a resolved config."""
-    doc = {
-        "schema_version": CONFIG_SCHEMA_VERSION,
-        "task": cfg.task,
-        "n_sys": cfg.n_sys,
-        "n_env": cfg.n_env,
-        "j0": cfg.j0,
-        "h_sys": cfg.h_sys,
-        "h_env": cfg.h_env,
-        "tau": cfg.tau,
-        "v": cfg.v,
-        "observables": cfg.observables,
-        "multiplex": cfg.multiplex,
-        "seeds": list(cfg.seeds),
-        "regimes": [_regime_text(r, cfg.task) for r in cfg.regimes],
-        "output_dir": cfg.output_dir,
-        "workers": cfg.workers,
-    }
-    if cfg.task in ("stm", "narma"):
-        doc.update(washout=cfg.split.washout, train=cfg.split.train, val=cfg.split.val)
-    if cfg.task == "stm":
-        doc["tau_d_max"] = cfg.tau_d_max
-    if cfg.task == "narma":
-        doc["orders"] = list(cfg.orders)
-    if cfg.task == "esp":
-        doc.update(esp_steps=cfg.esp_steps, window_start=cfg.window[0], window_end=cfg.window[1])
-    return doc
+    """Flat, file-schema-shaped echo of a resolved config; ``_from_doc`` is
+    its inverse."""
+    doc = dict(
+        schema_version=CONFIG_SCHEMA_VERSION, task=cfg.task, n_sys=cfg.n_sys, n_env=cfg.n_env, j0=cfg.j0,
+        h_sys=cfg.h_sys, h_env=cfg.h_env, tau=cfg.tau, v=cfg.v, observables=cfg.observables,
+        multiplex=cfg.multiplex, seeds=list(cfg.seeds), regimes=[_regime_text(r, cfg.task) for r in cfg.regimes],
+        output_dir=cfg.output_dir, workers=cfg.workers,
+        # task keys; the filter below keeps the ones this task takes
+        washout=cfg.split.washout, train=cfg.split.train, val=cfg.split.val, tau_d_max=cfg.tau_d_max,
+        orders=list(cfg.orders), esp_steps=cfg.esp_steps, window_start=cfg.window[0], window_end=cfg.window[1],
+    )
+    return {key: value for key, value in doc.items() if key not in _TASK_KEYS or key in _TASKS[cfg.task].keys}
 
 
 # ---------------------------------------------------------------------------
@@ -455,153 +439,89 @@ def aggregate(scores) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std())
 
 
-def _run_jobs(cfg: ExperimentConfig, fn, jobs: list) -> list:
-    if cfg.workers == 1 or len(jobs) == 1:
-        return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=min(cfg.workers, len(jobs))) as pool:
-        return list(pool.map(fn, jobs))
-
-
-def _stm_job(job):
+def _job(job):
+    """One (regime, seed) job of any task: build the realization and drive
+    it, then fit one readout and score it at every axis point (stm, narma)
+    or summarise the record stream (esp). Returns (result, couplings)."""
     cfg, regime, seed = job
+    narma = cfg.task == "narma"
+    where = f"regime={regime.label}, seed={seed}"
     try:
         real = build_hamiltonian(make_params(cfg, regime, seed))
-        inputs = input_stream(seed, cfg.split.total, 0.0, 1.0)
-        feats, _ = run_trajectory(real, inputs, reservoir_config(cfg))
+        if cfg.task == "esp":
+            inputs = input_stream(seed, cfg.esp_steps, 0.0, 1.0)
+            records = tuple(dual_trajectory(real, inputs, reservoir_config(cfg)))
+        else:
+            u = input_stream(seed, cfg.split.total, 0.0, NARMA_INPUT_MAX if narma else 1.0)
+            feats, _ = run_trajectory(real, scale_inputs(u) if narma else u, reservoir_config(cfg))
     except (NumericalError, ValueError) as exc:
-        raise NumericalError(f"stm run failed (regime={regime.label}, seed={seed}): {exc}") from exc
+        raise NumericalError(f"{cfg.task} run failed ({where}): {exc}") from exc
+    if cfg.task == "esp":
+        stats, backflow = window_stats(records, *cfg.window), backflow_count(records, use="sys")
+        return EspRunResult(regime.label, seed, records, stats, backflow), export_couplings(real)
+
+    spec = _TASKS[cfg.task]
+    train, val = cfg.split.train_slice, cfg.split.val_slice
     x = feats.values
-    x_train, x_val = x[cfg.split.train_slice], x[cfg.split.val_slice]
-    pinv_train = pseudoinverse(x_train)
+    pinv_train, x_val = pseudoinverse(x[train]), x[val]
     scores = {}
-    for tau_d in range(cfg.tau_d_max + 1):
+    for point in spec.axis(cfg):
         try:
-            y = stm_targets(inputs, tau_d)
-            w = pinv_train @ y[cfg.split.train_slice]
-            scores[tau_d] = squared_correlation(y[cfg.split.val_slice], x_val @ w)
+            y = narma_series(u, point) if narma else stm_targets(u, point)
+            scores[point] = squared_correlation(y[val], x_val @ (pinv_train @ y[train]))
         except (NumericalError, ValueError) as exc:
-            raise NumericalError(
-                f"stm scoring failed (regime={regime.label}, seed={seed}, tau_d={tau_d}): {exc}"
-            ) from exc
-    return regime.label, seed, scores, export_couplings(real)
+            kind = DivergenceError if isinstance(exc, DivergenceError) else NumericalError
+            raise kind(f"{cfg.task} scoring failed ({where}, {spec.header[0]}={point}): {exc}") from exc
+    return scores, export_couplings(real)
 
 
-def _narma_job(job):
-    cfg, regime, seed = job
-    try:
-        real = build_hamiltonian(make_params(cfg, regime, seed))
-        u = input_stream(seed, cfg.split.total, 0.0, NARMA_INPUT_MAX)
-        feats, _ = run_trajectory(real, scale_inputs(u), reservoir_config(cfg))
-    except (NumericalError, ValueError) as exc:
-        raise NumericalError(f"narma run failed (regime={regime.label}, seed={seed}): {exc}") from exc
-    x = feats.values
-    x_train, x_val = x[cfg.split.train_slice], x[cfg.split.val_slice]
-    pinv_train = pseudoinverse(x_train)
-    scores = {}
-    for order in cfg.orders:
-        try:
-            y = narma_series(u, order)
-        except DivergenceError as exc:
-            raise DivergenceError(
-                f"narma series diverged (regime={regime.label}, seed={seed}, order={order}): {exc}"
-            ) from exc
-        w = pinv_train @ y[cfg.split.train_slice]
-        scores[order] = squared_correlation(y[cfg.split.val_slice], x_val @ w)
-    return regime.label, seed, scores, export_couplings(real)
+def _run_jobs(cfg: ExperimentConfig, jobs: list) -> list:
+    if cfg.workers == 1 or len(jobs) == 1:
+        return [_job(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=min(cfg.workers, len(jobs))) as pool:
+        return list(pool.map(_job, jobs))
 
 
-def _esp_job(job):
-    cfg, regime, seed = job
-    try:
-        real = build_hamiltonian(make_params(cfg, regime, seed))
-        inputs = input_stream(seed, cfg.esp_steps, 0.0, 1.0)
-        records = dual_trajectory(real, inputs, reservoir_config(cfg))
-    except (NumericalError, ValueError) as exc:
-        raise NumericalError(f"esp run failed (regime={regime.label}, seed={seed}): {exc}") from exc
-    stats = window_stats(records, *cfg.window)
-    backflow = backflow_count(records, use="sys")
-    return regime.label, seed, tuple(records), stats, backflow, export_couplings(real)
-
-
-def _sweep_results(cfg: ExperimentConfig, per_job: dict, axes) -> list[SweepResult]:
-    out = []
-    for regime in cfg.regimes:
-        for axis in axes:
-            scores = tuple(per_job[(regime.label, seed)][axis] for seed in cfg.seeds)
-            mean, std = aggregate(scores)
-            out.append(SweepResult(axis=axis, regime=regime.label, scores=scores, mean=mean, std=std))
-    return out
+def _run(cfg: ExperimentConfig, task: str) -> list:
+    if cfg.task != task:
+        raise ConfigError(f"config task is {cfg.task!r} but run_{task} was called")
+    jobs = [(cfg, regime, seed) for regime in cfg.regimes for seed in cfg.seeds]
+    done = {(regime.label, seed): out for (_, regime, seed), out in zip(jobs, _run_jobs(cfg, jobs))}
+    if task == "esp":
+        results = [result for result, _ in done.values()]
+    else:
+        results = []
+        for regime in cfg.regimes:
+            for axis in _TASKS[task].axis(cfg):
+                scores = tuple(done[(regime.label, seed)][0][axis] for seed in cfg.seeds)
+                results.append(SweepResult(axis, regime.label, scores, *aggregate(scores)))
+    if cfg.output_dir is not None:
+        _write_outputs(cfg, results, {key: couplings for key, (_, couplings) in done.items()})
+    return results
 
 
 def run_stm(cfg: ExperimentConfig) -> list[SweepResult]:
     """Delayed-reproduction sweep: one trajectory per (regime, seed), one fit
     per delay on the shared feature rows."""
-    _require_task(cfg, "stm")
-    jobs = [(cfg, regime, seed) for regime in cfg.regimes for seed in cfg.seeds]
-    raw = _run_jobs(cfg, _stm_job, jobs)
-    per_job = {(label, seed): scores for label, seed, scores, _ in raw}
-    couplings = {(label, seed): doc for label, seed, _, doc in raw}
-    results = _sweep_results(cfg, per_job, range(cfg.tau_d_max + 1))
-    if cfg.output_dir is not None:
-        _write_sweep_outputs(cfg, results, couplings,
-                             header=["tau_d", "regime", "mean_cstm", "std_cstm", "n_seeds"],
-                             row_of=lambda r: [r.axis, r.regime, repr(r.mean), repr(r.std), r.n_seeds])
-    return results
+    return _run(cfg, "stm")
 
 
 def run_narma(cfg: ExperimentConfig) -> list[SweepResult]:
     """Autoregressive-series sweep over orders; the trajectory for a seed is
     shared by every order (targets change, features do not)."""
-    _require_task(cfg, "narma")
-    jobs = [(cfg, regime, seed) for regime in cfg.regimes for seed in cfg.seeds]
-    raw = _run_jobs(cfg, _narma_job, jobs)
-    per_job = {(label, seed): scores for label, seed, scores, _ in raw}
-    couplings = {(label, seed): doc for label, seed, _, doc in raw}
-    results = _sweep_results(cfg, per_job, list(cfg.orders))
-    if cfg.output_dir is not None:
-        _write_sweep_outputs(cfg, results, couplings,
-                             header=["order", "tau", "regime", "mean_r2", "std_r2", "n_seeds"],
-                             row_of=lambda r: [r.axis, repr(cfg.tau), r.regime, repr(r.mean), repr(r.std), r.n_seeds])
-    return results
+    return _run(cfg, "narma")
 
 
 def run_esp(cfg: ExperimentConfig) -> list[EspRunResult]:
     """Dual-trajectory diagnostics per (regime, seed), with record streams."""
-    _require_task(cfg, "esp")
-    jobs = [(cfg, regime, seed) for regime in cfg.regimes for seed in cfg.seeds]
-    raw = _run_jobs(cfg, _esp_job, jobs)
-    results = [
-        EspRunResult(regime=label, seed=seed, records=records, stats=stats, backflow_sys=backflow)
-        for label, seed, records, stats, backflow, _ in raw
-    ]
-    if cfg.output_dir is not None:
-        root = Path(cfg.output_dir) / cfg.task
-        _write_meta(cfg, root)
-        couplings = {(label, seed): doc for label, seed, _, _, _, doc in raw}
-        for regime in cfg.regimes:
-            regime_dir = root / regime.label
-            regime_dir.mkdir(parents=True, exist_ok=True)
-            _write_couplings(regime_dir, cfg, regime, couplings)
-            with open(regime_dir / "summary.csv", "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["seed", "regime", "window_mean_sqnorm", "window_max_sqnorm", "backflow_count_sys"])
-                for res in results:
-                    if res.regime != regime.label:
-                        continue
-                    writer.writerow([res.seed, res.regime, repr(res.stats.mean_sqnorm),
-                                     repr(res.stats.max_sqnorm), res.backflow_sys[0]])
-            for res in results:
-                if res.regime == regime.label:
-                    records_to_csv(res.records, regime_dir / f"records_seed{res.seed}.csv")
-    return results
+    return _run(cfg, "esp")
 
 
-def _require_task(cfg: ExperimentConfig, task: str) -> None:
-    if cfg.task != task:
-        raise ConfigError(f"config task is {cfg.task!r} but run_{task} was called")
-
-
-def _write_meta(cfg: ExperimentConfig, root: Path) -> None:
+def _write_outputs(cfg: ExperimentConfig, results: list, couplings: dict) -> None:
+    """run_meta.json, then per regime its couplings, summary.csv and (esp)
+    record streams."""
+    spec = _TASKS[cfg.task]
+    root = Path(cfg.output_dir) / cfg.task
     root.mkdir(parents=True, exist_ok=True)
     meta = {
         "config": config_to_dict(cfg),
@@ -612,25 +532,17 @@ def _write_meta(cfg: ExperimentConfig, root: Path) -> None:
     }
     with open(root / "run_meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
-
-
-def _write_couplings(regime_dir: Path, cfg: ExperimentConfig, regime: RegimeSpec, couplings: dict) -> None:
-    for seed in cfg.seeds:
-        with open(regime_dir / f"couplings_seed{seed}.json", "w", encoding="utf-8") as fh:
-            json.dump(couplings[(regime.label, seed)], fh, indent=2)
-
-
-def _write_sweep_outputs(cfg: ExperimentConfig, results: list[SweepResult], couplings: dict,
-                         header: list[str], row_of) -> None:
-    root = Path(cfg.output_dir) / cfg.task
-    _write_meta(cfg, root)
     for regime in cfg.regimes:
         regime_dir = root / regime.label
-        regime_dir.mkdir(parents=True, exist_ok=True)
-        _write_couplings(regime_dir, cfg, regime, couplings)
+        regime_dir.mkdir(exist_ok=True)
+        for seed in cfg.seeds:
+            with open(regime_dir / f"couplings_seed{seed}.json", "w", encoding="utf-8") as fh:
+                json.dump(couplings[(regime.label, seed)], fh, indent=2)
+        mine = [r for r in results if r.regime == regime.label]
         with open(regime_dir / "summary.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(header)
-            for r in results:
-                if r.regime == regime.label:
-                    writer.writerow(row_of(r))
+            writer.writerow(spec.header)
+            writer.writerows(spec.row(cfg, r) for r in mine)
+        if cfg.task == "esp":
+            for r in mine:
+                records_to_csv(r.records, regime_dir / f"records_seed{r.seed}.csv")

@@ -1,4 +1,4 @@
-"""Benchmark input streams, targets and dataset splitting.
+"""Benchmark input streams, targets and the washout / train / validation split.
 
 Two target families are provided: delayed reproduction of a uniform input
 stream (memory probing at a configurable delay) and the order-n nonlinear
@@ -13,10 +13,8 @@ turns any residual blow-up into a diagnosable error.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,45 +53,6 @@ class SplitSpec:
     @property
     def val_slice(self) -> slice:
         return slice(self.washout + self.train, self.total)
-
-
-@dataclass(frozen=True)
-class TaskDataset:
-    """Input sequence s in [0, 1], aligned targets y, and the split layout."""
-
-    s: np.ndarray
-    y: np.ndarray
-    split: SplitSpec
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        s = np.asarray(self.s, dtype=float).ravel()
-        y = np.asarray(self.y, dtype=float).ravel()
-        if s.size != self.split.total:
-            raise ValueError(f"input length {s.size} does not match split total {self.split.total}")
-        if y.size != s.size:
-            raise ValueError(f"target length {y.size} does not match input length {s.size}")
-        if s.size and (s.min() < 0.0 or s.max() > 1.0):
-            raise ValueError("inputs must lie in [0, 1]")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("targets contain non-finite entries")
-        for name, arr in (("s", s), ("y", y)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-
-class TaskView(NamedTuple):
-    """A contiguous [start, stop) slice of a dataset."""
-
-    s: np.ndarray
-    y: np.ndarray
-    start: int
-    stop: int
-
-    @property
-    def indices(self) -> range:
-        return range(self.start, self.stop)
 
 
 def gen_uniform_inputs(length: int, lo: float = 0.0, hi: float = 1.0, seed=None) -> np.ndarray:
@@ -162,38 +121,3 @@ def scale_inputs(u, u_max: float = NARMA_INPUT_MAX) -> np.ndarray:
     if u.size and (u.min() < 0.0 or u.max() > u_max):
         raise ValueError(f"raw inputs must lie in [0, {u_max}]")
     return u / u_max
-
-
-def split_dataset(ds: TaskDataset) -> tuple[TaskView, TaskView]:
-    """(train view, val view); washout rows are dropped entirely."""
-    tr, va = ds.split.train_slice, ds.split.val_slice
-    train = TaskView(s=ds.s[tr], y=ds.y[tr], start=tr.start, stop=tr.stop)
-    val = TaskView(s=ds.s[va], y=ds.y[va], start=va.start, stop=va.stop)
-    return train, val
-
-
-def dataset_to_csv(ds: TaskDataset, path) -> None:
-    """Write `step, u, s, y` rows; u falls back to s when no raw stream exists."""
-    u = ds.meta.get("u")
-    u = np.asarray(u, dtype=float).ravel() if u is not None else ds.s
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "u", "s", "y"])
-        for k in range(ds.s.size):
-            writer.writerow([k, repr(float(u[k])), repr(float(ds.s[k])), repr(float(ds.y[k]))])
-
-
-def dataset_from_csv(path, split: SplitSpec, meta: dict | None = None) -> TaskDataset:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["step", "u", "s", "y"]:
-            raise ValueError(f"unexpected dataset CSV header: {header}")
-        u, s, y = [], [], []
-        for row in reader:
-            u.append(float(row[1]))
-            s.append(float(row[2]))
-            y.append(float(row[3]))
-    meta = dict(meta or {})
-    meta["u"] = np.asarray(u)
-    return TaskDataset(s=np.asarray(s), y=np.asarray(y), split=split, meta=meta)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from nmqrc.esp import backflow_count
-from nmqrc.hamiltonian import ReservoirParams, build_hamiltonian, build_propagator
+from nmqrc.hamiltonian import ReservoirParams, build_hamiltonian
 from nmqrc.harness import ExperimentConfig, parse_regime, run_esp, run_narma, run_stm
 from nmqrc.linalg import DensityMatrix, partial_trace, propagator, pseudoinverse, trace_norm
 from nmqrc.readout import fit_linear, predict, squared_correlation
@@ -57,7 +57,7 @@ def test_01_physics_invariants_suite():
             observables="z_and_zz" if rng.integers(2) else "z_only",
             multiplex="per_node" if rng.integers(2) else "sub_step",
         )
-        u = build_propagator(real, cfg.tau * cfg.sub_dt_factor)
+        u = propagator(real.h_full, cfg.tau * cfg.sub_dt_factor)
         unit_err = float(np.max(np.abs(u.conj().T @ u - np.eye(real.params.dim))))
         worst["unit"] = max(worst["unit"], unit_err)
         rho = DensityMatrix(random_density(rng, real.params.n_qubits))
@@ -316,7 +316,7 @@ def test_10_injection_contractivity():
                              h_sys=0.5, h_env=0.5, seed=17)
     real = build_hamiltonian(params)
     v, tau = 3, 0.8
-    u = build_propagator(real, tau)
+    u = propagator(real.h_full, tau)
     rng = np.random.default_rng(23)
     rho1 = DensityMatrix.maximally_mixed(5)
     rho2 = DensityMatrix.ground(5)

@@ -10,7 +10,6 @@ from nmqrc.hamiltonian import (
     CouplingSet,
     ReservoirParams,
     build_hamiltonian,
-    build_propagator,
     embed_pauli,
     export_couplings,
     import_couplings,
@@ -148,28 +147,6 @@ class TestBuildHamiltonian:
         bad = CouplingSet(j_sys=np.zeros(1), j_env=np.zeros(1), g=np.zeros((3, 2)))
         with pytest.raises(ConfigError, match="counts"):
             build_hamiltonian(p, bad)
-
-
-class TestBuildPropagator:
-    def test_short_time_close_to_identity(self):
-        real = build_hamiltonian(params(seed=2))
-        u = build_propagator(real, 1e-8)
-        assert np.max(np.abs(u - np.eye(real.params.dim))) < 1e-6
-
-    def test_group_property(self):
-        real = build_hamiltonian(params(seed=6))
-        u1 = build_propagator(real, 0.3)
-        u2 = build_propagator(real, 0.6)
-        assert np.max(np.abs(u1 @ u1 - u2)) < 1e-9
-
-    def test_cached(self):
-        real = build_hamiltonian(params(seed=8))
-        assert build_propagator(real, 0.5) is build_propagator(real, 0.5)
-
-    def test_rejects_nonpositive_dt(self):
-        real = build_hamiltonian(params(seed=8))
-        with pytest.raises(ValueError, match="> 0"):
-            build_propagator(real, 0.0)
 
 
 class TestCouplingsRoundTrip:

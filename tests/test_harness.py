@@ -1,10 +1,13 @@
 import csv
+import dataclasses
 import json
+import re
 
 import pytest
 
 import nmqrc.cli as cli
-from nmqrc.errors import ConfigError, NumericalError
+from nmqrc import harness
+from nmqrc.errors import ConfigError, DivergenceError, NumericalError
 from nmqrc.harness import (
     ExperimentConfig,
     RegimeSpec,
@@ -50,6 +53,14 @@ class TestRegimes:
     def test_unknown_rejected(self):
         with pytest.raises(ConfigError, match="preset"):
             parse_regime("markovian", "stm")
+
+    @pytest.mark.parametrize("label", ["../x", "a/b", ".", "..", "a\\b"])
+    def test_label_that_is_not_one_directory_rejected(self, label):
+        # the label names the regime's output directory
+        with pytest.raises(ConfigError, match=re.escape(repr(label))):
+            RegimeSpec(label, 1.0, 1.0)
+        with pytest.raises(ConfigError, match="output directory"):
+            parse_regime(f"{label}:1:1", "esp")
 
 
 class TestExperimentConfig:
@@ -167,6 +178,19 @@ class TestDefaultsAndFiles:
         path.write_text(json.dumps({"task": "stm"}))
         with pytest.raises(ConfigError, match="schema_version"):
             load_config(path)
+        for version in (True, 1.0, 2, "1"):
+            path.write_text(json.dumps({"schema_version": version, "task": "stm"}))
+            with pytest.raises(ConfigError, match="schema_version"):
+                load_config(path)
+
+    @pytest.mark.parametrize("task", ["stm", "narma", "esp"])
+    def test_run_meta_config_loads_back(self, tmp_path, task):
+        # the config echoed into run_meta.json is a config file for the same run
+        cfg = dataclasses.replace(default_config(task, "quick"), output_dir=str(tmp_path), h_env=0.25,
+                                  regimes=(parse_regime("markov", task), parse_regime("odd:0.5:2.0", task)))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config_to_dict(cfg)))
+        assert load_config(path) == cfg
 
     def test_task_mismatch(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -315,6 +339,68 @@ class TestRunEsp:
         results = run_esp(cfg)
         # same seed, same inputs: step-0 snapshots identical by construction
         assert results[0].records[0] == results[1].records[0]
+
+
+# The names the job reaches each layer through; a tracer wraps them there.
+TRACED = ("build_hamiltonian", "run_trajectory", "dual_trajectory", "pseudoinverse",
+          "squared_correlation", "narma_series", "stm_targets", "records_to_csv")
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Count the calls through each traced name on ``nmqrc.harness``."""
+    counts = dict.fromkeys(TRACED, 0)
+    for name in TRACED:
+        def counted(*args, _fn=getattr(harness, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(harness, name, counted)
+    return counts
+
+
+def tiny_narma_config(**over):
+    kwargs = dict(
+        task="narma", n_sys=2, n_env=1, h_sys=1.0, tau=1.0, v=3, observables="z_and_zz",
+        split=SplitSpec(30, 80, 40), seeds=(0, 1), orders=(1, 2),
+        regimes=(parse_regime("fn", "narma"), parse_regime("non_markov", "narma")),
+    )
+    kwargs.update(over)
+    return ExperimentConfig(**kwargs)
+
+
+class TestJob:
+    def test_stm_calls(self, calls, tmp_path):
+        run_stm(tiny_stm_config(tmp_path))  # 2 regimes x 2 seeds, delays 0..3
+        assert calls == dict.fromkeys(TRACED, 0) | dict(
+            build_hamiltonian=4, run_trajectory=4, pseudoinverse=4, stm_targets=16, squared_correlation=16)
+
+    def test_narma_calls(self, calls, tmp_path):
+        run_narma(tiny_narma_config(output_dir=str(tmp_path)))  # 2 regimes x 2 seeds, orders 1, 2
+        assert calls == dict.fromkeys(TRACED, 0) | dict(
+            build_hamiltonian=4, run_trajectory=4, pseudoinverse=4, narma_series=8, squared_correlation=8)
+
+    def test_esp_calls(self, calls, tmp_path):
+        cfg = ExperimentConfig(
+            task="esp", n_sys=2, n_env=1, tau=0.5, v=2, seeds=(0, 1), esp_steps=10, window=(5, 10),
+            output_dir=str(tmp_path),
+            regimes=(parse_regime("markov", "esp"), parse_regime("non_markov", "esp")),
+        )
+        run_esp(cfg)
+        assert calls == dict.fromkeys(TRACED, 0) | dict(build_hamiltonian=4, dual_trajectory=4, records_to_csv=4)
+
+    def test_diverging_target_keeps_its_type_and_context(self, monkeypatch):
+        def diverge(u, order):
+            raise DivergenceError("synthetic")
+        monkeypatch.setattr(harness, "narma_series", diverge)
+        with pytest.raises(DivergenceError, match=r"regime=fn, seed=0, order=1\b"):
+            run_narma(tiny_narma_config())
+
+    def test_trajectory_failure_names_the_run(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NumericalError("synthetic")
+        monkeypatch.setattr(harness, "run_trajectory", fail)
+        with pytest.raises(NumericalError, match=r"stm run failed \(regime=markov, seed=0\): synthetic"):
+            run_stm(tiny_stm_config())
 
 
 class TestCli:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from nmqrc.errors import ConfigError, NumericalError
-from nmqrc.hamiltonian import ReservoirParams, build_hamiltonian, build_propagator, embed_pauli
-from nmqrc.linalg import DensityMatrix, partial_trace
+from nmqrc.hamiltonian import ReservoirParams, build_hamiltonian, embed_pauli
+from nmqrc.linalg import DensityMatrix, partial_trace, propagator
 from nmqrc.reservoir import (
     FeatureMatrix,
     ObservableSet,
@@ -29,7 +29,7 @@ def naive_step(rho_mat, s, real, cfg, obs):
     """Reference stepper: explicit propagator conjugation per sub-step."""
     n = real.params.n_qubits
     dt = cfg.tau * cfg.sub_dt_factor
-    u = build_propagator(real, dt)
+    u = propagator(real.h_full, dt)
     rho_in = encode_input(s).matrix
     if n == 1:
         # sole qubit: injection replaces the whole register
@@ -228,7 +228,7 @@ class TestEvolveStep:
         got_rho, got_f = evolve_step(rho0, s, real, cfg)
 
         injected = np.kron(np.kron(parts[0], encode_input(s).matrix), parts[2])
-        u = build_propagator(real, cfg.tau)
+        u = propagator(real.h_full, cfg.tau)
         obs = ObservableSet.build(2, "z_only")
         want_f = []
         rho = injected

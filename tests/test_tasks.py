@@ -5,13 +5,9 @@ from nmqrc.errors import DivergenceError
 from nmqrc.tasks import (
     NARMA_CONSTANTS,
     SplitSpec,
-    TaskDataset,
-    dataset_from_csv,
-    dataset_to_csv,
     gen_uniform_inputs,
     narma_series,
     scale_inputs,
-    split_dataset,
     stm_targets,
 )
 
@@ -122,48 +118,26 @@ class TestScaleInputs:
 class TestSplits:
     def test_protocol_layout(self):
         split = SplitSpec(1000, 3000, 1000)
-        ds = TaskDataset(s=np.zeros(5000), y=np.zeros(5000), split=split)
-        train, val = split_dataset(ds)
-        assert (train.start, train.stop) == (1000, 4000)
-        assert (val.start, val.stop) == (4000, 5000)
-        assert train.s.size == 3000 and val.s.size == 1000
+        assert split.total == 5000
+        assert split.train_slice == slice(1000, 4000)
+        assert split.val_slice == slice(4000, 5000)
+        rows = np.arange(split.total)
+        assert rows[split.train_slice].size == 3000 and rows[split.val_slice].size == 1000
 
     def test_zero_washout(self):
-        ds = TaskDataset(s=np.zeros(3), y=np.zeros(3), split=SplitSpec(0, 2, 1))
-        train, val = split_dataset(ds)
-        assert train.start == 0 and train.stop == 2
+        split = SplitSpec(0, 2, 1)
+        assert split.train_slice == slice(0, 2)
+        assert split.val_slice == slice(2, 3)
 
     def test_minimal_split(self):
-        ds = TaskDataset(s=np.zeros(2), y=np.zeros(2), split=SplitSpec(0, 1, 1))
-        train, val = split_dataset(ds)
-        assert train.s.size == 1 and val.s.size == 1
+        split = SplitSpec(0, 1, 1)
+        rows = np.arange(split.total)
+        assert rows[split.train_slice].size == 1 and rows[split.val_slice].size == 1
 
     def test_split_validation(self):
         with pytest.raises(ValueError, match="train"):
             SplitSpec(5, 0, 1)
-        with pytest.raises(ValueError, match="length"):
-            TaskDataset(s=np.zeros(3), y=np.zeros(3), split=SplitSpec(1, 1, 2))
-
-    def test_input_range_validation(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            TaskDataset(s=np.array([0.5, 1.5]), y=np.zeros(2), split=SplitSpec(0, 1, 1))
-
-
-class TestDatasetCsv:
-    def test_round_trip(self, tmp_path):
-        split = SplitSpec(1, 2, 1)
-        u = np.array([0.0, 0.25, 0.5, 0.125])
-        ds = TaskDataset(s=scale_inputs(u), y=np.array([0.1, 0.2, 0.3, 0.4]),
-                         split=split, meta={"u": u, "order": 5})
-        path = tmp_path / "dataset.csv"
-        dataset_to_csv(ds, path)
-        back = dataset_from_csv(path, split, meta={"order": 5})
-        assert np.array_equal(back.s, ds.s)
-        assert np.array_equal(back.y, ds.y)
-        assert np.array_equal(back.meta["u"], u)
-
-    def test_header_guard(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError, match="header"):
-            dataset_from_csv(path, SplitSpec(0, 1, 1))
+        with pytest.raises(ValueError, match="val"):
+            SplitSpec(5, 1, 0)
+        with pytest.raises(ValueError, match="washout"):
+            SplitSpec(-1, 1, 1)
