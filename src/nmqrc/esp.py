@@ -22,7 +22,7 @@ import numpy as np
 from .errors import NumericalError
 from .hamiltonian import HamiltonianRealization
 from .linalg import DensityMatrix, partial_trace, trace_norm
-from .reservoir import ObservableSet, ReservoirConfig, _engine
+from .reservoir import ObservableSet, ReservoirConfig, _StepEngine
 
 BACKFLOW_TOL = 1e-6
 
@@ -75,7 +75,7 @@ def dual_trajectory(
     if inputs.size and (inputs.min() < 0.0 or inputs.max() > 1.0):
         raise ValueError("inputs must lie in [0, 1]")
     obs = ObservableSet.build(p.n_sys, "z_only")
-    engine = _engine(real, cfg, obs)
+    engine = _StepEngine(real, cfg, obs)
     env = range(p.n_sys, p.n_qubits)
 
     rho1 = engine.to_state(initial_states[0].matrix)

@@ -98,6 +98,10 @@ class CouplingSet:
         object.__setattr__(self, "j_env", _frozen(np.ravel(self.j_env)))
         object.__setattr__(self, "g", _frozen(np.atleast_2d(self.g)))
 
+    def __reduce__(self):
+        # Unpickled arrays come back writable; the constructor freezes them.
+        return type(self), (self.j_sys, self.j_env, self.g)
+
 
 def sample_couplings(params: ReservoirParams, rng: np.random.Generator | None = None) -> CouplingSet:
     """Draw a coupling realization; ``rng`` defaults to PCG64 seeded with params.seed."""
@@ -142,9 +146,10 @@ def _components(pattern: np.ndarray) -> np.ndarray:
         label = new
 
 
-def _sector_eig(h: np.ndarray) -> tuple[np.ndarray, HermitianEigen]:
-    """Split H into the connected components of its nonzero pattern and
-    eigendecompose each block.
+def _sector_eig(h: np.ndarray, pattern: np.ndarray) -> tuple[np.ndarray, HermitianEigen]:
+    """Split H into the connected components of the nonzero ``pattern`` (that
+    of H, plus whatever else must stay within one sector) and eigendecompose
+    each block.
 
     Returns ``order``, the register basis indices listed sector after
     sector, and the eigendecompositions of the k blocks of m states that H
@@ -155,7 +160,7 @@ def _sector_eig(h: np.ndarray) -> tuple[np.ndarray, HermitianEigen]:
     unequal size are treated as one sector, so a term that breaks the
     symmetry gets the plain full-register eigendecomposition.
     """
-    label = _components(h != 0)
+    label = _components(pattern)
     sizes = np.unique(label, return_counts=True)[1]
     if sizes.min() == sizes.max():
         order = np.argsort(label, kind="stable")
@@ -170,44 +175,23 @@ def _sector_eig(h: np.ndarray) -> tuple[np.ndarray, HermitianEigen]:
     )
 
 
+@dataclass(frozen=True, eq=False)
 class HamiltonianRealization:
-    """A sampled Hamiltonian plus cached spectral data.
+    """A sampled Hamiltonian: its params, couplings and the read-only
+    full-register matrix. Immutable, also after pickling."""
 
-    The sector eigendecomposition (what the step engine uses) and the full
-    eigendecomposition (the engine's fallback when an observable couples
-    sectors) are each computed once on first use. Instances are treated as immutable and are safe to share
-    across trajectory runs.
-    """
+    params: ReservoirParams
+    couplings: CouplingSet
+    h_full: np.ndarray
 
-    def __init__(self, params: ReservoirParams, couplings: CouplingSet, h_full: np.ndarray):
-        self.params = params
-        self.couplings = couplings
-        h_full = np.asarray(h_full, dtype=complex)
+    def __post_init__(self):
+        h_full = np.asarray(self.h_full, dtype=complex)
         h_full.flags.writeable = False
-        self.h_full = h_full
-        self._eigen: HermitianEigen | None = None
-        self._sectors: tuple[np.ndarray, HermitianEigen] | None = None
-        self._engines: dict = {}
+        object.__setattr__(self, "h_full", h_full)
 
-    @property
-    def eigen(self) -> HermitianEigen:
-        if self._eigen is None:
-            self._eigen = hermitian_eig(self.h_full)
-        return self._eigen
-
-    @property
-    def sectors(self) -> tuple[np.ndarray, HermitianEigen]:
-        """(basis order, stacked block eigendecompositions); see ``_sector_eig``."""
-        if self._sectors is None:
-            self._sectors = _sector_eig(self.h_full)
-        return self._sectors
-
-    def __getstate__(self):
-        # Caches hold derived data only; drop them so workers re-derive.
-        return {"params": self.params, "couplings": self.couplings, "h_full": self.h_full}
-
-    def __setstate__(self, state):
-        self.__init__(state["params"], state["couplings"], state["h_full"])
+    def __reduce__(self):
+        # Unpickled arrays come back writable; the constructor freezes them.
+        return type(self), (self.params, self.couplings, self.h_full)
 
 
 def build_hamiltonian(params: ReservoirParams, couplings: CouplingSet | None = None) -> HamiltonianRealization:

@@ -251,14 +251,15 @@ def _want_num(key, value) -> float:
     return float(value)
 
 
-def _want_num_or_null(key, value) -> float | None:
-    return None if value is None else _want_num(key, value)
-
-
 def _want_str(key, value) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{key}: expected a string, got {value!r}")
     return value
+
+
+def _or_null(want):
+    """The parser ``want`` that also accepts null, as None."""
+    return lambda key, value: None if value is None else want(key, value)
 
 
 def _want_int_list(key, value) -> tuple[int, ...]:
@@ -277,9 +278,9 @@ def _want_str_list(key, value) -> tuple[str, ...]:
 _PARSERS = {
     "schema_version": _want_int, "task": _want_str,
     "n_sys": _want_int, "n_env": _want_int, "j0": _want_num, "h_sys": _want_num,
-    "h_env": _want_num_or_null, "tau": _want_num, "v": _want_int,
+    "h_env": _or_null(_want_num), "tau": _want_num, "v": _want_int,
     "observables": _want_str, "multiplex": _want_str, "seeds": _want_int_list,
-    "regimes": _want_str_list, "output_dir": _want_str, "workers": _want_int,
+    "regimes": _want_str_list, "output_dir": _or_null(_want_str), "workers": _want_int,
     "washout": _want_int, "train": _want_int, "val": _want_int, "tau_d_max": _want_int,
     "orders": _want_int_list, "esp_steps": _want_int, "window_start": _want_int, "window_end": _want_int,
 }

@@ -28,15 +28,14 @@ block diagonal over them. With the state kept in sector order, a step
   a precomputed phase table of d^2/k entries per node.
 
 This is exactly unitary conjugation by exp(-i H dt), just associated
-differently. Sectors of unequal size, or an observable that couples two
-sectors, make the engine treat the whole register as one sector (k = 1), so
-a term that breaks the symmetry costs speed, not correctness.
+differently. An observable that couples two sectors joins them into one, and
+sectors of unequal size make the engine treat the whole register as one
+sector (k = 1), so a term that breaks the symmetry costs speed, not
+correctness.
 """
 
 from __future__ import annotations
 
-import csv
-import hashlib
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -44,8 +43,8 @@ import numpy as np
 
 from . import linalg
 from .errors import ConfigError, NumericalError
-from .hamiltonian import PAULI, HamiltonianRealization
-from .linalg import DensityMatrix, HermitianEigen
+from .hamiltonian import PAULI, HamiltonianRealization, _sector_eig
+from .linalg import DensityMatrix
 
 OBSERVABLE_KINDS = ("z_only", "z_and_zz")
 MULTIPLEX_MODES = ("per_node", "sub_step")
@@ -107,7 +106,6 @@ class ObservableSet:
         ops.flags.writeable = False
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "fingerprint", hashlib.sha256(ops.tobytes()).hexdigest())
 
     def __len__(self) -> int:
         return self.operators.shape[0]
@@ -173,13 +171,6 @@ class FeatureMatrix:
     @property
     def width(self) -> int:
         return self.values.shape[1]
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", *self.labels])
-            for k in range(self.steps):
-                writer.writerow([k, *(repr(float(x)) for x in self.values[k])])
 
 
 def encode_input(s: float) -> DensityMatrix:
@@ -269,16 +260,11 @@ class _StepEngine:
         self.n_obs = len(obs)
         self.dt = cfg.tau * cfg.sub_dt_factor
 
-        # An observable O_i x I_env with entries between two sectors (none of
-        # the built-in ones has them) needs the whole register as one sector.
-        order, eig = real.sectors
-        k = eig.eigenvalues.shape[0]
-        if any(
-            np.count_nonzero(_diagonal_blocks(op, order, k, p.n_env)) != np.count_nonzero(op) << p.n_env
-            for op in obs.operators
-        ):
-            order = np.arange(d)
-            eig = HermitianEigen(real.eigen.eigenvalues[None], real.eigen.eigenvectors[None])
+        # Sectors are split on the pattern of H joined with that of every
+        # O_i x I_env, so an observable with entries between two sectors (none
+        # of the built-in ones has them) joins them.
+        obs_pattern = np.kron(np.any(obs.operators != 0, axis=0), np.eye(2 ** p.n_env, dtype=bool))
+        order, eig = _sector_eig(real.h_full, (real.h_full != 0) | obs_pattern)
         k, m = eig.eigenvalues.shape
         self.shape = (k, m, d)
         self.order = order
@@ -371,15 +357,6 @@ def _diagonal_blocks(op: np.ndarray, order: np.ndarray, k: int, n_env: int) -> n
     return op[sys_idx[:, :, None], sys_idx[:, None, :]] * same_env
 
 
-def _engine(real: HamiltonianRealization, cfg: ReservoirConfig, obs: ObservableSet) -> _StepEngine:
-    key = (cfg, obs.labels, obs.fingerprint)
-    engine = real._engines.get(key)
-    if engine is None:
-        engine = _StepEngine(real, cfg, obs)
-        real._engines[key] = engine
-    return engine
-
-
 def evolve_step(
     rho: DensityMatrix,
     s: float,
@@ -387,14 +364,19 @@ def evolve_step(
     cfg: ReservoirConfig,
     obs: ObservableSet | None = None,
 ) -> tuple[DensityMatrix, np.ndarray]:
-    """Single input step on a validated state; returns (next state, feature slice)."""
+    """Single input step on a validated state; returns (next state, feature slice).
+
+    Each call builds the step engine (sector eigendecomposition, propagator,
+    phase table), which costs far more than the step itself; drive a
+    sequence of inputs through ``run_trajectory``, which builds it once.
+    """
     if obs is None:
         obs = ObservableSet.build(real.params.n_sys, cfg.observables)
     if rho.qubit_count != real.params.n_qubits:
         raise ValueError(
             f"state has {rho.qubit_count} qubits but the realization has {real.params.n_qubits}"
         )
-    engine = _engine(real, cfg, obs)
+    engine = _StepEngine(real, cfg, obs)
     mat, feats = engine.step(engine.to_state(rho.matrix), s)
     return DensityMatrix(engine.to_register(mat)), feats
 
@@ -414,7 +396,7 @@ def run_trajectory(
     if inputs.size and (inputs.min() < 0.0 or inputs.max() > 1.0):
         raise ValueError("inputs must lie in [0, 1]")
     obs = ObservableSet.build(real.params.n_sys, cfg.observables)
-    engine = _engine(real, cfg, obs)
+    engine = _StepEngine(real, cfg, obs)
     if initial_state is None:
         initial_state = DensityMatrix.ground(real.params.n_qubits)
     elif initial_state.qubit_count != real.params.n_qubits:

@@ -1,4 +1,5 @@
 import json
+import pickle
 from itertools import combinations
 from math import comb
 
@@ -15,6 +16,7 @@ from nmqrc.hamiltonian import (
     import_couplings,
     sample_couplings,
 )
+from nmqrc.reservoir import ReservoirConfig, run_trajectory
 
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -162,3 +164,14 @@ class TestCouplingsRoundTrip:
         real = build_hamiltonian(params(n_sys=3, n_env=0, seed=12))
         rebuilt = import_couplings(export_couplings(real))
         assert np.array_equal(rebuilt.h_full, real.h_full)
+
+    def test_pickle_keeps_arrays_read_only(self):
+        # realizations cross process boundaries by pickle in a worker pool
+        real = build_hamiltonian(params(n_sys=2, n_env=2, alpha=1.5, beta=0.8, seed=13))
+        back = pickle.loads(pickle.dumps(real))
+        c = back.couplings
+        assert not any(a.flags.writeable for a in (back.h_full, c.j_sys, c.j_env, c.g))
+        inputs = np.random.default_rng(14).uniform(0, 1, 20)
+        cfg = ReservoirConfig(tau=0.5, v=3)
+        assert np.array_equal(run_trajectory(back, inputs, cfg)[0].values,
+                              run_trajectory(real, inputs, cfg)[0].values)

@@ -192,6 +192,14 @@ class TestDefaultsAndFiles:
         path.write_text(json.dumps(config_to_dict(cfg)))
         assert load_config(path) == cfg
 
+    @pytest.mark.parametrize("task", ["stm", "narma", "esp"])
+    def test_config_echo_without_output_dir_loads_back(self, tmp_path, task):
+        cfg = default_config(task, "quick")
+        assert cfg.output_dir is None
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config_to_dict(cfg)))  # "output_dir": null
+        assert load_config(path) == cfg
+
     def test_task_mismatch(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"schema_version": 1, "task": "stm"}))

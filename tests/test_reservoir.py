@@ -1,4 +1,3 @@
-import csv
 from math import comb
 
 import numpy as np
@@ -364,14 +363,3 @@ class TestFeatureMatrix:
     def test_bounds_enforced(self):
         with pytest.raises(ValueError, match="tolerance band"):
             FeatureMatrix(values=np.array([[1.5, 1.0]]), labels=("v1_Z0", "bias"))
-
-    def test_csv_round_trip(self, tmp_path):
-        vals = np.array([[0.25, -0.5, 1.0], [0.125, 0.75, 1.0]])
-        fm = FeatureMatrix(values=vals, labels=("v1_Z0", "v1_Z1", "bias"))
-        path = tmp_path / "features.csv"
-        fm.to_csv(path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["step", "v1_Z0", "v1_Z1", "bias"]
-        back = np.array([[float(x) for x in row[1:]] for row in rows[1:]])
-        assert np.array_equal(back, vals)

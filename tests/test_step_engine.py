@@ -107,8 +107,8 @@ def test_engine_matches_propagator_oracle(case):
 def test_alpha_zero_splits_into_more_sectors():
     real = build_hamiltonian(ReservoirParams(n_sys=4, n_env=3, alpha=0.0, beta=0.7,
                                              h_sys=0.5, h_env=1.0, seed=41))
-    assert real.sectors[1].eigenvalues.shape == (16, 8)
     cfg = ReservoirConfig(tau=0.4, v=3, observables="z_and_zz", input_qubit=2)
+    assert rmod._StepEngine(real, cfg, ObservableSet.build(4, cfg.observables)).shape[:2] == (16, 8)
     assert_matches_oracle(real, [0.1, 0.9, 0.4], cfg, random_state(7, np.random.default_rng(43)))
 
 
@@ -122,8 +122,8 @@ class TestSymmetryGuard:
         return HamiltonianRealization(real.params, real.couplings, real.h_full + extra)
 
     def check(self, real, sectors):
-        assert real.sectors[1].eigenvalues.shape[0] == sectors
         cfg = ReservoirConfig(tau=0.6, v=4, observables="z_and_zz")
+        assert rmod._StepEngine(real, cfg, ObservableSet.build(2, cfg.observables)).shape[0] == sectors
         inputs = np.random.default_rng(47).uniform(0, 1, 5)
         assert_matches_oracle(real, inputs, cfg, random_state(4, np.random.default_rng(49)))
 
@@ -151,6 +151,8 @@ def test_observable_across_sectors_uses_the_whole_register():
     ops = [np.kron(PAULI[axis], np.eye(2)) for axis in ("X", "Y")]
     obs = ObservableSet(labels=("X0", "Y0"), operators=np.array(ops))
     cfg = ReservoirConfig(tau=0.7, v=3)
+    # X0 and Y0 flip the system parity, joining the 4 sectors of H in pairs
+    assert rmod._StepEngine(real, cfg, obs).shape[0] == 2
     rho0 = random_state(3, np.random.default_rng(53))
     rho, got = evolve_step(rho0, 0.35, real, cfg, obs)
     want, want_rho = oracle_run(real, [0.35], cfg, rho0.matrix, obs)
