@@ -1,4 +1,4 @@
-"""Echo-state diagnostics: lockstep trajectory pairs and backflow counting.
+"""Echo-state diagnostics: the divergence of two trajectories and backflow counting.
 
 Two copies of the reservoir start from different initial states (by default
 the maximally mixed state and the all-zero state) and receive identical
@@ -9,6 +9,13 @@ contracting reservoir drives all three to zero; persistent feature distance
 signals a broken echo-state property, and step-to-step increases of the
 system-marginal trace distance count information flowing back from the
 environment.
+
+The copies are not stepped separately. Injection and readout are linear in
+the state, so the difference Delta = rho1 - rho2 follows the same step map
+and its features are the feature difference. The injection tensors a pure
+input state onto Tr_q Delta and the evolution is unitary, so the
+full-register trace distance after input k is Tr|Tr_q Delta_{k-1}|, on half
+the register.
 """
 
 from __future__ import annotations
@@ -54,11 +61,16 @@ def dual_trajectory(
     cfg: ReservoirConfig,
     initial_states: tuple[DensityMatrix, DensityMatrix] | None = None,
 ) -> list[EspRecord]:
-    """Step two initial states in lockstep under identical inputs.
+    """Divergence records of two initial states under identical inputs.
 
-    Feature distances always use the single-site Z observables regardless of
-    ``cfg.observables``. Returns len(inputs) + 1 records, the first being the
-    step-0 snapshot of the initial states.
+    The step map is linear, so only the difference Delta = rho1 - rho2 is
+    stepped: its features are the feature difference, and since the
+    injection tensors a pure input state onto Tr_q Delta and the evolution is
+    unitary, the full-register trace distance after input k is
+    Tr|Tr_q Delta_{k-1}|, taken before the step on a register of half the
+    size. Feature distances always use the single-site Z observables
+    regardless of ``cfg.observables``. Returns len(inputs) + 1 records, the
+    first being the step-0 snapshot of the initial states.
     """
     p = real.params
     if initial_states is None:
@@ -78,35 +90,33 @@ def dual_trajectory(
     engine = _StepEngine(real, cfg, obs)
     env = range(p.n_sys, p.n_qubits)
 
-    rho1 = engine.to_state(initial_states[0].matrix)
-    rho2 = engine.to_state(initial_states[1].matrix)
-    records = [_record(0, 0.0, initial_states[0].matrix, initial_states[1].matrix, env, p.n_qubits)]
+    rho1, rho2 = (state.matrix for state in initial_states)
+    diff = rho1 - rho2
+    td_full = td_sys = trace_norm(_hermitian(diff))
+    if env:
+        m1, m2 = (partial_trace(rho, env, p.n_qubits) for rho in (rho1, rho2))
+        td_sys = trace_norm(_hermitian(m1 - m2))
+        env_idx = engine.trace_index(env)
+    records = [EspRecord(step=0, sqnorm_diff=0.0, trace_distance=td_full, trace_distance_sys=td_sys)]
+    # The step map keeps the trace, so Delta keeps that of the initial pair:
+    # 0 up to rounding.
+    trace = float(diff.trace().real)
+    delta = engine.to_state(diff)
     for k, s in enumerate(inputs):
+        td_full = trace_norm(_hermitian(engine.trace_out(delta, engine.trace_idx)))
         try:
-            rho1, f1 = engine.step(rho1, s)
-            rho2, f2 = engine.step(rho2, s)
+            delta, f = engine.step(delta, s, trace=trace)
         except (NumericalError, ValueError) as exc:
             raise NumericalError(f"trajectory pair failed at step {k}: {exc}") from exc
-        sqnorm = float(np.sum((f1 - f2) ** 2))
-        records.append(
-            _record(k + 1, sqnorm, engine.to_register(rho1), engine.to_register(rho2), env, p.n_qubits)
-        )
+        td_sys = trace_norm(_hermitian(engine.trace_out(delta, env_idx))) if env else td_full
+        records.append(EspRecord(step=k + 1, sqnorm_diff=float(np.sum(f ** 2)),
+                                 trace_distance=td_full, trace_distance_sys=td_sys))
     return records
 
 
-def _record(step, sqnorm, rho1, rho2, env, n) -> EspRecord:
-    diff = rho1 - rho2
+def _hermitian(a: np.ndarray) -> np.ndarray:
     # Symmetrize away rounding drift so trace_norm's Hermiticity gate holds.
-    diff = (diff + diff.conj().T) / 2
-    td_full = trace_norm(diff)
-    if env:
-        m1 = partial_trace(rho1, env, n)
-        m2 = partial_trace(rho2, env, n)
-        d_sys = m1 - m2
-        td_sys = trace_norm((d_sys + d_sys.conj().T) / 2)
-    else:
-        td_sys = td_full
-    return EspRecord(step=int(step), sqnorm_diff=sqnorm, trace_distance=td_full, trace_distance_sys=td_sys)
+    return (a + a.conj().T) / 2
 
 
 def window_stats(records: Sequence[EspRecord], start: int, stop: int) -> WindowStats:

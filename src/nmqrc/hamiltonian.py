@@ -185,7 +185,8 @@ class HamiltonianRealization:
     h_full: np.ndarray
 
     def __post_init__(self):
-        h_full = np.asarray(self.h_full, dtype=complex)
+        # A copy, so the caller's array cannot change the realization later.
+        h_full = np.array(self.h_full, dtype=complex)
         h_full.flags.writeable = False
         object.__setattr__(self, "h_full", h_full)
 

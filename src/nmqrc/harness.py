@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields as dc_fields
@@ -518,6 +520,27 @@ def run_esp(cfg: ExperimentConfig) -> list[EspRunResult]:
     return _run(cfg, "esp")
 
 
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """The software, BLAS and thread settings the run's timings depend on."""
+    from . import __version__
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.25 has no dict mode
+        blas = None
+    return {
+        "python": "%d.%d.%d" % sys.version_info[:3],
+        "numpy": np.__version__,
+        "nmqrc": __version__,
+        "blas": blas,
+        "cpu_count": os.cpu_count(),
+        "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
+    }
+
+
 def _write_outputs(cfg: ExperimentConfig, results: list, couplings: dict) -> None:
     """run_meta.json, then per regime its couplings, summary.csv and (esp)
     record streams."""
@@ -530,6 +553,7 @@ def _write_outputs(cfg: ExperimentConfig, results: list, couplings: dict) -> Non
             "inputs for seed k come from SeedSequence([k, 1]) and are shared "
             "across regimes; realizations use seed k directly"
         ),
+        "environment": _environment(),
     }
     with open(root / "run_meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)

@@ -183,6 +183,10 @@ class DensityMatrix:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
+    def __reduce__(self):
+        # Unpickled arrays come back writable; the constructor freezes them.
+        return type(self), (self.matrix,)
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]

@@ -107,6 +107,10 @@ class ObservableSet:
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "labels", tuple(self.labels))
 
+    def __reduce__(self):
+        # Unpickled arrays come back writable; the constructor freezes them.
+        return type(self), (self.labels, self.operators)
+
     def __len__(self) -> int:
         return self.operators.shape[0]
 
@@ -163,6 +167,10 @@ class FeatureMatrix:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "labels", tuple(self.labels))
+
+    def __reduce__(self):
+        # Unpickled arrays come back writable; the constructor freezes them.
+        return type(self), (self.values, self.labels)
 
     @property
     def steps(self) -> int:
@@ -280,19 +288,13 @@ class _StepEngine:
         self.u_h = np.ascontiguousarray(self.u.conj().transpose(0, 2, 1))
 
         # Injection as gathers from the stored state: the trace over the input
-        # qubit adds the two entries that differ only in its bit, and entry
-        # (i, j) of the product state is rho_in at the pair of input bits of
-        # i and j times that trace at the pair of their remaining bits.
-        def flat(i, j):  # offset of sector-order entry (i, j) in a (k, d, m) state
-            return (j // m) * (d * m) + i * m + j % m
-
+        # qubit, then entry (i, j) of the product state is rho_in at the pair
+        # of input bits of i and j times that trace at the pair of their
+        # remaining bits.
+        self.trace_idx = self.trace_index([cfg.input_qubit])
         shift = p.n_qubits - 1 - cfg.input_qubit
         low = (1 << shift) - 1
         reg = order
-        r = np.arange(d // 2)
-        reg0 = ((r >> shift) << (shift + 1)) | (r & low)
-        p0, p1 = self.position[reg0], self.position[reg0 | (1 << shift)]
-        self.trace_idx = (flat(p0[:, None], p0), flat(p1[:, None], p1))
         rest = ((reg >> (shift + 1)) << shift) | (reg & low)
         bit = (reg >> shift) & 1
         self.inject_idx = (bit[:, None] * 2 + bit) * (d // 2) ** 2 + rest[:, None] * (d // 2) + rest
@@ -322,10 +324,41 @@ class _StepEngine:
         k, m, d = self.shape
         return state.transpose(1, 0, 2).reshape(d, d)[np.ix_(self.position, self.position)]
 
-    def step(self, state: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
-        """One input step: inject, evolve v sub-steps, read out after each."""
+    def trace_index(self, traced) -> np.ndarray:
+        """Offsets, shape (2^t, r, r), of the stored-state entries that the
+        partial trace over the register qubits ``traced`` adds: entry [b, i, j]
+        is register entry (i, j) of the kept qubits with the traced bits b on
+        both sides. Kept qubits stay in register order."""
         k, m, d = self.shape
-        traced = state.take(self.trace_idx[0]) + state.take(self.trace_idx[1])
+        n = d.bit_length() - 1
+        traced = sorted(traced)
+        keep = [q for q in range(n) if q not in traced]
+
+        def place(qubits):  # register indices carrying each value's bits on ``qubits``
+            vals = np.arange(2 ** len(qubits))
+            out = np.zeros_like(vals)
+            for i, q in enumerate(qubits):
+                out |= ((vals >> (len(qubits) - 1 - i)) & 1) << (n - 1 - q)
+            return out
+
+        pos = self.position[place(traced)[:, None] | place(keep)]  # (2^t, r)
+        row, col = pos[:, :, None], pos[:, None, :]
+        return (col // m) * (d * m) + row * m + col % m  # offset of entry (row, col) in a (k, d, m) state
+
+    @staticmethod
+    def trace_out(state: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Partial trace of a stored state over a ``trace_index`` gather."""
+        return state.take(idx).sum(axis=0)
+
+    def step(self, state: np.ndarray, s: float, trace: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+        """One input step: inject, evolve v sub-steps, read out after each.
+
+        The map is linear in ``state``, so it also steps the difference of two
+        states; ``trace`` is the trace the stepped state must keep: 1 for a
+        density matrix, 0 up to rounding for a difference of two.
+        """
+        k, m, d = self.shape
+        traced = self.trace_out(state, self.trace_idx)
         rho = np.multiply.outer(_encode(s).ravel(), traced).take(self.inject_idx)  # (d, d), sector order
 
         sigma = self.w_h @ rho.reshape(k, m, k, m)[self.diag, :, self.diag, :] @ self.w
@@ -342,7 +375,7 @@ class _StepEngine:
 
         half = (self.u @ rho.reshape(k, m, d)).reshape(d, k, m).transpose(1, 0, 2)
         state = half @ self.u_h
-        trace_err = abs(float(np.einsum("aapp->", state.reshape(k, k, m, m)).real) - 1.0)
+        trace_err = abs(float(np.einsum("aapp->", state.reshape(k, k, m, m)).real) - trace)
         if trace_err > STEP_TRACE_ATOL:
             raise NumericalError(f"state trace drifted by {trace_err:.3e} > {STEP_TRACE_ATOL:.1e}")
         return state, feats.ravel()

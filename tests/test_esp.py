@@ -3,10 +3,11 @@ import csv
 import numpy as np
 import pytest
 
+from nmqrc.errors import NumericalError
 from nmqrc.esp import EspRecord, backflow_count, dual_trajectory, records_to_csv, window_stats
 from nmqrc.hamiltonian import ReservoirParams, build_hamiltonian
 from nmqrc.linalg import DensityMatrix
-from nmqrc.reservoir import ReservoirConfig
+from nmqrc.reservoir import ObservableSet, ReservoirConfig, _StepEngine
 
 
 def make_real(n_sys=2, n_env=1, alpha=1.0, beta=1.0, seed=0):
@@ -69,6 +70,15 @@ class TestDualTrajectory:
         for r in records:
             assert r.trace_distance_sys == r.trace_distance
 
+    def test_initial_traces_off_by_the_density_matrix_tolerance(self):
+        # each state may miss unit trace by up to 1e-9, so their difference
+        # may miss trace 0 by more than the step's 1e-9 check allows
+        eps = 0.8e-9
+        pair = (DensityMatrix(np.eye(8, dtype=complex) * (1 + eps) / 8),
+                DensityMatrix(np.diag([1 - eps] + [0] * 7).astype(complex)))
+        records = dual_trajectory(make_real(), [0.2, 0.7], ReservoirConfig(tau=0.5, v=2), initial_states=pair)
+        assert len(records) == 3
+
     def test_full_register_distance_contractive_per_step(self):
         # injection is the only non-unitary part, so post-step distance
         # can never exceed the previous one
@@ -78,6 +88,17 @@ class TestDualTrajectory:
         tds = [r.trace_distance for r in records]
         for prev, cur in zip(tds, tds[1:]):
             assert cur <= prev + 1e-10
+
+
+def test_step_checks_the_trace_it_is_given():
+    # a difference of two states keeps trace 0; a density matrix stepped as
+    # one is caught
+    real = make_real()
+    engine = _StepEngine(real, ReservoirConfig(tau=0.5, v=2), ObservableSet.build(2))
+    state = engine.to_state(DensityMatrix.ground(3).matrix)
+    engine.step(state, 0.3)
+    with pytest.raises(NumericalError, match="trace"):
+        engine.step(state, 0.3, trace=0.0)
 
 
 class TestWindowStats:

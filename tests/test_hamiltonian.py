@@ -9,6 +9,7 @@ import pytest
 from nmqrc.errors import ConfigError
 from nmqrc.hamiltonian import (
     CouplingSet,
+    HamiltonianRealization,
     ReservoirParams,
     build_hamiltonian,
     embed_pauli,
@@ -175,3 +176,12 @@ class TestCouplingsRoundTrip:
         cfg = ReservoirConfig(tau=0.5, v=3)
         assert np.array_equal(run_trajectory(back, inputs, cfg)[0].values,
                               run_trajectory(real, inputs, cfg)[0].values)
+
+    def test_realization_does_not_share_the_callers_array(self):
+        real = build_hamiltonian(params(n_sys=2, n_env=1, seed=15))
+        h = np.array(real.h_full)
+        copy = HamiltonianRealization(real.params, real.couplings, h)
+        h.flags.writeable = True  # the caller owns h and may unfreeze it
+        h[0, 0] = 99.0
+        assert np.array_equal(copy.h_full, real.h_full)
+        assert not copy.h_full.flags.writeable

@@ -1,10 +1,14 @@
 import csv
 import dataclasses
 import json
+import os
+import platform
 import re
 
+import numpy as np
 import pytest
 
+import nmqrc
 import nmqrc.cli as cli
 from nmqrc import harness
 from nmqrc.errors import ConfigError, DivergenceError, NumericalError
@@ -337,6 +341,27 @@ class TestRunEsp:
         assert rows[0] == ["seed", "regime", "window_mean_sqnorm", "window_max_sqnorm", "backflow_count_sys"]
         meta = json.loads((tmp_path / "esp" / "run_meta.json").read_text())
         assert "input_stream_policy" in meta
+        env = meta["environment"]
+        assert env["numpy"] == np.__version__ and env["nmqrc"] == nmqrc.__version__
+        assert env["python"] == platform.python_version()
+        assert env["cpu_count"] == os.cpu_count()
+        assert env["blas"] is None or "name" in env["blas"]
+        assert env["threads"] == {var: os.environ.get(var)
+                                  for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+    def test_worker_pool_writes_the_same_files(self, tmp_path):
+        def run(workers):
+            out = tmp_path / f"w{workers}"
+            run_esp(ExperimentConfig(
+                task="esp", n_sys=2, n_env=1, tau=0.5, v=3, multiplex="sub_step", seeds=(0, 1),
+                esp_steps=30, window=(10, 30), output_dir=str(out), workers=workers,
+                regimes=(parse_regime("markov", "esp"), parse_regime("non_markov", "esp")),
+            ))
+            return {p.relative_to(out): p.read_bytes() for p in (out / "esp").glob("*/*.csv")}
+
+        serial = run(1)
+        assert len(serial) == 2 * 3  # per regime: summary.csv and two records_seed*.csv
+        assert run(2) == serial
 
     def test_input_streams_shared_across_regimes(self, tmp_path):
         cfg = ExperimentConfig(

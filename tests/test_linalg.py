@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -307,6 +309,12 @@ class TestDensityMatrix:
         g = DensityMatrix.ground(1)
         with pytest.raises(ValueError):
             g.matrix[0, 0] = 0.0
+
+    def test_pickle_keeps_matrix_read_only(self):
+        dm = DensityMatrix(random_density(np.random.default_rng(41), 2))
+        back = pickle.loads(pickle.dumps(dm))
+        assert not back.matrix.flags.writeable
+        assert np.array_equal(back.matrix, dm.matrix)
 
     def test_from_statevector(self):
         psi = np.array([1.0, 1.0]) / np.sqrt(2)

@@ -1,3 +1,4 @@
+import pickle
 from math import comb
 
 import numpy as np
@@ -129,6 +130,13 @@ class TestObservableSet:
         assert np.array_equal(obs.operators[0], embed_pauli("Z", 0, 2))
         zz = embed_pauli("Z", 0, 2) @ embed_pauli("Z", 1, 2)
         assert np.array_equal(obs.operators[2], zz)
+
+    def test_pickle_keeps_operators_read_only(self):
+        obs = ObservableSet.build(2, "z_and_zz")
+        back = pickle.loads(pickle.dumps(obs))
+        assert not back.operators.flags.writeable
+        assert back.labels == obs.labels
+        assert np.array_equal(back.operators, obs.operators)
 
     def test_unique_labels_enforced(self):
         ops = np.array([np.eye(2, dtype=complex)] * 2)
@@ -363,3 +371,10 @@ class TestFeatureMatrix:
     def test_bounds_enforced(self):
         with pytest.raises(ValueError, match="tolerance band"):
             FeatureMatrix(values=np.array([[1.5, 1.0]]), labels=("v1_Z0", "bias"))
+
+    def test_pickle_keeps_values_read_only(self):
+        fm = FeatureMatrix(values=np.array([[0.25, -0.5, 1.0]]), labels=("v1_Z0", "v1_Z1", "bias"))
+        back = pickle.loads(pickle.dumps(fm))
+        assert not back.values.flags.writeable
+        assert back.labels == fm.labels
+        assert np.array_equal(back.values, fm.values)

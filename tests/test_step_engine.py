@@ -12,6 +12,7 @@ import pytest
 
 from nmqrc import linalg
 from nmqrc import reservoir as rmod
+from nmqrc.esp import dual_trajectory
 from nmqrc.hamiltonian import PAULI, HamiltonianRealization, ReservoirParams, build_hamiltonian, embed_pauli
 from nmqrc.linalg import DensityMatrix
 from nmqrc.reservoir import (
@@ -28,6 +29,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 ORACLE_ATOL = 1e-10
+DUAL_RTOL = 1e-12
 
 
 def oracle_inject(rho, s, q, n):
@@ -169,3 +171,69 @@ def test_long_horizon_keeps_the_physics_invariants():
     feats, final = run_trajectory(real, inputs, ReservoirConfig(tau=0.5, v=4))
     assert feats.steps == 20_000
     assert abs(final.matrix.trace().real - 1.0) < linalg.TRACE_ATOL
+
+
+def oracle_dual_records(real, inputs, cfg, rho1, rho2):
+    """Echo-state records from two states stepped apart by the oracle:
+    (sqnorm_diff, full-register and system-marginal trace distances)."""
+    p = real.params
+    obs = ObservableSet.build(p.n_sys, "z_only")
+    env = range(p.n_sys, p.n_qubits)
+
+    def distances(a, b):
+        full = linalg.trace_norm((a - b + (a - b).conj().T) / 2)
+        if not env:
+            return full, full
+        m = linalg.partial_trace(a, env, p.n_qubits) - linalg.partial_trace(b, env, p.n_qubits)
+        return full, linalg.trace_norm((m + m.conj().T) / 2)
+
+    records = [(0.0, *distances(rho1, rho2))]
+    for s in inputs:
+        f1, rho1 = oracle_run(real, [s], cfg, rho1, obs)
+        f2, rho2 = oracle_run(real, [s], cfg, rho2, obs)
+        records.append((float(np.sum((f1 - f2) ** 2)), *distances(rho1, rho2)))
+    return records
+
+
+@st.composite
+def dual_cases(draw):
+    n_sys = draw(st.integers(1, 3))
+    n_env = draw(st.integers(0, 2))
+    coupling = st.one_of(st.just(0.0), st.floats(0.05, 3.0))
+    params = ReservoirParams(
+        n_sys=n_sys,
+        n_env=n_env,
+        alpha=draw(coupling),
+        beta=draw(st.floats(0.05, 3.0)),
+        h_sys=draw(st.floats(-1.5, 1.5)),
+        h_env=draw(st.floats(-1.5, 1.5)),
+        seed=draw(st.integers(0, 2 ** 16)),
+    )
+    cfg = ReservoirConfig(
+        tau=draw(st.floats(0.05, 2.0)),
+        v=draw(st.integers(1, 5)),
+        observables=draw(st.sampled_from(OBSERVABLE_KINDS)),
+        input_qubit=draw(st.integers(0, n_sys - 1)),
+        multiplex=draw(st.sampled_from(MULTIPLEX_MODES)),
+    )
+    inputs = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+    return params, cfg, inputs, draw(st.integers(0, 2 ** 16))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(dual_cases())
+def test_difference_trajectory_matches_two_state_oracle(case):
+    params, cfg, inputs, state_seed = case
+    real = build_hamiltonian(params)
+    rng = np.random.default_rng(state_seed)
+    pair = (random_state(params.n_qubits, rng), random_state(params.n_qubits, rng))
+    got = dual_trajectory(real, inputs, cfg, initial_states=pair)
+    want = oracle_dual_records(real, inputs, cfg, pair[0].matrix, pair[1].matrix)
+    assert [r.step for r in got] == list(range(len(inputs) + 1))
+    for r, (sq, td, td_sys) in zip(got, want):
+        # The oracle's f1 - f2 cancels down to rounding of order eps * |f1 - f2|
+        # per feature, which the sqrt term covers where the distance is small.
+        big = max(r.sqnorm_diff, sq)
+        assert abs(r.sqnorm_diff - sq) <= DUAL_RTOL * big + 1e-14 * np.sqrt(big)
+        assert abs(r.trace_distance - td) <= DUAL_RTOL
+        assert abs(r.trace_distance_sys - td_sys) <= DUAL_RTOL
