@@ -15,7 +15,10 @@ the state, so the difference Delta = rho1 - rho2 follows the same step map
 and its features are the feature difference. The injection tensors a pure
 input state onto Tr_q Delta and the evolution is unitary, so the
 full-register trace distance after input k is Tr|Tr_q Delta_{k-1}|, on half
-the register.
+the register. The default pair occupies both environment-parity classes
+with no coherence between them, so Delta is stepped as a stack of two class
+blocks: that trace norm is the sum of one per class, and the system
+marginal sums the classes' partial traces before its one trace norm.
 """
 
 from __future__ import annotations
@@ -68,8 +71,9 @@ def dual_trajectory(
     injection tensors a pure input state onto Tr_q Delta and the evolution is
     unitary, the full-register trace distance after input k is
     Tr|Tr_q Delta_{k-1}|, taken before the step on a register of half the
-    size. Feature distances always use the single-site Z observables
-    regardless of ``cfg.observables``. Returns len(inputs) + 1 records, the
+    size, summed over the step engine's class blocks. Feature distances
+    always use the single-site Z observables regardless of
+    ``cfg.observables``. Returns len(inputs) + 1 records, the
     first being the step-0 snapshot of the initial states.
     """
     p = real.params
@@ -87,28 +91,28 @@ def dual_trajectory(
     if inputs.size and (inputs.min() < 0.0 or inputs.max() > 1.0):
         raise ValueError("inputs must lie in [0, 1]")
     obs = ObservableSet.build(p.n_sys, "z_only")
-    engine = _StepEngine(real, cfg, obs)
+    rho1, rho2 = (state.matrix for state in initial_states)
+    engine = _StepEngine(real, cfg, obs, (rho1 != 0) | (rho2 != 0))
     env = range(p.n_sys, p.n_qubits)
 
-    rho1, rho2 = (state.matrix for state in initial_states)
     diff = rho1 - rho2
     td_full = td_sys = trace_norm(_hermitian(diff))
     if env:
         m1, m2 = (partial_trace(rho, env, p.n_qubits) for rho in (rho1, rho2))
         td_sys = trace_norm(_hermitian(m1 - m2))
-        env_idx = engine.trace_index(env)
+        env_gather = engine.trace_index(env)
     records = [EspRecord(step=0, sqnorm_diff=0.0, trace_distance=td_full, trace_distance_sys=td_sys)]
     # The step map keeps the trace, so Delta keeps that of the initial pair:
     # 0 up to rounding.
     trace = float(diff.trace().real)
     delta = engine.to_state(diff)
     for k, s in enumerate(inputs):
-        td_full = trace_norm(_hermitian(engine.trace_out(delta, engine.trace_idx)))
+        td_full = sum(trace_norm(_hermitian(block)) for block in engine.input_trace(delta))
         try:
             delta, f = engine.step(delta, s, trace=trace)
         except (NumericalError, ValueError) as exc:
             raise NumericalError(f"trajectory pair failed at step {k}: {exc}") from exc
-        td_sys = trace_norm(_hermitian(engine.trace_out(delta, env_idx))) if env else td_full
+        td_sys = trace_norm(_hermitian(engine.trace_out(delta, env_gather))) if env else td_full
         records.append(EspRecord(step=k + 1, sqnorm_diff=float(np.sum(f ** 2)),
                                  trace_distance=td_full, trace_distance_sys=td_sys))
     return records

@@ -146,27 +146,28 @@ def _components(pattern: np.ndarray) -> np.ndarray:
         label = new
 
 
-def _sector_eig(h: np.ndarray, pattern: np.ndarray) -> tuple[np.ndarray, HermitianEigen]:
-    """Split H into the connected components of the nonzero ``pattern`` (that
-    of H, plus whatever else must stay within one sector) and eigendecompose
-    each block.
+def _sector_eig(h: np.ndarray, pattern: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, HermitianEigen]:
+    """Split H on the basis states ``members`` into the connected components
+    of the nonzero ``pattern`` (that of H, plus whatever else must stay
+    within one sector) and eigendecompose each block.
 
-    Returns ``order``, the register basis indices listed sector after
-    sector, and the eigendecompositions of the k blocks of m states that H
-    has in that order, stacked: eigenvalues (k, m), eigenvectors (k, m, m).
-    Every term of this module's Hamiltonian keeps the Z-parity of the system
-    block and of the environment block, so the components are parity
-    sectors (more of them when alpha = 0 or n_env <= 1). Components of
-    unequal size are treated as one sector, so a term that breaks the
-    symmetry gets the plain full-register eigendecomposition.
+    Returns ``order``, the members listed sector after sector (in their
+    given order within a sector), and the eigendecompositions of the k
+    blocks of m states that H has in that order, stacked: eigenvalues
+    (k, m), eigenvectors (k, m, m). Every term of this module's Hamiltonian
+    keeps the Z-parity of the system block and of the environment block, so
+    the components are parity sectors (more of them when alpha = 0 or
+    n_env <= 1). Components of unequal size are treated as one sector, so a
+    term that breaks the symmetry gets the plain eigendecomposition of all
+    the members.
     """
-    label = _components(pattern)
+    label = _components(pattern[np.ix_(members, members)])
     sizes = np.unique(label, return_counts=True)[1]
     if sizes.min() == sizes.max():
-        order = np.argsort(label, kind="stable")
+        order = members[np.argsort(label, kind="stable")]
         k = sizes.size
     else:
-        order = np.arange(h.shape[0])
+        order = members
         k = 1
     eigs = [hermitian_eig(h[np.ix_(idx, idx)]) for idx in order.reshape(k, -1)]
     return order, HermitianEigen(
@@ -194,28 +195,48 @@ class HamiltonianRealization:
         # Unpickled arrays come back writable; the constructor freezes them.
         return type(self), (self.params, self.couplings, self.h_full)
 
+    @classmethod
+    def _adopt(cls, params: ReservoirParams, couplings: CouplingSet, h_full: np.ndarray) -> "HamiltonianRealization":
+        """A realization that freezes and keeps ``h_full`` itself, not a
+        copy: for a complex array that nothing else holds."""
+        h_full.flags.writeable = False
+        real = object.__new__(cls)
+        for name, value in (("params", params), ("couplings", couplings), ("h_full", h_full)):
+            object.__setattr__(real, name, value)
+        return real
+
 
 def build_hamiltonian(params: ReservoirParams, couplings: CouplingSet | None = None) -> HamiltonianRealization:
-    """Assemble the full-register Hamiltonian from a coupling realization."""
+    """Assemble the full-register Hamiltonian from a coupling realization.
+
+    Terms are added in the order of the module docstring's sum: an X_i X_j
+    term puts its coupling at (b, b with bits i and j flipped) for every
+    basis index b, a Z or Z Z term adds its coefficient times the +-1 sign
+    of the basis index to the diagonal. The build holds no register-size
+    array besides H, and the realization keeps that one.
+    """
     if couplings is None:
         couplings = sample_couplings(params)
     _check_couplings(params, couplings)
     n, n_sys = params.n_qubits, params.n_sys
     d = params.dim
     h = np.zeros((d, d), dtype=complex)
-    x, z = PAULI["X"], PAULI["Z"]
+    diag = h.reshape(-1)[:: d + 1]  # a view: adding to it adds to H
+    basis = np.arange(d)
+    bit = [1 << (n - 1 - q) for q in range(n)]
+    z = [1.0 - 2.0 * ((basis & b) != 0) for b in bit]
     for idx, (i, j) in enumerate(combinations(range(n_sys), 2)):
-        h += couplings.j_sys[idx] * _embed({i: x, j: x}, n)
+        h[basis, basis ^ (bit[i] | bit[j])] += couplings.j_sys[idx]
     for i in range(n_sys):
-        h += params.h_sys * _embed({i: z}, n)
-    for idx, (k, l) in enumerate(combinations(range(params.n_env), 2)):
-        h += couplings.j_env[idx] * _embed({n_sys + k: x, n_sys + l: x}, n)
-    for k in range(params.n_env):
-        h += params.h_env * _embed({n_sys + k: z}, n)
+        diag += params.h_sys * z[i]
+    for idx, (k, l) in enumerate(combinations(range(n_sys, n), 2)):
+        h[basis, basis ^ (bit[k] | bit[l])] += couplings.j_env[idx]
+    for k in range(n_sys, n):
+        diag += params.h_env * z[k]
     for i in range(n_sys):
         for k in range(params.n_env):
-            h += couplings.g[i, k] * _embed({i: z, n_sys + k: z}, n)
-    return HamiltonianRealization(params, couplings, h)
+            diag += couplings.g[i, k] * (z[i] * z[n_sys + k])
+    return HamiltonianRealization._adopt(params, couplings, h)
 
 
 def _check_couplings(params: ReservoirParams, couplings: CouplingSet) -> None:

@@ -14,6 +14,7 @@ at a given seed see identical inputs. This is echoed in run_meta.json.
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import os
 import sys
@@ -478,10 +479,57 @@ def _job(job):
     return scores, export_couplings(real)
 
 
+# (setter, getter) pairs of the OpenBLAS thread count: numpy wheels' ILP64
+# and LP64 builds, then other OpenBLAS builds.
+_BLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _blas_threads():
+    """(setter, getter) of the thread count of an OpenBLAS this process has
+    loaded, found through the mapped libraries (Linux) and ctypes, or None
+    when there is no such library or it has no known setter."""
+    paths = set()
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            for line in fh:  # address, perms, offset, device, inode, then the path, if any
+                fields = line.rstrip("\n").split(maxsplit=5)
+                if len(fields) == 6 and "openblas" in os.path.basename(fields[5]).lower():
+                    paths.add(fields[5])
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for setter, getter in _BLAS_THREAD_FUNCTIONS:
+            if hasattr(lib, setter) and hasattr(lib, getter):
+                return getattr(lib, setter), getattr(lib, getter)
+    return None
+
+
+def _pin_blas() -> None:
+    """Pool-worker initializer: one BLAS thread per worker. Each forked worker
+    otherwise keeps the parent's multi-threaded BLAS pool and the workers
+    oversubscribe the cores; setting OPENBLAS_NUM_THREADS after numpy is
+    loaded does nothing."""
+    found = _blas_threads()
+    if found is not None:
+        found[0](1)
+
+
+def _pooled(cfg: ExperimentConfig, jobs: list) -> bool:
+    return cfg.workers > 1 and len(jobs) > 1
+
+
 def _run_jobs(cfg: ExperimentConfig, jobs: list) -> list:
-    if cfg.workers == 1 or len(jobs) == 1:
+    if not _pooled(cfg, jobs):
         return [_job(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=min(cfg.workers, len(jobs))) as pool:
+    with ProcessPoolExecutor(max_workers=min(cfg.workers, len(jobs)), initializer=_pin_blas) as pool:
         return list(pool.map(_job, jobs))
 
 
@@ -499,7 +547,8 @@ def _run(cfg: ExperimentConfig, task: str) -> list:
                 scores = tuple(done[(regime.label, seed)][0][axis] for seed in cfg.seeds)
                 results.append(SweepResult(axis, regime.label, scores, *aggregate(scores)))
     if cfg.output_dir is not None:
-        _write_outputs(cfg, results, {key: couplings for key, (_, couplings) in done.items()})
+        _write_outputs(cfg, results, {key: couplings for key, (_, couplings) in done.items()},
+                       _pooled(cfg, jobs) and _blas_threads() is not None)
     return results
 
 
@@ -541,9 +590,10 @@ def _environment() -> dict:
     }
 
 
-def _write_outputs(cfg: ExperimentConfig, results: list, couplings: dict) -> None:
+def _write_outputs(cfg: ExperimentConfig, results: list, couplings: dict, pinned: bool) -> None:
     """run_meta.json, then per regime its couplings, summary.csv and (esp)
-    record streams."""
+    record streams. ``pinned`` says whether pool workers ran with one BLAS
+    thread each."""
     spec = _TASKS[cfg.task]
     root = Path(cfg.output_dir) / cfg.task
     root.mkdir(parents=True, exist_ok=True)
@@ -553,7 +603,7 @@ def _write_outputs(cfg: ExperimentConfig, results: list, couplings: dict) -> Non
             "inputs for seed k come from SeedSequence([k, 1]) and are shared "
             "across regimes; realizations use seed k directly"
         ),
-        "environment": _environment(),
+        "environment": {**_environment(), "pool_blas_pinned": pinned},
     }
     with open(root / "run_meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)

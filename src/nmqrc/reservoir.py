@@ -13,25 +13,36 @@ observables after each one. Two multiplexing conventions are supported:
 The per-step feature slice is laid out node-major with the observable index
 varying fastest, and a constant bias 1 is appended as the last column.
 
-Internally a step engine uses the sectors of the register basis that H
-never mixes: the connected components of its nonzero pattern. Every term of
-the Hamiltonian keeps the Z-parity of the system block and of the
-environment block, so there are k = 4 sectors (more when alpha = 0 or
-n_env <= 1), and H, its eigenvectors W and the Z_i / Z_i Z_j readout are all
-block diagonal over them. With the state kept in sector order, a step
+Internally a step engine works on two levels of structure. Classes: the
+parts of the register basis that no step connects, the connected components
+of the patterns of H, of the input-qubit flip, of the observables and of the
+initial state. Every term of the Hamiltonian keeps the Z-parity of the
+environment block and the injection touches only a system qubit, so a state
+that starts inside one environment-parity class stays there: from the ground
+state the engine steps one class of half the register (a smaller one when
+alpha = 0, where every environment Z is conserved; the whole register when
+there is no environment). It keeps only the classes the initial state
+occupies and steps them as one stack of blocks. Sectors: within
+a class, the connected components of the pattern of H, on which H, its
+eigenvectors W and the Z_i / Z_i Z_j readout are block diagonal (k = 2 per
+class here, as H also keeps the system-block parity). With each class block
+kept in sector order, a step
 
 * injects the input through precomputed gathers,
-* evolves by exp(-i H v dt) with one stacked product of k blocks per side,
-* reads all v nodes from the k diagonal blocks of sigma = W^dag rho W: a
-  sub-step of length dt multiplies sigma elementwise by the phases
+* evolves by exp(-i H v dt) with one stacked product of k blocks per class
+  and side,
+* reads all v nodes from the diagonal sector blocks of sigma = W^dag rho W:
+  a sub-step of length dt multiplies sigma elementwise by the phases
   exp(-i (lam_p - lam_q) dt), so the readouts reduce to one product against
-  a precomputed phase table of d^2/k entries per node.
+  a precomputed phase table of one entry per sector-block entry and node.
 
 This is exactly unitary conjugation by exp(-i H dt), just associated
-differently. An observable that couples two sectors joins them into one, and
-sectors of unequal size make the engine treat the whole register as one
-sector (k = 1), so a term that breaks the symmetry costs speed, not
-correctness.
+differently. Structure that is not there joins the pieces instead of being
+lost, so it costs speed, not correctness: an initial state with coherence
+between classes (a dense one, say) or a term that flips an environment
+qubit joins the classes, an observable that couples two sectors joins them,
+and kept classes or sectors of unequal size make the engine treat them as
+one. With every class joined the engine steps the whole register.
 """
 
 from __future__ import annotations
@@ -43,7 +54,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConfigError, NumericalError
-from .hamiltonian import PAULI, HamiltonianRealization, _sector_eig
+from .hamiltonian import PAULI, HamiltonianRealization, _components, _sector_eig
 from .linalg import DensityMatrix
 
 OBSERVABLE_KINDS = ("z_only", "z_and_zz")
@@ -250,54 +261,100 @@ def _check_real(vals: np.ndarray) -> None:
 class _StepEngine:
     """Precomputed machinery for one (realization, config, observables) triple.
 
-    The state it steps is the full-register density matrix in sector order,
-    stored as its k column blocks, shape (k, d, m): the layout the right-hand
-    block product leaves it in, so no step copies it into another. The
-    injection gathers read that layout directly. ``to_state`` and
-    ``to_register`` convert from and to a register-order (d, d) matrix.
+    The register basis splits into classes that no step ever connects: the
+    connected components of the patterns of H, of the input-qubit flip, of
+    every O_i x I_env and of ``support``, the nonzero pattern of the initial
+    state (None for any state, which makes the whole register one class). A
+    state with no entries outside its diagonal class blocks keeps none, so
+    the engine keeps only the classes the support touches and steps each as
+    a block of its own; within a class it splits into the sectors of H.
+    ``shape`` is (k sectors per class, m states per sector, d states per
+    class) and ``classes`` the number of classes kept.
+
+    The state it steps is the stack of class blocks in sector order, each
+    stored as its k column blocks, shape (classes, k, d, m): the layout the
+    right-hand block product leaves it in, so no step copies it into
+    another. The injection gathers read that layout directly. ``to_state``
+    and ``to_register`` convert from and to a register-order matrix, which
+    is zero outside the kept class blocks.
     """
 
-    def __init__(self, real: HamiltonianRealization, cfg: ReservoirConfig, obs: ObservableSet):
+    def __init__(self, real: HamiltonianRealization, cfg: ReservoirConfig, obs: ObservableSet,
+                 support: np.ndarray | None = None):
         p = real.params
         if cfg.input_qubit >= p.n_sys:
             raise ConfigError(f"input qubit {cfg.input_qubit} is not a system qubit (n_sys={p.n_sys})")
         if obs.operators.shape[1] != 2 ** p.n_sys:
             raise ValueError("observable dimension does not match the system register")
-        d = p.dim
+        self.n_qubits = n = p.n_qubits
         self.v = cfg.v
         self.n_obs = len(obs)
         self.dt = cfg.tau * cfg.sub_dt_factor
+        shift = n - 1 - cfg.input_qubit
+        low = (1 << shift) - 1
 
         # Sectors are split on the pattern of H joined with that of every
         # O_i x I_env, so an observable with entries between two sectors (none
-        # of the built-in ones has them) joins them.
+        # of the built-in ones has them) joins them. Classes join sectors that
+        # the input-qubit flip or the initial state connects. Kept classes of
+        # unequal size are joined into one.
         obs_pattern = np.kron(np.any(obs.operators != 0, axis=0), np.eye(2 ** p.n_env, dtype=bool))
-        order, eig = _sector_eig(real.h_full, (real.h_full != 0) | obs_pattern)
-        k, m = eig.eigenvalues.shape
+        pattern = (real.h_full != 0) | obs_pattern
+        if support is None:
+            label = np.zeros(p.dim, dtype=int)
+        else:
+            basis = np.arange(p.dim)
+            linked = pattern | support
+            linked[basis, basis ^ (1 << shift)] = True
+            label = _components(linked)  # each class is labeled by a basis index
+            touched = np.zeros(p.dim, dtype=bool)
+            touched[label[np.any(support, axis=1)]] = True
+            occupied = touched[label]
+            sizes = np.unique(label[occupied], return_counts=True)[1]
+            if sizes.min() != sizes.max():
+                label = np.zeros_like(label)
+            label = np.where(occupied, label, -1)
+        members = np.argsort(label, kind="stable")[np.count_nonzero(label < 0):]  # class after class
+        order, eig = _sector_eig(real.h_full, pattern, members)
+        n_sectors, m = eig.eigenvalues.shape
+        # Sectors of unequal size come back as one, which may span classes.
+        # Members are sorted by class, so each change of label starts one.
+        c = np.count_nonzero(np.diff(label[members])) + 1 if n_sectors > 1 else 1
+        k, d = n_sectors // c, order.size // c
         self.shape = (k, m, d)
-        self.order = order
-        self.position = np.argsort(order)
+        self.classes = c
+        self.order = order.reshape(c, d)
+        self.position = np.full(p.dim, -1)
+        self.position[order] = np.arange(order.size)
+        self.cls = np.arange(c)[:, None]
         self.diag = np.arange(k)
 
         # Eigenvectors W and the step propagator exp(-i H v dt), as stacks of
-        # k blocks.
+        # c x k blocks.
         lam = eig.eigenvalues
-        self.w = eig.eigenvectors
-        self.w_h = np.ascontiguousarray(self.w.conj().transpose(0, 2, 1))
-        self.u = (self.w * np.exp(-1j * self.v * self.dt * lam)[:, None, :]) @ self.w_h
-        self.u_h = np.ascontiguousarray(self.u.conj().transpose(0, 2, 1))
+        self.w = eig.eigenvectors.reshape(c, k, m, m)
+        self.w_h = np.ascontiguousarray(self.w.conj().transpose(0, 1, 3, 2))
+        self.u = (self.w * np.exp(-1j * self.v * self.dt * lam).reshape(c, k, 1, m)) @ self.w_h
+        self.u_h = np.ascontiguousarray(self.u.conj().transpose(0, 1, 3, 2))
 
         # Injection as gathers from the stored state: the trace over the input
-        # qubit, then entry (i, j) of the product state is rho_in at the pair
-        # of input bits of i and j times that trace at the pair of their
-        # remaining bits.
-        self.trace_idx = self.trace_index([cfg.input_qubit])
-        shift = p.n_qubits - 1 - cfg.input_qubit
-        low = (1 << shift) - 1
-        reg = order
+        # qubit of each class block, over the r = d/2 values ``rests`` its
+        # remaining bits take in that class, then entry (i, j) of the product
+        # state is rho_in at the pair of input bits of i and j times that
+        # trace at the pair of their remaining bits.
+        reg = self.order
         rest = ((reg >> (shift + 1)) << shift) | (reg & low)
         bit = (reg >> shift) & 1
-        self.inject_idx = (bit[:, None] * 2 + bit) * (d // 2) ** 2 + rest[:, None] * (d // 2) + rest
+        r = d // 2
+        rests = np.sort(rest, axis=1)[:, ::2]  # each rest of a class comes with both input bits
+        with_bit = ((rests >> shift) << (shift + 1)) | (rests & low)
+        pos = self.position[np.stack([with_bit, with_bit | (1 << shift)])]  # (2, c, r)
+        self.trace_idx = self._offset(pos[..., :, None], pos[..., None, :])
+        rank = np.empty(p.dim // 2, dtype=int)
+        rank[rests] = np.arange(r)
+        a = rank[rest]
+        self.inject_idx = ((bit[:, :, None] * 2 + bit[:, None, :]) * (c * r * r)
+                           + self.cls[:, :, None] * (r * r) + a[:, :, None] * r + a[:, None, :])
 
         # Readout from the diagonal blocks of sigma = W^dag rho W. Row i holds
         # the blocks of (W^dag O_i W)^T flattened, so a feature at node j is a
@@ -311,26 +368,39 @@ class _StepEngine:
         self.phase_shift = np.exp(-1j * nodes * self.dt * delta)
         rows = np.empty((self.n_obs, delta.size), dtype=complex)
         for i, op in enumerate(obs.operators):
-            block = _diagonal_blocks(op, self.order, k, p.n_env)
-            rows[i] = (self.w_h @ block @ self.w).transpose(0, 2, 1).ravel()
+            block = _diagonal_blocks(op, order, c * k, p.n_env).reshape(c, k, m, m)
+            rows[i] = (self.w_h @ block @ self.w).transpose(0, 1, 3, 2).ravel()
         self.obs_rows = rows
+
+    def _offset(self, row: np.ndarray, col: np.ndarray) -> np.ndarray:
+        """Offset in a stored state of entry (row, col) of a class block, both
+        given as positions in ``order``."""
+        k, m, d = self.shape
+        return (row // d) * (d * d) + (col % d // m) * (d * m) + row % d * m + col % m
 
     def to_state(self, rho: np.ndarray) -> np.ndarray:
         k, m, d = self.shape
-        sectors = rho[np.ix_(self.order, self.order)]
-        return np.ascontiguousarray(sectors.reshape(d, k, m).transpose(1, 0, 2))
+        blocks = rho[self.order[:, :, None], self.order[:, None, :]]
+        return np.ascontiguousarray(blocks.reshape(self.classes, d, k, m).transpose(0, 2, 1, 3))
 
     def to_register(self, state: np.ndarray) -> np.ndarray:
         k, m, d = self.shape
-        return state.transpose(1, 0, 2).reshape(d, d)[np.ix_(self.position, self.position)]
+        rho = np.zeros((2 ** self.n_qubits,) * 2, dtype=complex)
+        rho[self.order[:, :, None], self.order[:, None, :]] = state.transpose(0, 2, 1, 3).reshape(-1, d, d)
+        return rho
 
-    def trace_index(self, traced) -> np.ndarray:
-        """Offsets, shape (2^t, r, r), of the stored-state entries that the
-        partial trace over the register qubits ``traced`` adds: entry [b, i, j]
-        is register entry (i, j) of the kept qubits with the traced bits b on
-        both sides. Kept qubits stay in register order."""
-        k, m, d = self.shape
-        n = d.bit_length() - 1
+    def input_trace(self, state: np.ndarray) -> np.ndarray:
+        """The trace over the input qubit of each class block, (classes, r, r)."""
+        return state.take(self.trace_idx).sum(axis=0)
+
+    def trace_index(self, traced) -> tuple[np.ndarray, np.ndarray]:
+        """Gather for the partial trace of the register state over the
+        register qubits ``traced``: offsets into the stored state and 0/1
+        weights, both shape (2^t, r, r). Entry [b, i, j] is register entry
+        (i, j) of the kept qubits with the traced bits b on both sides, of
+        weight 0 where that entry lies outside every kept class block (the
+        register state is zero there). Kept qubits stay in register order."""
+        n, d = self.n_qubits, self.shape[2]
         traced = sorted(traced)
         keep = [q for q in range(n) if q not in traced]
 
@@ -341,14 +411,16 @@ class _StepEngine:
                 out |= ((vals >> (len(qubits) - 1 - i)) & 1) << (n - 1 - q)
             return out
 
-        pos = self.position[place(traced)[:, None] | place(keep)]  # (2^t, r)
+        pos = self.position[place(traced)[:, None] | place(keep)]  # (2^t, r), -1 outside the classes
         row, col = pos[:, :, None], pos[:, None, :]
-        return (col // m) * (d * m) + row * m + col % m  # offset of entry (row, col) in a (k, d, m) state
+        inside = (row >= 0) & (row // d == col // d)
+        return np.where(inside, self._offset(row, col), 0), inside.astype(float)
 
     @staticmethod
-    def trace_out(state: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    def trace_out(state: np.ndarray, gather: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """Partial trace of a stored state over a ``trace_index`` gather."""
-        return state.take(idx).sum(axis=0)
+        idx, weight = gather
+        return (state.take(idx) * weight).sum(axis=0)
 
     def step(self, state: np.ndarray, s: float, trace: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
         """One input step: inject, evolve v sub-steps, read out after each.
@@ -358,10 +430,10 @@ class _StepEngine:
         density matrix, 0 up to rounding for a difference of two.
         """
         k, m, d = self.shape
-        traced = self.trace_out(state, self.trace_idx)
-        rho = np.multiply.outer(_encode(s).ravel(), traced).take(self.inject_idx)  # (d, d), sector order
+        c = self.classes
+        rho = np.multiply.outer(_encode(s).ravel(), self.input_trace(state)).take(self.inject_idx)  # (c, d, d)
 
-        sigma = self.w_h @ rho.reshape(k, m, k, m)[self.diag, :, self.diag, :] @ self.w
+        sigma = self.w_h @ rho.reshape(c, k, m, k, m)[self.cls, self.diag, :, self.diag, :] @ self.w
         weighted = self.obs_rows * sigma.ravel()
         feats = np.empty((self.v, self.n_obs))
         span = self.phase_table.shape[1]
@@ -373,9 +445,9 @@ class _StepEngine:
             _check_real(fmat)
             feats[start:stop] = fmat.real.T
 
-        half = (self.u @ rho.reshape(k, m, d)).reshape(d, k, m).transpose(1, 0, 2)
+        half = (self.u @ rho.reshape(c, k, m, d)).reshape(c, d, k, m).transpose(0, 2, 1, 3)
         state = half @ self.u_h
-        trace_err = abs(float(np.einsum("aapp->", state.reshape(k, k, m, m)).real) - trace)
+        trace_err = abs(float(np.einsum("caapp->", state.reshape(c, k, k, m, m)).real) - trace)
         if trace_err > STEP_TRACE_ATOL:
             raise NumericalError(f"state trace drifted by {trace_err:.3e} > {STEP_TRACE_ATOL:.1e}")
         return state, feats.ravel()
@@ -409,7 +481,7 @@ def evolve_step(
         raise ValueError(
             f"state has {rho.qubit_count} qubits but the realization has {real.params.n_qubits}"
         )
-    engine = _StepEngine(real, cfg, obs)
+    engine = _StepEngine(real, cfg, obs, rho.matrix != 0)
     mat, feats = engine.step(engine.to_state(rho.matrix), s)
     return DensityMatrix(engine.to_register(mat)), feats
 
@@ -429,7 +501,6 @@ def run_trajectory(
     if inputs.size and (inputs.min() < 0.0 or inputs.max() > 1.0):
         raise ValueError("inputs must lie in [0, 1]")
     obs = ObservableSet.build(real.params.n_sys, cfg.observables)
-    engine = _StepEngine(real, cfg, obs)
     if initial_state is None:
         initial_state = DensityMatrix.ground(real.params.n_qubits)
     elif initial_state.qubit_count != real.params.n_qubits:
@@ -437,6 +508,7 @@ def run_trajectory(
             f"initial state has {initial_state.qubit_count} qubits but the realization "
             f"has {real.params.n_qubits}"
         )
+    engine = _StepEngine(real, cfg, obs, initial_state.matrix != 0)
     labels = feature_labels(obs, cfg.v)
     rows = np.ones((inputs.size, len(labels)))
     rho = engine.to_state(initial_state.matrix)

@@ -1,5 +1,6 @@
 import json
 import pickle
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -185,3 +186,26 @@ class TestCouplingsRoundTrip:
         h[0, 0] = 99.0
         assert np.array_equal(copy.h_full, real.h_full)
         assert not copy.h_full.flags.writeable
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes allocated while ``fn`` runs; numpy reports its arrays to
+    tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_keeps_the_one_matrix_it_fills():
+    # At 9 qubits the build holds H and no other register-size array, and the
+    # realization keeps that H. The public constructor still copies the
+    # caller's array: one register-size matrix more.
+    p = params(n_sys=5, n_env=4, seed=17)
+    size = 16 * p.dim ** 2
+    real = build_hamiltonian(p)  # first-call allocations stay out of the peaks below
+    assert size <= traced_peak(lambda: build_hamiltonian(p)) < 1.5 * size
+    h = np.array(real.h_full)
+    assert traced_peak(lambda: HamiltonianRealization(p, real.couplings, h)) >= size

@@ -279,6 +279,26 @@ class TestRunStm:
             run_stm(default_config("esp", "quick"))
 
 
+def worker_blas_threads(job):
+    """Stands in for harness._job in a pool: the worker's BLAS thread count."""
+    return harness._blas_threads()[1]()
+
+
+class TestWorkerPool:
+    def test_workers_run_one_blas_thread(self, monkeypatch):
+        if harness._blas_threads() is None:
+            pytest.skip("no loaded OpenBLAS with a known thread setter")
+        monkeypatch.setattr(harness, "_job", worker_blas_threads)
+        assert harness._run_jobs(tiny_stm_config(workers=2), [0, 1, 2, 3]) == [1, 1, 1, 1]
+
+    def test_run_meta_says_whether_workers_were_pinned(self, tmp_path):
+        pinnable = harness._blas_threads() is not None
+        for workers in (1, 2):
+            run_stm(tiny_stm_config(tmp_path / str(workers), workers=workers))
+            meta = json.loads((tmp_path / str(workers) / "stm" / "run_meta.json").read_text())
+            assert meta["environment"]["pool_blas_pinned"] is (workers == 2 and pinnable)
+
+
 class TestRunNarma:
     def test_sweep_and_fn_baseline(self, tmp_path):
         cfg = ExperimentConfig(

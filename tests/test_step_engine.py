@@ -5,6 +5,8 @@ out the input qubit, tensor the encoded input back in at its position, then
 conjugate by U = exp(-i H dt) once per virtual node and read Tr[(O x I) rho].
 """
 
+import dataclasses
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -13,7 +15,14 @@ import pytest
 from nmqrc import linalg
 from nmqrc import reservoir as rmod
 from nmqrc.esp import dual_trajectory
-from nmqrc.hamiltonian import PAULI, HamiltonianRealization, ReservoirParams, build_hamiltonian, embed_pauli
+from nmqrc.hamiltonian import (
+    PAULI,
+    CouplingSet,
+    HamiltonianRealization,
+    ReservoirParams,
+    build_hamiltonian,
+    embed_pauli,
+)
 from nmqrc.linalg import DensityMatrix
 from nmqrc.reservoir import (
     MULTIPLEX_MODES,
@@ -237,3 +246,150 @@ def test_difference_trajectory_matches_two_state_oracle(case):
         assert abs(r.sqnorm_diff - sq) <= DUAL_RTOL * big + 1e-14 * np.sqrt(big)
         assert abs(r.trace_distance - td) <= DUAL_RTOL
         assert abs(r.trace_distance_sys - td_sys) <= DUAL_RTOL
+
+
+def class_structured_state(kind, n_sys, n_env, rng):
+    """Ground, maximally mixed, a random state with no coherence between the
+    two Z-parity classes of the environment block, or a random state inside
+    the even class alone."""
+    n = n_sys + n_env
+    if kind == "ground":
+        return DensityMatrix.ground(n)
+    if kind == "mixed":
+        return DensityMatrix.maximally_mixed(n)
+    parity = np.array([bin(i & ((1 << n_env) - 1)).count("1") % 2 for i in range(2 ** n)])
+    keep = parity[:, None] == parity[None, :]
+    if kind == "even_block":
+        keep &= parity[:, None] == 0
+    rho = random_state(n, rng).matrix * keep
+    return DensityMatrix(rho / rho.trace().real)
+
+
+STATE_KINDS = ("ground", "mixed", "parity_blocks", "even_block")
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(engine_cases(), st.sampled_from(STATE_KINDS))
+def test_engine_on_class_structured_states_matches_propagator_oracle(case, kind):
+    params, cfg, inputs, state_seed, batch_limit = case
+    real = build_hamiltonian(params)
+    rho0 = class_structured_state(kind, params.n_sys, params.n_env, np.random.default_rng(state_seed))
+    with mock.patch.object(rmod, "_BATCH_LIMIT", batch_limit):
+        assert_matches_oracle(real, inputs, cfg, rho0)
+
+
+def engine_for(real, cfg, rho0):
+    obs = ObservableSet.build(real.params.n_sys, cfg.observables)
+    return rmod._StepEngine(real, cfg, obs, rho0.matrix != 0)
+
+
+@pytest.mark.parametrize("kind, classes, shape", [
+    ("ground", 1, (2, 32, 64)),  # one environment-parity class
+    ("mixed", 2, (2, 32, 64)),  # both, stacked
+    ("parity_blocks", 2, (2, 32, 64)),
+    ("dense", 1, (4, 32, 128)),  # coherence between the classes joins them
+])
+def test_engine_keeps_the_classes_the_state_occupies(kind, classes, shape):
+    real = build_hamiltonian(ReservoirParams(n_sys=4, n_env=3, alpha=1.0, beta=1.0,
+                                             h_sys=0.5, h_env=1.0, seed=59))
+    rng = np.random.default_rng(61)
+    rho0 = random_state(7, rng) if kind == "dense" else class_structured_state(kind, 4, 3, rng)
+    cfg = ReservoirConfig(tau=0.5, v=3)
+    engine = engine_for(real, cfg, rho0)
+    assert (engine.classes, engine.shape) == (classes, shape)
+    assert_matches_oracle(real, [0.2, 0.7, 0.5], cfg, rho0)
+
+
+def test_alpha_zero_keeps_one_environment_configuration():
+    # every environment Z is conserved: from the ground state only the
+    # system register with the environment at |000> is stepped
+    real = build_hamiltonian(ReservoirParams(n_sys=4, n_env=3, alpha=0.0, beta=0.7,
+                                             h_sys=0.5, h_env=0.0, seed=63))
+    cfg = ReservoirConfig(tau=0.4, v=3, observables="z_and_zz", input_qubit=1)
+    rho0 = DensityMatrix.ground(7)
+    engine = engine_for(real, cfg, rho0)
+    assert (engine.classes, engine.shape) == (1, (2, 8, 16))
+    assert_matches_oracle(real, [0.1, 0.9, 0.4], cfg, rho0)
+
+
+def test_long_horizon_register_takes_the_class_path():
+    # the register of test_long_horizon_keeps_the_physics_invariants: from the
+    # ground state only the environment's |0> class is stepped
+    real = build_hamiltonian(ReservoirParams(n_sys=2, n_env=1, alpha=1.5, beta=1.0,
+                                             h_sys=0.5, h_env=1.0, seed=55))
+    engine = engine_for(real, ReservoirConfig(tau=0.5, v=4), DensityMatrix.ground(3))
+    assert (engine.classes, engine.shape) == (1, (2, 2, 4))
+
+
+def test_environment_flip_joins_the_classes():
+    # an X field on an environment qubit breaks the environment parity, so the
+    # ground state's class is the whole register
+    base = ReservoirParams(n_sys=2, n_env=2, alpha=1.2, beta=0.8, h_sys=0.5, h_env=1.0, seed=45)
+    plain = build_hamiltonian(base)
+    real = HamiltonianRealization(base, plain.couplings, plain.h_full + 0.3 * embed_pauli("X", 3, 4))
+    cfg = ReservoirConfig(tau=0.6, v=4, observables="z_and_zz")
+    rho0 = DensityMatrix.ground(4)
+    assert engine_for(plain, cfg, rho0).shape == (2, 4, 8)
+    engine = engine_for(real, cfg, rho0)
+    assert (engine.classes, engine.shape) == (1, (2, 8, 16))
+    assert_matches_oracle(real, np.random.default_rng(47).uniform(0, 1, 5), cfg, rho0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(dual_cases(), st.sampled_from(STATE_KINDS), st.sampled_from(STATE_KINDS))
+def test_difference_trajectory_on_class_structured_pairs(case, kind1, kind2):
+    params, cfg, inputs, state_seed = case
+    real = build_hamiltonian(params)
+    rng = np.random.default_rng(state_seed)
+    pair = tuple(class_structured_state(kind, params.n_sys, params.n_env, rng) for kind in (kind1, kind2))
+    got = dual_trajectory(real, inputs, cfg, initial_states=pair)
+    want = oracle_dual_records(real, inputs, cfg, pair[0].matrix, pair[1].matrix)
+    for r, (sq, td, td_sys) in zip(got, want):
+        big = max(r.sqnorm_diff, sq)
+        assert abs(r.sqnorm_diff - sq) <= DUAL_RTOL * big + 1e-14 * np.sqrt(big)
+        assert abs(r.trace_distance - td) <= DUAL_RTOL
+        assert abs(r.trace_distance_sys - td_sys) <= DUAL_RTOL
+
+
+class TestMetamorphic:
+    """Transformed couplings that must leave the features unchanged. These
+    check build_hamiltonian and the class and sector split together,
+    without an oracle that shares h_full."""
+
+    params = ReservoirParams(n_sys=4, n_env=3, alpha=1.3, beta=0.9, h_sys=0.5, h_env=0.8, seed=65)
+    cfg = ReservoirConfig(tau=0.5, v=7, observables="z_and_zz")
+    inputs = np.random.default_rng(67).uniform(0, 1, 300)
+
+    def features(self, params, couplings, cfg=None):
+        real = build_hamiltonian(params, CouplingSet(**couplings))
+        return run_trajectory(real, self.inputs, cfg or self.cfg)[0].values
+
+    def base(self):
+        c = build_hamiltonian(self.params).couplings
+        return {"j_sys": c.j_sys, "j_env": c.j_env, "g": c.g}
+
+    def test_flipping_every_sign_conjugates_the_trajectory(self):
+        # every term of H and every injected state is real, so H -> -H only
+        # complex-conjugates the state and leaves every Z expectation
+        c = self.base()
+        flipped = dataclasses.replace(self.params, h_sys=-self.params.h_sys, h_env=-self.params.h_env)
+        got = self.features(flipped, {key: -value for key, value in c.items()})
+        np.testing.assert_allclose(got, self.features(self.params, c), rtol=0, atol=1e-12)
+
+    def test_reversing_the_environment_qubits(self):
+        c = self.base()
+        n_env = self.params.n_env
+        pairs = list(combinations(range(n_env), 2))
+        mirror = [pairs.index((n_env - 1 - l, n_env - 1 - k)) for k, l in pairs]
+        reversed_env = {"j_sys": c["j_sys"], "j_env": c["j_env"][mirror], "g": c["g"][:, ::-1]}
+        np.testing.assert_allclose(self.features(self.params, reversed_env),
+                                   self.features(self.params, c), rtol=0, atol=1e-12)
+
+    def test_doubling_h_and_halving_tau(self):
+        # scaling by 2 is exact, so the features are bitwise the same
+        c = self.base()
+        p = self.params
+        doubled = dataclasses.replace(p, j0=2 * p.j0, h_sys=2 * p.h_sys, h_env=2 * p.h_env)
+        half_tau = dataclasses.replace(self.cfg, tau=self.cfg.tau / 2)
+        got = self.features(doubled, {key: 2 * value for key, value in c.items()}, half_tau)
+        assert np.array_equal(got, self.features(p, c))
