@@ -18,9 +18,11 @@ import ctypes
 import json
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields as dc_fields
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -536,6 +538,7 @@ def _run_jobs(cfg: ExperimentConfig, jobs: list) -> list:
 def _run(cfg: ExperimentConfig, task: str) -> list:
     if cfg.task != task:
         raise ConfigError(f"config task is {cfg.task!r} but run_{task} was called")
+    started, t0 = datetime.now(timezone.utc), time.perf_counter()
     jobs = [(cfg, regime, seed) for regime in cfg.regimes for seed in cfg.seeds]
     done = {(regime.label, seed): out for (_, regime, seed), out in zip(jobs, _run_jobs(cfg, jobs))}
     if task == "esp":
@@ -547,8 +550,10 @@ def _run(cfg: ExperimentConfig, task: str) -> list:
                 scores = tuple(done[(regime.label, seed)][0][axis] for seed in cfg.seeds)
                 results.append(SweepResult(axis, regime.label, scores, *aggregate(scores)))
     if cfg.output_dir is not None:
+        timing = {"started_utc": started.isoformat(), "finished_utc": datetime.now(timezone.utc).isoformat(),
+                  "wall_s": time.perf_counter() - t0}
         _write_outputs(cfg, results, {key: couplings for key, (_, couplings) in done.items()},
-                       _pooled(cfg, jobs) and _blas_threads() is not None)
+                       _pooled(cfg, jobs) and _blas_threads() is not None, timing)
     return results
 
 
@@ -590,10 +595,11 @@ def _environment() -> dict:
     }
 
 
-def _write_outputs(cfg: ExperimentConfig, results: list, couplings: dict, pinned: bool) -> None:
+def _write_outputs(cfg: ExperimentConfig, results: list, couplings: dict, pinned: bool, timing: dict) -> None:
     """run_meta.json, then per regime its couplings, summary.csv and (esp)
     record streams. ``pinned`` says whether pool workers ran with one BLAS
-    thread each."""
+    thread each; ``timing`` holds the run's UTC start and finish and its
+    wall time in seconds, from before the first job to after the last."""
     spec = _TASKS[cfg.task]
     root = Path(cfg.output_dir) / cfg.task
     root.mkdir(parents=True, exist_ok=True)
@@ -604,6 +610,7 @@ def _write_outputs(cfg: ExperimentConfig, results: list, couplings: dict, pinned
             "across regimes; realizations use seed k directly"
         ),
         "environment": {**_environment(), "pool_blas_pinned": pinned},
+        **timing,
     }
     with open(root / "run_meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)

@@ -47,8 +47,8 @@ def qubit_count(dim: int) -> int:
 
 
 def hermiticity_error(a: np.ndarray) -> float:
-    """Max entrywise |A - A^dag|."""
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    """Max entrywise |A - A^dag|, over every matrix of a stack (..., n, n)."""
+    return float(np.max(np.abs(a - a.conj().swapaxes(-1, -2)))) if a.size else 0.0
 
 
 def assert_hermitian(a: np.ndarray, atol: float = HERMITICITY_ATOL, what: str = "matrix") -> None:
@@ -132,11 +132,21 @@ def partial_trace(rho, traced: Iterable[int], n_qubits: int | None = None) -> np
 
 
 def trace_norm(a) -> float:
-    """Tr|A| for Hermitian A, computed as the sum of |eigenvalues|."""
-    a = _as_complex_matrix(a, "trace norm input")
+    """Tr|A| for Hermitian A, computed as the sum of |eigenvalues|.
+
+    ``a`` is one matrix or a stack (..., n, n) of them; a stack gives the
+    trace norm of the block-diagonal matrix its blocks form. Finiteness and
+    Hermiticity are checked on ``a`` as given; the Hermitian part is then
+    taken, which only removes rounding, for one batched ``eigvalsh``.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"trace norm input must be a square matrix or a stack of them, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("trace norm input contains non-finite entries")
     assert_hermitian(a, HERMITICITY_ATOL, "trace norm input")
     try:
-        w = np.linalg.eigvalsh(a)
+        w = np.linalg.eigvalsh((a + a.conj().swapaxes(-1, -2)) / 2)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
     return float(np.sum(np.abs(w)))

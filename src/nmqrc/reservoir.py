@@ -33,8 +33,11 @@ kept in sector order, a step
   and side,
 * reads all v nodes from the diagonal sector blocks of sigma = W^dag rho W:
   a sub-step of length dt multiplies sigma elementwise by the phases
-  exp(-i (lam_p - lam_q) dt), so the readouts reduce to one product against
-  a precomputed phase table of one entry per sector-block entry and node.
+  exp(-i (lam_p - lam_q) dt). sigma and each observable's blocks are
+  Hermitian, so entry (q, p) of a block is the conjugate of entry (p, q) and
+  the readouts reduce to one real product over the upper triangles of the
+  blocks against a precomputed table of cosines and sines, one pair per
+  upper-triangle entry and node.
 
 This is exactly unitary conjugation by exp(-i H dt), just associated
 differently. Structure that is not there joins the pieces instead of being
@@ -63,8 +66,9 @@ MULTIPLEX_MODES = ("per_node", "sub_step")
 FEATURE_IMAG_ATOL = 1e-9
 STEP_TRACE_ATOL = 1e-9
 
-# The phase table holds as many nodes as fit in this many entries (d^2/k per
-# node), and at least one; further nodes reuse it after a phase shift.
+# The phase table holds as many nodes as fit in this many reals (two per
+# upper-triangle entry of the k diagonal blocks, d(m+1) per class and node),
+# and at least one node; further nodes reuse it after a phase shift.
 _BATCH_LIMIT = 4_000_000
 
 
@@ -356,21 +360,36 @@ class _StepEngine:
         self.inject_idx = ((bit[:, :, None] * 2 + bit[:, None, :]) * (c * r * r)
                            + self.cls[:, :, None] * (r * r) + a[:, :, None] * r + a[:, None, :])
 
-        # Readout from the diagonal blocks of sigma = W^dag rho W. Row i holds
-        # the blocks of (W^dag O_i W)^T flattened, so a feature at node j is a
-        # dot product with the flattened blocks of sigma times column j of the
-        # phase table exp(-i (lam_p - lam_q) j dt). The table holds as many
-        # nodes as fit under _BATCH_LIMIT entries; later nodes reuse it after
-        # a phase shift by its whole span.
-        delta = (lam[:, :, None] - lam[:, None, :]).ravel()
-        nodes = max(1, min(self.v, _BATCH_LIMIT // delta.size))
-        self.phase_table = np.exp(np.outer(-1j * self.dt * delta, np.arange(1, nodes + 1)))
+        # Readout from the diagonal blocks of sigma = W^dag rho W. With R_i the
+        # blocks of (W^dag O_i W)^T, the feature at node j is the sum over all
+        # block entries of R_i sigma exp(-i (lam_p - lam_q) j dt). R_i and sigma
+        # are Hermitian, so that is the sum over the upper triangles p <= q of
+        # w Re(z exp(-i (lam_p - lam_q) j dt)), z = R_i (sigma + sigma^dag)/2,
+        # w = 1 on the diagonal and 2 off it: z viewed as interleaved reals
+        # (Re, Im) times a table of interleaved rows (w cos, w sin). The table
+        # holds as many nodes as fit under _BATCH_LIMIT reals; later nodes
+        # reuse it after a phase shift of z by its whole span.
+        p_idx, q_idx = np.triu_indices(m)
+        base = np.arange(c * k)[:, None] * (m * m)  # offset of each block in sigma
+        self.upper = (base + p_idx * m + q_idx).ravel()
+        self.lower = (base + q_idx * m + p_idx).ravel()
+        self.tri_weight = np.tile(np.where(p_idx == q_idx, 1.0, 2.0), c * k)
+        delta = (lam[:, p_idx] - lam[:, q_idx]).ravel()
+        nodes = max(1, min(self.v, _BATCH_LIMIT // (2 * delta.size)))
+        angle = np.outer(self.dt * delta, np.arange(1, nodes + 1))
+        table = np.empty((delta.size, 2, nodes))
+        np.cos(angle, out=table[:, 0])
+        np.sin(angle, out=table[:, 1])
+        table *= self.tri_weight[:, None, None]
+        self.phase_table = table.reshape(2 * delta.size, nodes)
         self.phase_shift = np.exp(-1j * nodes * self.dt * delta)
-        rows = np.empty((self.n_obs, delta.size), dtype=complex)
+        rows = np.empty((self.n_obs, c * k * m * m), dtype=complex)
         for i, op in enumerate(obs.operators):
             block = _diagonal_blocks(op, order, c * k, p.n_env).reshape(c, k, m, m)
             rows[i] = (self.w_h @ block @ self.w).transpose(0, 1, 3, 2).ravel()
-        self.obs_rows = rows
+        self.obs_rows = np.ascontiguousarray(rows[:, self.upper])
+        # |Im feature| <= ||sigma - sigma^dag||_F / 2 * max_i ||R_i||_F
+        self.row_norm = float(np.max(np.linalg.norm(rows, axis=1), initial=0.0))
 
     def _offset(self, row: np.ndarray, col: np.ndarray) -> np.ndarray:
         """Offset in a stored state of entry (row, col) of a class block, both
@@ -433,17 +452,23 @@ class _StepEngine:
         c = self.classes
         rho = np.multiply.outer(_encode(s).ravel(), self.input_trace(state)).take(self.inject_idx)  # (c, d, d)
 
-        sigma = self.w_h @ rho.reshape(c, k, m, k, m)[self.cls, self.diag, :, self.diag, :] @ self.w
-        weighted = self.obs_rows * sigma.ravel()
+        sigma = (self.w_h @ rho.reshape(c, k, m, k, m)[self.cls, self.diag, :, self.diag, :] @ self.w).ravel()
+        upper, lower = sigma[self.upper], sigma[self.lower].conj()
+        skew = upper - lower  # sigma - sigma^dag on the upper triangles
+        imag_bound = 0.5 * np.sqrt(self.tri_weight @ (skew.real ** 2 + skew.imag ** 2)) * self.row_norm
+        if imag_bound > FEATURE_IMAG_ATOL:
+            raise NumericalError(
+                f"features may have an imaginary part up to {imag_bound:.3e} > {FEATURE_IMAG_ATOL:.1e}; "
+                "state is corrupted"
+            )
+        z = self.obs_rows * (0.5 * (upper + lower))
         feats = np.empty((self.v, self.n_obs))
         span = self.phase_table.shape[1]
         for start in range(0, self.v, span):
             if start:
-                weighted *= self.phase_shift
+                z *= self.phase_shift
             stop = min(start + span, self.v)
-            fmat = weighted @ self.phase_table[:, : stop - start]  # (n_obs, nodes)
-            _check_real(fmat)
-            feats[start:stop] = fmat.real.T
+            feats[start:stop] = (z.view(float) @ self.phase_table[:, : stop - start]).T
 
         half = (self.u @ rho.reshape(c, k, m, d)).reshape(c, d, k, m).transpose(0, 2, 1, 3)
         state = half @ self.u_h
@@ -511,7 +536,12 @@ def run_trajectory(
     engine = _StepEngine(real, cfg, obs, initial_state.matrix != 0)
     labels = feature_labels(obs, cfg.v)
     rows = np.ones((inputs.size, len(labels)))
-    rho = engine.to_state(initial_state.matrix)
+    # A validated state is Hermitian only to 1e-10, too loose for the bound
+    # ``step`` puts on the imaginary part of the features. Its Hermitian part
+    # has the same features, and it is what is stepped; to_state(m.T).conj()
+    # is the stored form of m^dag, gathered without a register-size copy.
+    m = initial_state.matrix
+    rho = (engine.to_state(m) + engine.to_state(m.T).conj()) / 2
     for k, s in enumerate(inputs):
         try:
             rho, feats = engine.step(rho, s)

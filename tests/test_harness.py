@@ -4,6 +4,7 @@ import json
 import os
 import platform
 import re
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -268,6 +269,17 @@ class TestRunStm:
             if rel.name == "run_meta.json":
                 continue  # echoes output_dir, which differs by construction
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes(), rel
+
+    def test_run_meta_times_the_run(self, tmp_path):
+        before = datetime.now(timezone.utc)
+        run_stm(tiny_stm_config(tmp_path))
+        after = datetime.now(timezone.utc)
+        meta = json.loads((tmp_path / "stm" / "run_meta.json").read_text())
+        started, finished = (datetime.fromisoformat(meta[key]) for key in ("started_utc", "finished_utc"))
+        assert started.utcoffset() == finished.utcoffset() == timedelta(0)
+        assert before <= started <= finished <= after
+        assert 0.0 <= meta["wall_s"] <= (after - before).total_seconds()
+        assert {"config", "input_stream_policy", "environment"} <= set(meta)
 
     def test_worker_pool_matches_serial(self, tmp_path):
         serial = run_stm(tiny_stm_config())

@@ -259,6 +259,31 @@ class TestTraceNorm:
         with pytest.raises(ValueError, match="Hermitian"):
             trace_norm(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 2)])
+    def test_stack_is_the_norm_of_the_block_diagonal_matrix(self, shape):
+        rng = np.random.default_rng(39)
+        d = 5
+        blocks = np.array([random_hermitian(rng, d) for _ in range(int(np.prod(shape)))])
+        full = np.zeros((blocks.shape[0] * d,) * 2, dtype=complex)
+        for i, block in enumerate(blocks):
+            full[i * d:(i + 1) * d, i * d:(i + 1) * d] = block
+        want = float(np.sum(np.abs(np.linalg.eigvalsh(full))))
+        assert abs(trace_norm(blocks.reshape(*shape, d, d)) - want) < 1e-12
+
+    def test_stack_rejects_a_non_hermitian_block(self):
+        rng = np.random.default_rng(41)
+        blocks = np.array([random_hermitian(rng, 4) for _ in range(3)])
+        blocks[1, 0, 2] += 1e-8
+        with pytest.raises(ValueError, match="Hermitian"):
+            trace_norm(blocks)
+
+    def test_stack_rejects_a_nan_block(self):
+        rng = np.random.default_rng(43)
+        blocks = np.array([random_hermitian(rng, 4) for _ in range(3)])
+        blocks[2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            trace_norm(blocks)
+
 
 class TestPseudoinverse:
     def test_rank_deficient_diagonal(self):

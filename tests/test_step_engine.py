@@ -15,6 +15,7 @@ import pytest
 from nmqrc import linalg
 from nmqrc import reservoir as rmod
 from nmqrc.esp import dual_trajectory
+from nmqrc.errors import NumericalError
 from nmqrc.hamiltonian import (
     PAULI,
     CouplingSet,
@@ -180,6 +181,62 @@ def test_long_horizon_keeps_the_physics_invariants():
     feats, final = run_trajectory(real, inputs, ReservoirConfig(tau=0.5, v=4))
     assert feats.steps == 20_000
     assert abs(final.matrix.trace().real - 1.0) < linalg.TRACE_ATOL
+
+
+def test_non_hermitian_state_trips_the_imaginary_part_guard():
+    # i * 1e-6 on a diagonal register entry gives the features imaginary parts
+    # far above FEATURE_IMAG_ATOL
+    real = build_hamiltonian(ReservoirParams(n_sys=4, n_env=3, alpha=1.0, beta=1.0,
+                                             h_sys=0.5, h_env=1.0, seed=59))
+    rho0 = DensityMatrix.ground(7)
+    engine = rmod._StepEngine(real, ReservoirConfig(tau=0.5, v=3), ObservableSet.build(4), rho0.matrix != 0)
+    state, _ = engine.step(engine.to_state(rho0.matrix), 0.3)
+    pos = engine.position[0]  # register entry (0, 0)
+    state.reshape(-1)[engine._offset(pos, pos)] += 1e-6j
+    with pytest.raises(NumericalError, match="imaginary"):
+        engine.step(state, 0.6)
+
+
+def test_state_hermitian_to_the_density_matrix_tolerance_is_stepped():
+    # an anti-Hermitian part just inside the DensityMatrix gate changes no
+    # feature, so it must not trip the imaginary-part guard
+    real = build_hamiltonian(ReservoirParams(n_sys=4, n_env=3, alpha=1.0, beta=1.0,
+                                             h_sys=0.5, h_env=1.0, seed=59))
+    rng = np.random.default_rng(71)
+    herm = random_state(7, rng)
+    a = rng.standard_normal((128, 128))
+    skew = (a - a.T) * (4e-11 / np.max(np.abs(a - a.T)))  # max |rho - rho^dag| = 8e-11
+    rho0 = DensityMatrix(herm.matrix + skew)
+    cfg = ReservoirConfig(tau=0.5, v=3)
+    inputs = [0.3, 0.6, 0.1]
+    got = run_trajectory(real, inputs, cfg, initial_state=rho0)[0].values
+    want = run_trajectory(real, inputs, cfg, initial_state=herm)[0].values
+    assert np.max(np.abs(got - want)) < 1e-12
+    got = dual_trajectory(real, inputs, cfg, initial_states=(rho0, DensityMatrix.ground(7)))
+    want = dual_trajectory(real, inputs, cfg, initial_states=(herm, DensityMatrix.ground(7)))
+    for r, w in zip(got, want):
+        assert abs(r.sqnorm_diff - w.sqnorm_diff) < 1e-12
+        assert abs(r.trace_distance - w.trace_distance) < 1e-9
+        assert abs(r.trace_distance_sys - w.trace_distance_sys) < 1e-9
+
+
+def test_phase_table_chunks_stay_under_the_batch_limit():
+    # 2000 nodes of the whole 4+3 register would take a table of over 8M reals
+    real = build_hamiltonian(ReservoirParams(n_sys=4, n_env=3, alpha=1.0, beta=1.0,
+                                             h_sys=0.5, h_env=1.0, seed=59))
+    cfg = ReservoirConfig(tau=0.5, v=2000, multiplex="sub_step")
+    obs = ObservableSet.build(4)
+    engine = rmod._StepEngine(real, cfg, obs)
+    per_node = engine.phase_table.shape[0]
+    assert per_node * cfg.v > 8_000_000
+    assert engine.phase_table.size <= max(rmod._BATCH_LIMIT, per_node)
+    with mock.patch.object(rmod, "_BATCH_LIMIT", 0):
+        one_node = rmod._StepEngine(real, cfg, obs)
+    assert one_node.phase_table.shape == (per_node, 1)
+    state = engine.to_state(random_state(7, np.random.default_rng(69)).matrix)
+    _, got = engine.step(state, 0.4)
+    _, want = one_node.step(state, 0.4)
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def oracle_dual_records(real, inputs, cfg, rho1, rho2):
