@@ -6,9 +6,7 @@ from .linalg import (
     DensityMatrix,
     HermitianEigen,
     hermitian_eig,
-    kron,
     partial_trace,
-    propagator,
     pseudoinverse,
     trace_norm,
 )
@@ -17,22 +15,12 @@ from .hamiltonian import (
     HamiltonianRealization,
     ReservoirParams,
     build_hamiltonian,
-    embed_pauli,
     export_couplings,
     import_couplings,
     sample_couplings,
 )
-from .reservoir import (
-    FeatureMatrix,
-    ObservableSet,
-    ReservoirConfig,
-    encode_input,
-    evolve_step,
-    inject_input,
-    measure,
-    run_trajectory,
-)
-from .readout import ReadoutWeights, fit_linear, mse, predict, squared_correlation
+from .reservoir import FeatureMatrix, ObservableSet, ReservoirConfig, run_trajectory
+from .readout import ReadoutWeights, fit_linear, predict, squared_correlation
 from .tasks import (
     SplitSpec,
     gen_uniform_inputs,
@@ -47,7 +35,6 @@ from .harness import (
     RegimeSpec,
     SweepResult,
     aggregate,
-    default_config,
     load_config,
     run_esp,
     run_narma,
@@ -64,30 +51,22 @@ __all__ = [
     "DensityMatrix",
     "HermitianEigen",
     "hermitian_eig",
-    "kron",
     "partial_trace",
-    "propagator",
     "pseudoinverse",
     "trace_norm",
     "CouplingSet",
     "HamiltonianRealization",
     "ReservoirParams",
     "build_hamiltonian",
-    "embed_pauli",
     "export_couplings",
     "import_couplings",
     "sample_couplings",
     "FeatureMatrix",
     "ObservableSet",
     "ReservoirConfig",
-    "encode_input",
-    "evolve_step",
-    "inject_input",
-    "measure",
     "run_trajectory",
     "ReadoutWeights",
     "fit_linear",
-    "mse",
     "predict",
     "squared_correlation",
     "SplitSpec",
@@ -104,7 +83,6 @@ __all__ = [
     "RegimeSpec",
     "SweepResult",
     "aggregate",
-    "default_config",
     "load_config",
     "run_esp",
     "run_narma",

@@ -33,7 +33,6 @@ PAULI = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-IDENTITY_2 = np.eye(2, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -112,24 +111,6 @@ def sample_couplings(params: ReservoirParams, rng: np.random.Generator | None = 
     j_env = rng.uniform(-params.alpha * j0, params.alpha * j0, size=comb(params.n_env, 2))
     g = rng.uniform(-params.beta * j0, params.beta * j0, size=(params.n_sys, params.n_env))
     return CouplingSet(j_sys=j_sys, j_env=j_env, g=g)
-
-
-def _embed(factors: dict[int, np.ndarray], n: int) -> np.ndarray:
-    """kron over the register with identity at every site not in ``factors``."""
-    out = np.ones((1, 1), dtype=complex)
-    for q in range(n):
-        out = linalg.kron(out, factors.get(q, IDENTITY_2))
-    return out
-
-
-def embed_pauli(axis: str, qubit: int, n: int) -> np.ndarray:
-    """I x ... x sigma^axis x ... x I with sigma at register position ``qubit``."""
-    axis = axis.upper()
-    if axis not in PAULI:
-        raise ValueError(f"axis must be one of X, Y, Z, got {axis!r}")
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit {qubit} out of range for a {n}-qubit register")
-    return _embed({qubit: PAULI[axis]}, n)
 
 
 def _components(pattern: np.ndarray) -> np.ndarray:

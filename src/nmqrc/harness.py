@@ -320,13 +320,6 @@ def _check_scale(scale) -> None:
         raise ConfigError(f"scale must be 'paper' or 'quick', got {scale!r}")
 
 
-def default_config(task: str, scale: str = "paper") -> ExperimentConfig:
-    """Built-in per-task protocol parameters at paper or quick (CI) scale."""
-    _check_task(task)
-    _check_scale(scale)
-    return _from_doc(task, _TASKS[task].quick if scale == "quick" else {})
-
-
 def load_config(
     path=None,
     task: str | None = None,

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import NumericalError
 
 MAX_QUBITS = 12
-MAX_DIM = 2 ** MAX_QUBITS
 
 HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-9
@@ -46,27 +45,12 @@ def qubit_count(dim: int) -> int:
     return n
 
 
-def hermiticity_error(a: np.ndarray) -> float:
-    """Max entrywise |A - A^dag|, over every matrix of a stack (..., n, n)."""
-    return float(np.max(np.abs(a - a.conj().swapaxes(-1, -2)))) if a.size else 0.0
-
-
-def assert_hermitian(a: np.ndarray, atol: float = HERMITICITY_ATOL, what: str = "matrix") -> None:
-    err = hermiticity_error(a)
-    if err > atol:
-        raise ValueError(f"{what} is not Hermitian: max |A - A^dag| = {err:.3e} > {atol:.1e}")
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with a register-size guard."""
-    a = _as_complex_matrix(a, "kron operand a")
-    b = _as_complex_matrix(b, "kron operand b")
-    if a.shape[0] * b.shape[0] > MAX_DIM or a.shape[1] * b.shape[1] > MAX_DIM:
-        raise ValueError(
-            f"kron result {a.shape[0] * b.shape[0]}x{a.shape[1] * b.shape[1]} exceeds "
-            f"the {MAX_QUBITS}-qubit register cap"
-        )
-    return np.kron(a, b)
+def assert_hermitian(a: np.ndarray, what: str = "matrix") -> None:
+    """Raise unless max entrywise |A - A^dag| <= HERMITICITY_ATOL, over one
+    matrix or every matrix of a stack (..., n, n)."""
+    err = float(np.max(np.abs(a - a.conj().swapaxes(-1, -2)))) if a.size else 0.0
+    if err > HERMITICITY_ATOL:
+        raise ValueError(f"{what} is not Hermitian: max |A - A^dag| = {err:.3e} > {HERMITICITY_ATOL:.1e}")
 
 
 @dataclass(frozen=True)
@@ -77,30 +61,17 @@ class HermitianEigen:
     eigenvectors: np.ndarray
 
 
-def hermitian_eig(h, atol: float = HERMITICITY_ATOL) -> HermitianEigen:
+def hermitian_eig(h) -> HermitianEigen:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
     h = _as_complex_matrix(h, "eigendecomposition input")
     if h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    assert_hermitian(h, atol, "eigendecomposition input")
+    assert_hermitian(h, "eigendecomposition input")
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Hermitian eigendecomposition failed to converge: {exc}") from exc
     return HermitianEigen(eigenvalues=w, eigenvectors=v)
-
-
-def propagator_from_eigen(eig: HermitianEigen, t: float) -> np.ndarray:
-    """exp(-i H t) assembled from a precomputed eigendecomposition of H."""
-    phases = np.exp(-1j * eig.eigenvalues * t)
-    return (eig.eigenvectors * phases) @ eig.eigenvectors.conj().T
-
-
-def propagator(h, t: float) -> np.ndarray:
-    """Unitary exp(-i H t) for Hermitian ``h`` and time ``t >= 0``."""
-    if t < 0:
-        raise ValueError(f"evolution time must be >= 0, got {t}")
-    return propagator_from_eigen(hermitian_eig(h), t)
 
 
 def partial_trace(rho, traced: Iterable[int], n_qubits: int | None = None) -> np.ndarray:
@@ -144,7 +115,7 @@ def trace_norm(a) -> float:
         raise ValueError(f"trace norm input must be a square matrix or a stack of them, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("trace norm input contains non-finite entries")
-    assert_hermitian(a, HERMITICITY_ATOL, "trace norm input")
+    assert_hermitian(a, "trace norm input")
     try:
         w = np.linalg.eigvalsh((a + a.conj().swapaxes(-1, -2)) / 2)
     except np.linalg.LinAlgError as exc:
@@ -152,17 +123,15 @@ def trace_norm(a) -> float:
     return float(np.sum(np.abs(w)))
 
 
-def pseudoinverse(a, rcond: float = DEFAULT_RCOND) -> np.ndarray:
-    """Moore-Penrose pseudoinverse; singular values below rcond * sigma_max are dropped."""
+def pseudoinverse(a) -> np.ndarray:
+    """Moore-Penrose pseudoinverse; singular values below DEFAULT_RCOND * sigma_max are dropped."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"pseudoinverse input must be 2-dimensional, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("pseudoinverse input contains non-finite entries")
-    if not 0.0 < rcond < 1.0:
-        raise ValueError(f"rcond must lie in (0, 1), got {rcond}")
     try:
-        return np.linalg.pinv(a, rcond=rcond)
+        return np.linalg.pinv(a, rcond=DEFAULT_RCOND)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge: {exc}") from exc
 
@@ -182,7 +151,7 @@ class DensityMatrix:
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
         qubit_count(m.shape[0])
-        assert_hermitian(m, HERMITICITY_ATOL, "density matrix")
+        assert_hermitian(m, "density matrix")
         tr = float(m.trace().real)
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"density matrix trace {tr!r} deviates from 1 by more than {TRACE_ATOL:.1e}")
@@ -218,14 +187,3 @@ class DensityMatrix:
         """I / 2^n on ``n_qubits`` qubits."""
         d = 2 ** int(n_qubits)
         return cls(np.eye(d, dtype=complex) / d)
-
-    @classmethod
-    def from_statevector(cls, psi) -> "DensityMatrix":
-        psi = np.asarray(psi, dtype=complex).ravel()
-        norm = float(np.linalg.norm(psi))
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"state vector norm {norm!r} deviates from 1")
-        return cls(np.outer(psi, psi.conj()))
-
-    def partial_trace(self, traced: Iterable[int]) -> "DensityMatrix":
-        return DensityMatrix(partial_trace(self.matrix, traced, self.qubit_count))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_RCOND, pseudoinverse
+from .linalg import pseudoinverse
 from .reservoir import FeatureMatrix
 
 
@@ -37,15 +37,9 @@ class ReadoutWeights:
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
-    def to_json(self) -> dict:
-        doc = {"weights": self.weights.tolist()}
-        if self.labels is not None:
-            doc["labels"] = list(self.labels)
-        return doc
 
-
-def fit_linear(x, y, rcond: float = DEFAULT_RCOND, ridge_lambda: float = 0.0) -> ReadoutWeights:
-    """Least-squares weights w = X^+ y (or the ridge solution for lambda > 0)."""
+def fit_linear(x, y) -> ReadoutWeights:
+    """Least-squares weights w = X^+ y."""
     mat, labels = _as_design(x)
     y = np.asarray(y, dtype=float).ravel()
     if mat.shape[0] == 0 or y.size == 0:
@@ -54,14 +48,7 @@ def fit_linear(x, y, rcond: float = DEFAULT_RCOND, ridge_lambda: float = 0.0) ->
         raise ValueError(f"{mat.shape[0]} feature rows but {y.size} targets")
     if not np.all(np.isfinite(y)):
         raise ValueError("targets contain non-finite entries")
-    if ridge_lambda < 0:
-        raise ValueError(f"ridge_lambda must be >= 0, got {ridge_lambda}")
-    if ridge_lambda > 0:
-        gram = mat.T @ mat + ridge_lambda * np.eye(mat.shape[1])
-        w = np.linalg.solve(gram, mat.T @ y)
-    else:
-        w = pseudoinverse(mat, rcond=rcond) @ y
-    return ReadoutWeights(weights=w, labels=labels)
+    return ReadoutWeights(weights=pseudoinverse(mat) @ y, labels=labels)
 
 
 def predict(x, w: ReadoutWeights) -> np.ndarray:
@@ -70,15 +57,6 @@ def predict(x, w: ReadoutWeights) -> np.ndarray:
     if mat.shape[1] != w.weights.size:
         raise ValueError(f"feature width {mat.shape[1]} does not match {w.weights.size} weights")
     return mat @ w.weights
-
-
-def mse(y, yhat) -> float:
-    """Mean squared error."""
-    y = np.asarray(y, dtype=float).ravel()
-    yhat = np.asarray(yhat, dtype=float).ravel()
-    if y.size == 0 or y.size != yhat.size:
-        raise ValueError(f"length mismatch: {y.size} targets vs {yhat.size} predictions")
-    return float(np.mean((y - yhat) ** 2))
 
 
 def squared_correlation(y, yhat) -> float:

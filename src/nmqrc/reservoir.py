@@ -196,70 +196,13 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
-def encode_input(s: float) -> DensityMatrix:
-    """Pure single-qubit state sqrt(1-s)|0> + sqrt(s)|1> for s in [0, 1]."""
-    return DensityMatrix(_encode(s))
-
-
 def _encode(s: float) -> np.ndarray:
+    """The pure input state sqrt(1-s)|0> + sqrt(s)|1> as a 2x2 density matrix."""
     s = float(s)
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"input must lie in [0, 1], got {s}")
     off = np.sqrt(s * (1.0 - s))
     return np.array([[1.0 - s, off], [off, s]], dtype=complex)
-
-
-def _trace_out_qubit(rho: np.ndarray, q: int, n: int) -> np.ndarray:
-    """Trace out a single qubit from an n-qubit matrix (raw, no validation)."""
-    d_rest = rho.shape[0] // 2
-    if q == 0:
-        t = rho.reshape(2, d_rest, 2, d_rest)
-        return t[0, :, 0, :] + t[1, :, 1, :]
-    return linalg.partial_trace(rho, {q}, n)
-
-
-def _insert_qubit(rho_one: np.ndarray, rest: np.ndarray, q: int, n: int) -> np.ndarray:
-    """Tensor a single-qubit state back in at register position ``q``."""
-    out = np.kron(rho_one, rest)
-    if q == 0:
-        return out
-    t = out.reshape((2,) * (2 * n))
-    t = np.moveaxis(t, (0, n), (q, n + q))
-    d = 2 ** n
-    return t.reshape(d, d)
-
-
-def _inject(rho: np.ndarray, rho_in: np.ndarray, q: int, n: int) -> np.ndarray:
-    return _insert_qubit(rho_in, _trace_out_qubit(rho, q, n), q, n)
-
-
-def inject_input(rho: DensityMatrix, rho_in: DensityMatrix, input_qubit: int = 0) -> DensityMatrix:
-    """Replace the input qubit's state: trace it out, tensor ``rho_in`` back in."""
-    if rho_in.qubit_count != 1:
-        raise ValueError(f"rho_in must be a single-qubit state, got {rho_in.qubit_count} qubits")
-    n = rho.qubit_count
-    if not 0 <= input_qubit < n:
-        raise ValueError(f"input qubit {input_qubit} out of range for a {n}-qubit register")
-    return DensityMatrix(_inject(rho.matrix, rho_in.matrix, input_qubit, n))
-
-
-def measure(rho_sys, obs: ObservableSet) -> np.ndarray:
-    """Expectation values Tr[rho O_i]; imaginary parts below 1e-9 are discarded."""
-    mat = rho_sys.matrix if isinstance(rho_sys, DensityMatrix) else np.asarray(rho_sys, dtype=complex)
-    if mat.shape != obs.operators.shape[1:]:
-        raise ValueError(f"state dimension {mat.shape} does not match observables {obs.operators.shape[1:]}")
-    vals = np.einsum("aij,ji->a", obs.operators, mat)
-    _check_real(vals)
-    return vals.real.copy()
-
-
-def _check_real(vals: np.ndarray) -> None:
-    worst = float(np.max(np.abs(vals.imag), initial=0.0))
-    if worst > FEATURE_IMAG_ATOL:
-        raise NumericalError(
-            f"observable expectation has imaginary part {worst:.3e} > {FEATURE_IMAG_ATOL:.1e}; "
-            "state is corrupted"
-        )
 
 
 class _StepEngine:
@@ -485,30 +428,6 @@ def _diagonal_blocks(op: np.ndarray, order: np.ndarray, k: int, n_env: int) -> n
     sys_idx, env_idx = idx >> n_env, idx & ((1 << n_env) - 1)
     same_env = env_idx[:, :, None] == env_idx[:, None, :]
     return op[sys_idx[:, :, None], sys_idx[:, None, :]] * same_env
-
-
-def evolve_step(
-    rho: DensityMatrix,
-    s: float,
-    real: HamiltonianRealization,
-    cfg: ReservoirConfig,
-    obs: ObservableSet | None = None,
-) -> tuple[DensityMatrix, np.ndarray]:
-    """Single input step on a validated state; returns (next state, feature slice).
-
-    Each call builds the step engine (sector eigendecomposition, propagator,
-    phase table), which costs far more than the step itself; drive a
-    sequence of inputs through ``run_trajectory``, which builds it once.
-    """
-    if obs is None:
-        obs = ObservableSet.build(real.params.n_sys, cfg.observables)
-    if rho.qubit_count != real.params.n_qubits:
-        raise ValueError(
-            f"state has {rho.qubit_count} qubits but the realization has {real.params.n_qubits}"
-        )
-    engine = _StepEngine(real, cfg, obs, rho.matrix != 0)
-    mat, feats = engine.step(engine.to_state(rho.matrix), s)
-    return DensityMatrix(engine.to_register(mat)), feats
 
 
 def run_trajectory(

@@ -7,20 +7,24 @@ that no single mode satisfies all three are recorded in the test docstrings
 below. Every threshold is asserted exactly as stated, under the mode named.
 """
 
+import dataclasses
 import os
 import time
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 
 from nmqrc.esp import backflow_count
-from nmqrc.hamiltonian import ReservoirParams, build_hamiltonian
+from nmqrc.hamiltonian import CouplingSet, HamiltonianRealization, ReservoirParams, build_hamiltonian
 from nmqrc.harness import ExperimentConfig, parse_regime, run_esp, run_narma, run_stm
-from nmqrc.linalg import DensityMatrix, partial_trace, propagator, pseudoinverse, trace_norm
+from nmqrc.linalg import DensityMatrix, partial_trace, pseudoinverse, trace_norm
 from nmqrc.readout import fit_linear, predict, squared_correlation
-from nmqrc.reservoir import ReservoirConfig, encode_input, evolve_step, inject_input, run_trajectory
+from nmqrc.reservoir import ObservableSet, ReservoirConfig, _StepEngine, run_trajectory
 from nmqrc.tasks import SplitSpec, gen_uniform_inputs, narma_series
+
+import oracle
 
 STM_REGIMES = {"markov": (10.0, 0.01), "non_markov": (0.01, 10.0), "intermediate": (1.0, 1.0)}
 
@@ -36,10 +40,19 @@ def random_density(rng, n_qubits):
     return rho / rho.trace()
 
 
+def still_realization(params):
+    """``params`` with every coupling and field zero: H = 0, so U = I and one
+    input step is the injection alone."""
+    params = dataclasses.replace(params, h_sys=0.0, h_env=0.0)
+    zeros = CouplingSet(j_sys=np.zeros(comb(params.n_sys, 2)), j_env=np.zeros(comb(params.n_env, 2)),
+                        g=np.zeros((params.n_sys, params.n_env)))
+    return build_hamiltonian(params, zeros)
+
+
 def test_01_physics_invariants_suite():
     """200 randomly configured input steps across all three regimes, N <= 7:
-    trace, Hermiticity, positivity and propagator unitarity inside stated
-    tolerances, in under 30 seconds."""
+    trace, Hermiticity, positivity and unitarity of the step engine's
+    propagator blocks inside stated tolerances, in under 30 seconds."""
     rng = np.random.default_rng(2024)
     start = time.perf_counter()
     worst = {"trace": 0.0, "herm": 0.0, "eig": 0.0, "unit": 0.0}
@@ -57,12 +70,12 @@ def test_01_physics_invariants_suite():
             observables="z_and_zz" if rng.integers(2) else "z_only",
             multiplex="per_node" if rng.integers(2) else "sub_step",
         )
-        u = propagator(real.h_full, cfg.tau * cfg.sub_dt_factor)
-        unit_err = float(np.max(np.abs(u.conj().T @ u - np.eye(real.params.dim))))
+        u = _StepEngine(real, cfg, ObservableSet.build(n_sys, cfg.observables)).u
+        unit_err = float(np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1]))))
         worst["unit"] = max(worst["unit"], unit_err)
         rho = DensityMatrix(random_density(rng, real.params.n_qubits))
         for _ in range(5):
-            rho, _ = evolve_step(rho, float(rng.uniform(0, 1)), real, cfg)
+            _, rho = run_trajectory(real, [float(rng.uniform(0, 1))], cfg, initial_state=rho)
             m = rho.matrix
             worst["trace"] = max(worst["trace"], abs(float(m.trace().real) - 1.0))
             worst["herm"] = max(worst["herm"], float(np.max(np.abs(m - m.conj().T))))
@@ -80,8 +93,9 @@ def test_01_physics_invariants_suite():
 
 
 def test_02_small_register_oracles():
-    """Partial trace, trace norm, injection and propagator agree with
-    independent 4x4 hand enumerations to 1e-9."""
+    """Partial trace, trace norm, the step engine's injection and its
+    propagator agree with independent 4x4 hand enumerations and 2x2 closed
+    forms to 1e-9."""
     rng = np.random.default_rng(7)
 
     # partial trace vs explicit index sums on a random 2-qubit state
@@ -117,15 +131,23 @@ def test_02_small_register_oracles():
         diff = random_density(rng, 1) - random_density(rng, 1)
         assert abs(trace_norm(diff) - trace_norm_2x2(diff)) < 1e-9
 
-    # injection vs trace-then-tensor enumeration
-    out = inject_input(DensityMatrix(bell_rho), encode_input(0.0), 0)
+    # injection vs trace-then-tensor enumeration: one input step at U = I
+    still = still_realization(ReservoirParams(n_sys=2, n_env=0, alpha=0.0, beta=0.0,
+                                              h_sys=0.0, h_env=0.0, seed=0))
+    one_node = ReservoirConfig(tau=1.0, v=1)
+    out = run_trajectory(still, [0.0], one_node, initial_state=DensityMatrix(bell_rho))[1]
     want = np.kron(zero, np.eye(2) / 2)
     assert np.max(np.abs(out.matrix - want)) < 1e-9
-    rho_in = encode_input(float(rng.uniform(0, 1)))
-    out = inject_input(DensityMatrix(rho), rho_in, 0)
-    assert np.max(np.abs(out.matrix - np.kron(rho_in.matrix, rest_lo))) < 1e-9
+    s = float(rng.uniform(0, 1))
+    off = np.sqrt(s * (1 - s))
+    rho_in = np.array([[1 - s, off], [off, s]])
+    out = run_trajectory(still, [s], one_node, initial_state=DensityMatrix(rho))[1]
+    assert np.max(np.abs(out.matrix - np.kron(rho_in, rest_lo))) < 1e-9
 
-    # propagator vs the 2x2 closed form exp(-iHt) for H = c I + v.sigma
+    # the engine's propagator vs the 2x2 closed form exp(-iHt) for
+    # H = c I + v.sigma: with one node per_node, its one block is exp(-iHt)
+    params_1q = ReservoirParams(n_sys=1, n_env=0, alpha=0.0, beta=0.0, h_sys=0.0, h_env=0.0, seed=0)
+    no_couplings = CouplingSet(j_sys=np.zeros(0), j_env=np.zeros(0), g=np.zeros((1, 0)))
     for _ in range(20):
         coeffs = rng.standard_normal(4)
         c, v = coeffs[0], coeffs[1:]
@@ -134,7 +156,9 @@ def test_02_small_register_oracles():
         norm_v = np.linalg.norm(v)
         n_sigma = (h - c * np.eye(2)) / norm_v
         closed = np.exp(-1j * c * t) * (np.cos(norm_v * t) * np.eye(2) - 1j * np.sin(norm_v * t) * n_sigma)
-        assert np.max(np.abs(propagator(h, t) - closed)) < 1e-9
+        real = HamiltonianRealization(params_1q, no_couplings, h)
+        u = _StepEngine(real, ReservoirConfig(tau=t, v=1), ObservableSet.build(1)).u
+        assert np.max(np.abs(u[0, 0] - closed)) < 1e-9
     _report(2, "small-register oracles", "4x4 enumerations and 2x2 closed forms to 1e-9")
 
 
@@ -316,7 +340,9 @@ def test_10_injection_contractivity():
                              h_sys=0.5, h_env=0.5, seed=17)
     real = build_hamiltonian(params)
     v, tau = 3, 0.8
-    u = propagator(real.h_full, tau)
+    u = oracle.propagator(real.h_full, tau)
+    still = still_realization(params)  # its one input step is the injection alone
+    one_node = ReservoirConfig(tau=tau, v=1)
     rng = np.random.default_rng(23)
     rho1 = DensityMatrix.maximally_mixed(5)
     rho2 = DensityMatrix.ground(5)
@@ -324,9 +350,9 @@ def test_10_injection_contractivity():
     worst_unitary = 0.0
     for _ in range(50):
         d_before = trace_norm(rho1.matrix - rho2.matrix)
-        rho_in = encode_input(float(rng.uniform(0, 1)))
-        rho1 = inject_input(rho1, rho_in, 0)
-        rho2 = inject_input(rho2, rho_in, 0)
+        s = float(rng.uniform(0, 1))
+        rho1 = run_trajectory(still, [s], one_node, initial_state=rho1)[1]
+        rho2 = run_trajectory(still, [s], one_node, initial_state=rho2)[1]
         d_after = trace_norm(rho1.matrix - rho2.matrix)
         worst_inject = max(worst_inject, d_after - d_before)
         m1, m2 = np.array(rho1.matrix), np.array(rho2.matrix)

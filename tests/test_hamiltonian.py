@@ -13,14 +13,15 @@ from nmqrc.hamiltonian import (
     HamiltonianRealization,
     ReservoirParams,
     build_hamiltonian,
-    embed_pauli,
     export_couplings,
     import_couplings,
     sample_couplings,
 )
 from nmqrc.reservoir import ReservoirConfig, run_trajectory
 
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
+from oracle import PAULI, embed_pauli
+
+Z = PAULI["Z"]
 
 
 def params(n_sys=3, n_env=2, alpha=1.0, beta=1.0, h_sys=0.5, h_env=1.0, seed=0, j0=1.0):
@@ -45,6 +46,8 @@ class TestParams:
 
 
 class TestEmbedPauli:
+    """The oracle's Pauli embedding, which the test Hamiltonians are built from."""
+
     def test_single_qubit(self):
         assert np.array_equal(embed_pauli("Z", 0, 1), Z)
 
@@ -58,12 +61,6 @@ class TestEmbedPauli:
         want = np.zeros(4)
         want[1] = 1.0  # |01>
         assert np.allclose(out, want)
-
-    def test_index_guard(self):
-        with pytest.raises(ValueError, match="out of range"):
-            embed_pauli("Z", 2, 2)
-        with pytest.raises(ValueError, match="axis"):
-            embed_pauli("Q", 0, 1)
 
 
 class TestSampleCouplings:

@@ -18,7 +18,6 @@ from nmqrc.harness import (
     RegimeSpec,
     aggregate,
     config_to_dict,
-    default_config,
     load_config,
     make_params,
     parse_regime,
@@ -114,11 +113,11 @@ class TestExperimentConfig:
 class TestDefaultsAndFiles:
     def test_all_task_defaults_validate(self):
         for task in ("stm", "narma", "esp"):
-            cfg = default_config(task)
+            cfg = load_config(task=task)
             assert cfg.task == task
 
     def test_stm_protocol_defaults(self):
-        cfg = default_config("stm")
+        cfg = load_config(task="stm")
         assert (cfg.n_sys, cfg.n_env) == (4, 3)
         assert (cfg.tau, cfg.v) == (0.5, 50)
         assert cfg.h_sys == cfg.j0 / 2
@@ -130,7 +129,7 @@ class TestDefaultsAndFiles:
                           "intermediate": (1.0, 1.0)}
 
     def test_narma_protocol_defaults(self):
-        cfg = default_config("narma")
+        cfg = load_config(task="narma")
         assert (cfg.n_sys, cfg.n_env) == (5, 2)
         assert (cfg.tau, cfg.v) == (0.5, 20)
         assert cfg.h_sys == cfg.j0
@@ -141,14 +140,14 @@ class TestDefaultsAndFiles:
                           "intermediate": (1.0, 1.0)}
 
     def test_esp_protocol_defaults(self):
-        cfg = default_config("esp")
+        cfg = load_config(task="esp")
         assert (cfg.n_sys, cfg.n_env) == (4, 3)
         assert (cfg.tau, cfg.v) == (0.5, 50)
         assert cfg.esp_steps == 2500
         assert cfg.window == (1500, 2500)
 
     def test_quick_scale(self):
-        cfg = default_config("stm", "quick")
+        cfg = load_config(task="stm", scale="quick")
         assert cfg.v == 10
         assert cfg.split == SplitSpec(200, 600, 200)
         assert cfg.seeds == (0, 1, 2)
@@ -191,7 +190,7 @@ class TestDefaultsAndFiles:
     @pytest.mark.parametrize("task", ["stm", "narma", "esp"])
     def test_run_meta_config_loads_back(self, tmp_path, task):
         # the config echoed into run_meta.json is a config file for the same run
-        cfg = dataclasses.replace(default_config(task, "quick"), output_dir=str(tmp_path), h_env=0.25,
+        cfg = dataclasses.replace(load_config(task=task, scale="quick"), output_dir=str(tmp_path), h_env=0.25,
                                   regimes=(parse_regime("markov", task), parse_regime("odd:0.5:2.0", task)))
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config_to_dict(cfg)))
@@ -199,7 +198,7 @@ class TestDefaultsAndFiles:
 
     @pytest.mark.parametrize("task", ["stm", "narma", "esp"])
     def test_config_echo_without_output_dir_loads_back(self, tmp_path, task):
-        cfg = default_config(task, "quick")
+        cfg = load_config(task=task, scale="quick")
         assert cfg.output_dir is None
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config_to_dict(cfg)))  # "output_dir": null
@@ -288,7 +287,7 @@ class TestRunStm:
 
     def test_task_guard(self):
         with pytest.raises(ConfigError, match="run_stm"):
-            run_stm(default_config("esp", "quick"))
+            run_stm(load_config(task="esp", scale="quick"))
 
 
 def worker_blas_threads(job):

@@ -5,19 +5,19 @@ import numpy as np
 import pytest
 
 from nmqrc.errors import ConfigError, NumericalError
-from nmqrc.hamiltonian import ReservoirParams, build_hamiltonian, embed_pauli
-from nmqrc.linalg import DensityMatrix, partial_trace, propagator
+from nmqrc.hamiltonian import CouplingSet, ReservoirParams, build_hamiltonian
+from nmqrc.linalg import DensityMatrix
 from nmqrc.reservoir import (
     FeatureMatrix,
     ObservableSet,
     ReservoirConfig,
-    encode_input,
-    evolve_step,
+    _encode,
+    _StepEngine,
     feature_labels,
-    inject_input,
-    measure,
     run_trajectory,
 )
+
+import oracle
 
 
 def make_real(n_sys=2, n_env=1, alpha=1.0, beta=1.0, h_sys=0.5, h_env=1.0, seed=0):
@@ -25,41 +25,38 @@ def make_real(n_sys=2, n_env=1, alpha=1.0, beta=1.0, h_sys=0.5, h_env=1.0, seed=
                                              h_sys=h_sys, h_env=h_env, seed=seed))
 
 
-def naive_step(rho_mat, s, real, cfg, obs):
-    """Reference stepper: explicit propagator conjugation per sub-step."""
-    n = real.params.n_qubits
-    dt = cfg.tau * cfg.sub_dt_factor
-    u = propagator(real.h_full, dt)
-    rho_in = encode_input(s).matrix
-    if n == 1:
-        # sole qubit: injection replaces the whole register
-        rho = rho_in * rho_mat.trace()
-    else:
-        rest = partial_trace(rho_mat, {cfg.input_qubit}, n)
-        # reinsert at position input_qubit (tests use input_qubit = 0)
-        rho = np.kron(rho_in, rest)
-    feats = []
-    env = set(range(real.params.n_sys, n))
-    for _ in range(cfg.v):
-        rho = u @ rho @ u.conj().T
-        rho_sys = partial_trace(rho, env, n) if env else rho
-        feats.extend(measure(rho_sys, obs))
-    return rho, np.array(feats)
+def still(n_sys):
+    """A register of ``n_sys`` system qubits with every coupling and field
+    zero: U = I, so a step only injects its input."""
+    params = ReservoirParams(n_sys=n_sys, n_env=0, alpha=0.0, beta=0.0, h_sys=0.0, h_env=0.0, seed=0)
+    return build_hamiltonian(params, CouplingSet(j_sys=np.zeros(comb(n_sys, 2)), j_env=[], g=np.zeros((n_sys, 0))))
+
+
+def step(real, rho, s, cfg):
+    """One input step from ``rho`` through run_trajectory: (next state, feature slice)."""
+    feats, final = run_trajectory(real, [s], cfg, initial_state=rho)
+    return final, feats.values[0, :-1]
+
+
+def inject(rho, s, input_qubit=0):
+    """The state after injecting ``s`` into ``rho``: one step at U = I."""
+    cfg = ReservoirConfig(tau=1.0, v=1, input_qubit=input_qubit)
+    return step(still(rho.qubit_count), rho, s, cfg)[0].matrix
 
 
 class TestEncodeInput:
     def test_endpoints(self):
-        assert np.allclose(encode_input(0.0).matrix, np.diag([1.0, 0.0]))
-        assert np.allclose(encode_input(1.0).matrix, np.diag([0.0, 1.0]))
+        assert np.allclose(_encode(0.0), np.diag([1.0, 0.0]))
+        assert np.allclose(_encode(1.0), np.diag([0.0, 1.0]))
 
     def test_half(self):
-        assert np.allclose(encode_input(0.5).matrix, np.full((2, 2), 0.5))
+        assert np.allclose(_encode(0.5), np.full((2, 2), 0.5))
 
     def test_range_guard(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            encode_input(1.2)
+            _encode(1.2)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            encode_input(-0.1)
+            _encode(-0.1)
 
 
 class TestInjectInput:
@@ -69,30 +66,29 @@ class TestInjectInput:
         rest = a @ a.conj().T
         rest /= rest.trace()
         old = DensityMatrix(np.kron(np.diag([0.2, 0.8]), rest).astype(complex))
-        new_in = encode_input(0.3)
-        out = inject_input(old, new_in, 0)
-        assert np.max(np.abs(out.matrix - np.kron(new_in.matrix, rest))) < 1e-12
+        out = inject(old, 0.3)
+        assert np.max(np.abs(out - np.kron(oracle.encode(0.3), rest))) < 1e-12
 
     def test_maximally_mixed(self):
-        out = inject_input(DensityMatrix.maximally_mixed(3), encode_input(0.7), 0)
-        want = np.kron(encode_input(0.7).matrix, np.eye(4) / 4)
-        assert np.max(np.abs(out.matrix - want)) < 1e-12
+        out = inject(DensityMatrix.maximally_mixed(3), 0.7)
+        want = np.kron(oracle.encode(0.7), np.eye(4) / 4)
+        assert np.max(np.abs(out - want)) < 1e-12
 
     def test_bell_pair(self):
         bell = np.zeros(4, dtype=complex)
         bell[0] = bell[3] = 1 / np.sqrt(2)
         rho = DensityMatrix(np.outer(bell, bell.conj()))
-        out = inject_input(rho, encode_input(0.0), 0)
+        out = inject(rho, 0.0)
         want = np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2)
-        assert np.max(np.abs(out.matrix - want)) < 1e-12
+        assert np.max(np.abs(out - want)) < 1e-12
 
     def test_trace_one(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         rho = a @ a.conj().T
         rho /= rho.trace()
-        out = inject_input(DensityMatrix(rho), encode_input(0.9), 0)
-        assert abs(out.matrix.trace() - 1.0) < 1e-12
+        out = inject(DensityMatrix(rho), 0.9)
+        assert abs(out.trace() - 1.0) < 1e-12
 
     def test_nonzero_position(self):
         rng = np.random.default_rng(2)
@@ -102,16 +98,15 @@ class TestInjectInput:
             p = a @ a.conj().T
             parts.append(p / p.trace())
         joint = DensityMatrix(np.kron(np.kron(parts[0], parts[1]), parts[2]))
-        new_in = encode_input(0.25)
-        out = inject_input(joint, new_in, 1)
-        want = np.kron(np.kron(parts[0], new_in.matrix), parts[2])
-        assert np.max(np.abs(out.matrix - want)) < 1e-12
+        out = inject(joint, 0.25, input_qubit=1)
+        want = np.kron(np.kron(parts[0], oracle.encode(0.25)), parts[2])
+        assert np.max(np.abs(out - want)) < 1e-12
 
     def test_guards(self):
-        with pytest.raises(ValueError, match="single-qubit"):
-            inject_input(DensityMatrix.ground(2), DensityMatrix.ground(2), 0)
-        with pytest.raises(ValueError, match="out of range"):
-            inject_input(DensityMatrix.ground(2), encode_input(0.5), 2)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            inject(DensityMatrix.ground(2), 1.5)
+        with pytest.raises(ConfigError, match="not a system qubit"):
+            inject(DensityMatrix.ground(2), 0.5, input_qubit=2)
 
 
 class TestObservableSet:
@@ -127,8 +122,8 @@ class TestObservableSet:
 
     def test_operators_match_embeddings(self):
         obs = ObservableSet.build(2, "z_and_zz")
-        assert np.array_equal(obs.operators[0], embed_pauli("Z", 0, 2))
-        zz = embed_pauli("Z", 0, 2) @ embed_pauli("Z", 1, 2)
+        assert np.array_equal(obs.operators[0], oracle.embed_pauli("Z", 0, 2))
+        zz = oracle.embed_pauli("Z", 0, 2) @ oracle.embed_pauli("Z", 1, 2)
         assert np.array_equal(obs.operators[2], zz)
 
     def test_pickle_keeps_operators_read_only(self):
@@ -145,34 +140,37 @@ class TestObservableSet:
 
 
 class TestMeasure:
+    """The readout of one step on a U = I register, where the injection
+    alone sets the state that is read."""
+
     def test_ground_state(self):
-        obs = ObservableSet.build(2, "z_only")
-        vals = measure(DensityMatrix.ground(2), obs)
+        _, vals = step(still(2), DensityMatrix.ground(2), 0.0, ReservoirConfig(tau=1.0, v=1))
         assert np.allclose(vals, [1.0, 1.0])
 
     def test_maximally_mixed(self):
-        obs = ObservableSet.build(2, "z_and_zz")
-        vals = measure(DensityMatrix.maximally_mixed(2), obs)
+        cfg = ReservoirConfig(tau=1.0, v=1, observables="z_and_zz")
+        _, vals = step(still(2), DensityMatrix.maximally_mixed(2), 0.5, cfg)
         assert np.allclose(vals, 0.0)
 
     def test_plus_state(self):
-        obs = ObservableSet.build(1, "z_only")
-        plus = DensityMatrix(np.full((2, 2), 0.5, dtype=complex))
-        assert abs(measure(plus, obs)[0]) < 1e-12
+        _, vals = step(still(1), DensityMatrix.ground(1), 0.5, ReservoirConfig(tau=1.0, v=1))
+        assert abs(vals[0]) < 1e-12
 
     def test_imaginary_part_guard(self):
-        obs = ObservableSet.build(1, "z_only")
-        corrupt = np.array([[0.5 + 1e-3j, 0.0], [0.0, 0.5]])
+        corrupt = np.array(DensityMatrix.ground(3).matrix)
+        corrupt[0, 0] += 1e-3j
+        engine = _StepEngine(make_real(), ReservoirConfig(tau=1.0, v=2), ObservableSet.build(2), corrupt != 0)
         with pytest.raises(NumericalError, match="imaginary"):
-            measure(corrupt, obs)
+            engine.step(engine.to_state(corrupt), 0.5)
 
     def test_dimension_guard(self):
-        obs = ObservableSet.build(2, "z_only")
         with pytest.raises(ValueError, match="dimension"):
-            measure(DensityMatrix.ground(1), obs)
+            _StepEngine(make_real(), ReservoirConfig(tau=1.0, v=2), ObservableSet.build(1))
 
 
 class TestEvolveStep:
+    """One input step from a given state, through run_trajectory."""
+
     @pytest.mark.parametrize("multiplex", ["per_node", "sub_step"])
     def test_matches_naive_reference(self, multiplex):
         rng = np.random.default_rng(3)
@@ -187,15 +185,15 @@ class TestEvolveStep:
             obs = ObservableSet.build(n_sys, kind)
             rho = DensityMatrix.ground(n_sys + n_env)
             for s in rng.uniform(0, 1, size=3):
-                want_rho, want_f = naive_step(rho.matrix, s, real, cfg, obs)
-                rho, got_f = evolve_step(rho, s, real, cfg, obs)
-                assert np.max(np.abs(got_f - want_f)) < 1e-11
+                want_f, want_rho = oracle.run(real, [s], cfg, rho.matrix, obs)
+                rho, got_f = step(real, rho, s, cfg)
+                assert np.max(np.abs(got_f - want_f[0])) < 1e-11
                 assert np.max(np.abs(rho.matrix - want_rho)) < 1e-11
 
     def test_v1_single_readout(self):
         real = make_real()
         cfg = ReservoirConfig(tau=0.8, v=1)
-        _, feats = evolve_step(DensityMatrix.ground(3), 0.4, real, cfg)
+        _, feats = step(real, DensityMatrix.ground(3), 0.4, cfg)
         assert feats.shape == (2,)  # n_obs for z_only on 2 system qubits
 
     def test_per_node_equals_stretched_sub_step(self):
@@ -204,20 +202,20 @@ class TestEvolveStep:
         rho0 = DensityMatrix.ground(3)
         a_cfg = ReservoirConfig(tau=0.5, v=4, multiplex="per_node")
         b_cfg = ReservoirConfig(tau=2.0, v=4, multiplex="sub_step")
-        _, fa = evolve_step(rho0, 0.3, real, a_cfg)
-        _, fb = evolve_step(rho0, 0.3, real, b_cfg)
+        _, fa = step(real, rho0, 0.3, a_cfg)
+        _, fb = step(real, rho0, 0.3, b_cfg)
         assert np.array_equal(fa, fb)
 
     def test_register_mismatch(self):
         real = make_real()
         with pytest.raises(ValueError, match="qubits"):
-            evolve_step(DensityMatrix.ground(2), 0.5, real, ReservoirConfig(tau=1.0, v=2))
+            step(real, DensityMatrix.ground(2), 0.5, ReservoirConfig(tau=1.0, v=2))
 
     def test_input_qubit_must_be_system(self):
         real = make_real(n_sys=1, n_env=2)
         cfg = ReservoirConfig(tau=1.0, v=2, input_qubit=1)
         with pytest.raises(ConfigError, match="system"):
-            evolve_step(DensityMatrix.ground(3), 0.5, real, cfg)
+            step(real, DensityMatrix.ground(3), 0.5, cfg)
 
     def test_nonzero_input_qubit_matches_manual_step(self):
         # inject at system site 1 of a 3-qubit register and cross-check one
@@ -232,16 +230,16 @@ class TestEvolveStep:
             parts.append(p / p.trace())
         rho0 = DensityMatrix(np.kron(np.kron(parts[0], parts[1]), parts[2]))
         s = 0.35
-        got_rho, got_f = evolve_step(rho0, s, real, cfg)
+        got_rho, got_f = step(real, rho0, s, cfg)
 
-        injected = np.kron(np.kron(parts[0], encode_input(s).matrix), parts[2])
-        u = propagator(real.h_full, cfg.tau)
-        obs = ObservableSet.build(2, "z_only")
+        injected = np.kron(np.kron(parts[0], oracle.encode(s)), parts[2])
+        u = oracle.propagator(real.h_full, cfg.tau)
+        z_ops = [oracle.embed_pauli("Z", i, 3) for i in range(2)]
         want_f = []
         rho = injected
         for _ in range(cfg.v):
             rho = u @ rho @ u.conj().T
-            want_f.extend(measure(partial_trace(rho, {2}, 3), obs))
+            want_f.extend(np.trace(z @ rho).real for z in z_ops)
         assert np.max(np.abs(got_f - np.array(want_f))) < 1e-11
         assert np.max(np.abs(got_rho.matrix - rho)) < 1e-11
 
@@ -264,15 +262,18 @@ class TestRunTrajectory:
         assert np.max(np.abs(feats.values[:, :-1])) <= 1.0 + 1e-9
 
     def test_rows_match_evolve_step_chain(self):
+        # the rows and final state are those of one engine stepped input by input
         real = make_real(seed=7)
         cfg = ReservoirConfig(tau=0.7, v=4)
         inputs = np.random.default_rng(11).uniform(0, 1, 6)
         feats, final = run_trajectory(real, inputs, cfg)
-        rho = DensityMatrix.ground(3)
+        rho0 = DensityMatrix.ground(3).matrix
+        engine = _StepEngine(real, cfg, ObservableSet.build(2), rho0 != 0)
+        state = engine.to_state(rho0)
         for k, s in enumerate(inputs):
-            rho, f = evolve_step(rho, s, real, cfg)
+            state, f = engine.step(state, s)
             assert np.array_equal(feats.values[k, :-1], f)
-        assert np.array_equal(final.matrix, rho.matrix)
+        assert np.array_equal(final.matrix, engine.to_register(state))
 
     def test_determinism(self):
         real = make_real(seed=9)

@@ -1,8 +1,9 @@
 """The sector step engine against plain propagator conjugation.
 
-The oracle steps the register-order density matrix the textbook way: trace
-out the input qubit, tensor the encoded input back in at its position, then
-conjugate by U = exp(-i H dt) once per virtual node and read Tr[(O x I) rho].
+The reference is ``tests/oracle.py``: it steps the register-order density
+matrix the textbook way, tracing out the input qubit, tensoring the encoded
+input back in at its position, then conjugating by U = exp(-i H dt) once per
+virtual node and reading Tr[(O x I) rho].
 """
 
 import dataclasses
@@ -16,23 +17,17 @@ from nmqrc import linalg
 from nmqrc import reservoir as rmod
 from nmqrc.esp import dual_trajectory
 from nmqrc.errors import NumericalError
-from nmqrc.hamiltonian import (
-    PAULI,
-    CouplingSet,
-    HamiltonianRealization,
-    ReservoirParams,
-    build_hamiltonian,
-    embed_pauli,
-)
+from nmqrc.hamiltonian import CouplingSet, HamiltonianRealization, ReservoirParams, build_hamiltonian
 from nmqrc.linalg import DensityMatrix
 from nmqrc.reservoir import (
     MULTIPLEX_MODES,
     OBSERVABLE_KINDS,
     ObservableSet,
     ReservoirConfig,
-    evolve_step,
     run_trajectory,
 )
+
+import oracle
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -40,30 +35,6 @@ from hypothesis import strategies as st  # noqa: E402
 
 ORACLE_ATOL = 1e-10
 DUAL_RTOL = 1e-12
-
-
-def oracle_inject(rho, s, q, n):
-    """rho_in(s) at register position q, tensored with Tr_q rho."""
-    rest = np.trace(rho.reshape((2,) * (2 * n)), axis1=q, axis2=n + q)
-    off = np.sqrt(s * (1.0 - s))
-    rho_in = np.array([[1.0 - s, off], [off, s]])
-    out = np.moveaxis(np.multiply.outer(rho_in, rest), (0, 1), (q, n + q))
-    return out.reshape(rho.shape)
-
-
-def oracle_run(real, inputs, cfg, rho, obs):
-    p = real.params
-    u = linalg.propagator(real.h_full, cfg.tau * cfg.sub_dt_factor)
-    ops = [np.kron(o, np.eye(2 ** p.n_env)) for o in obs.operators]
-    rows = []
-    for s in inputs:
-        rho = oracle_inject(rho, s, cfg.input_qubit, p.n_qubits)
-        feats = []
-        for _ in range(cfg.v):
-            rho = u @ rho @ u.conj().T
-            feats.extend(np.trace(op @ rho).real for op in ops)
-        rows.append(feats)
-    return np.array(rows).reshape(len(inputs), -1), rho
 
 
 def random_state(n, rng):
@@ -75,7 +46,7 @@ def random_state(n, rng):
 def assert_matches_oracle(real, inputs, cfg, rho0):
     obs = ObservableSet.build(real.params.n_sys, cfg.observables)
     feats, final = run_trajectory(real, inputs, cfg, initial_state=rho0)
-    want_f, want_rho = oracle_run(real, inputs, cfg, rho0.matrix, obs)
+    want_f, want_rho = oracle.run(real, inputs, cfg, rho0.matrix, obs)
     assert np.max(np.abs(feats.values[:, :-1] - want_f), initial=0.0) < ORACLE_ATOL
     assert np.max(np.abs(final.matrix - want_rho)) < ORACLE_ATOL
 
@@ -144,10 +115,10 @@ class TestSymmetryGuard:
 
     @pytest.mark.parametrize("axis", ["X", "Y"])  # Y also makes H complex
     def test_environment_field_leaves_two_sectors(self, axis):
-        self.check(self.realization(0.3 * embed_pauli(axis, 3, 4)), 2)
+        self.check(self.realization(0.3 * oracle.embed_pauli(axis, 3, 4)), 2)
 
     def test_system_and_environment_fields_leave_one_sector(self):
-        extra = 0.3 * embed_pauli("X", 3, 4) + 0.2 * embed_pauli("X", 0, 4)
+        extra = 0.3 * oracle.embed_pauli("X", 3, 4) + 0.2 * oracle.embed_pauli("X", 0, 4)
         self.check(self.realization(extra), 1)
 
     def test_sectors_of_unequal_size_become_one(self):
@@ -160,16 +131,17 @@ class TestSymmetryGuard:
 def test_observable_across_sectors_uses_the_whole_register():
     real = build_hamiltonian(ReservoirParams(n_sys=2, n_env=1, alpha=1.0, beta=0.6,
                                              h_sys=0.5, h_env=1.0, seed=51))
-    ops = [np.kron(PAULI[axis], np.eye(2)) for axis in ("X", "Y")]
+    ops = [np.kron(oracle.PAULI[axis], np.eye(2)) for axis in ("X", "Y")]
     obs = ObservableSet(labels=("X0", "Y0"), operators=np.array(ops))
     cfg = ReservoirConfig(tau=0.7, v=3)
     # X0 and Y0 flip the system parity, joining the 4 sectors of H in pairs
     assert rmod._StepEngine(real, cfg, obs).shape[0] == 2
     rho0 = random_state(3, np.random.default_rng(53))
-    rho, got = evolve_step(rho0, 0.35, real, cfg, obs)
-    want, want_rho = oracle_run(real, [0.35], cfg, rho0.matrix, obs)
+    engine = rmod._StepEngine(real, cfg, obs, rho0.matrix != 0)
+    state, got = engine.step(engine.to_state(rho0.matrix), 0.35)
+    want, want_rho = oracle.run(real, [0.35], cfg, rho0.matrix, obs)
     assert np.max(np.abs(got - want[0])) < ORACLE_ATOL
-    assert np.max(np.abs(rho.matrix - want_rho)) < ORACLE_ATOL
+    assert np.max(np.abs(engine.to_register(state) - want_rho)) < ORACLE_ATOL
 
 
 def test_long_horizon_keeps_the_physics_invariants():
@@ -255,8 +227,8 @@ def oracle_dual_records(real, inputs, cfg, rho1, rho2):
 
     records = [(0.0, *distances(rho1, rho2))]
     for s in inputs:
-        f1, rho1 = oracle_run(real, [s], cfg, rho1, obs)
-        f2, rho2 = oracle_run(real, [s], cfg, rho2, obs)
+        f1, rho1 = oracle.run(real, [s], cfg, rho1, obs)
+        f2, rho2 = oracle.run(real, [s], cfg, rho2, obs)
         records.append((float(np.sum((f1 - f2) ** 2)), *distances(rho1, rho2)))
     return records
 
@@ -383,7 +355,7 @@ def test_environment_flip_joins_the_classes():
     # ground state's class is the whole register
     base = ReservoirParams(n_sys=2, n_env=2, alpha=1.2, beta=0.8, h_sys=0.5, h_env=1.0, seed=45)
     plain = build_hamiltonian(base)
-    real = HamiltonianRealization(base, plain.couplings, plain.h_full + 0.3 * embed_pauli("X", 3, 4))
+    real = HamiltonianRealization(base, plain.couplings, plain.h_full + 0.3 * oracle.embed_pauli("X", 3, 4))
     cfg = ReservoirConfig(tau=0.6, v=4, observables="z_and_zz")
     rho0 = DensityMatrix.ground(4)
     assert engine_for(plain, cfg, rho0).shape == (2, 4, 8)
