@@ -12,16 +12,20 @@ environment.
 
 The copies are not stepped separately. Injection and readout are linear in
 the state, so the difference Delta = rho1 - rho2 follows the same step map
-and its features are the feature difference. The injection tensors a pure
-input state onto Tr_q Delta and the evolution is unitary, so the
-full-register trace distance after input k is Tr|Tr_q Delta_{k-1}|, on half
-the register. The default pair occupies both environment-parity classes
-with no coherence between them, so Delta is stepped as a stack of two class
-blocks: that trace norm is one ``trace_norm`` call on the stack (the trace
-norm of the block-diagonal matrix it forms), and the system marginal sums
-the classes' partial traces before its one trace norm. The stepped Delta
-stays Hermitian to rounding, and ``trace_norm`` checks that on the blocks
-as they are, so two calls per input make the whole record.
+and its features are the feature difference. The step engine carries
+Tr_q Delta between inputs. The injection tensors a pure input state onto
+it and the evolution is unitary, so the full-register trace distance after
+input k is Tr|Tr_q Delta_{k-1}|, the trace norm of the carried state before
+the step, on half the register. The default pair occupies both
+environment-parity classes with no coherence between them, so it is a
+stack of two class blocks and that trace norm is one ``trace_norm`` call on
+the stack (the trace norm of the block-diagonal matrix it forms). The step
+returns Delta_k in factored form, Y A^dag over one row per class basis
+state, and the system marginal is the sum over environment configurations e
+of Y_e A_e^dag, with the rows grouped by their environment bits: no
+register-size Delta is formed. The stepped Delta stays Hermitian to
+rounding, and ``trace_norm`` checks that on the blocks as they are, so two
+calls per input make the whole record.
 """
 
 from __future__ import annotations
@@ -73,11 +77,11 @@ def dual_trajectory(
     stepped: its features are the feature difference, and since the
     injection tensors a pure input state onto Tr_q Delta and the evolution is
     unitary, the full-register trace distance after input k is
-    Tr|Tr_q Delta_{k-1}|, taken before the step on a register of half the
-    size, over the stack of the step engine's class blocks. Feature distances
-    always use the single-site Z observables regardless of
-    ``cfg.observables``. Returns len(inputs) + 1 records, the
-    first being the step-0 snapshot of the initial states.
+    Tr|Tr_q Delta_{k-1}|, the trace norm of the state the step engine
+    carries, taken before the step over its stack of class blocks. Feature
+    distances always use the single-site Z observables regardless of
+    ``cfg.observables``. Returns len(inputs) + 1 records, the first being
+    the step-0 snapshot of the initial states.
     """
     p = real.params
     if initial_states is None:
@@ -107,19 +111,19 @@ def dual_trajectory(
     td_full = td_sys = trace_norm(diff)
     if env:
         td_sys = trace_norm(partial_trace(diff, env, p.n_qubits))
-        env_gather = engine.trace_index(env)
+        env_index = engine.trace_index(env)
     records = [EspRecord(step=0, sqnorm_diff=0.0, trace_distance=td_full, trace_distance_sys=td_sys)]
     # The step map keeps the trace, so Delta keeps that of the initial pair:
     # 0 up to rounding.
     trace = float(diff.trace().real)
-    delta = engine.to_state(diff)
+    tau = engine.to_state(diff)
     for k, s in enumerate(inputs):
-        td_full = trace_norm(engine.input_trace(delta))  # one block per class
+        td_full = trace_norm(tau)  # Tr_q Delta, one block per class
         try:
-            delta, f = engine.step(delta, s, trace=trace)
+            tau, f, stepped = engine.step(tau, s, trace=trace)
         except (NumericalError, ValueError) as exc:
             raise NumericalError(f"trajectory pair failed at step {k}: {exc}") from exc
-        td_sys = trace_norm(engine.trace_out(delta, env_gather)) if env else td_full
+        td_sys = trace_norm(engine.trace_out(stepped, env_index)) if env else td_full
         records.append(EspRecord(step=k + 1, sqnorm_diff=float(np.sum(f ** 2)),
                                  trace_distance=td_full, trace_distance_sys=td_sys))
     return records

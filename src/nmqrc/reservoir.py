@@ -25,19 +25,33 @@ there is no environment). It keeps only the classes the initial state
 occupies and steps them as one stack of blocks. Sectors: within
 a class, the connected components of the pattern of H, on which H, its
 eigenvectors W and the Z_i / Z_i Z_j readout are block diagonal (k = 2 per
-class here, as H also keeps the system-block parity). With each class block
-kept in sector order, a step
+class here, as H also keeps the system-block parity).
 
-* injects the input through precomputed gathers,
-* evolves by exp(-i H v dt) with one stacked product of k blocks per class
-  and side,
-* reads all v nodes from the diagonal sector blocks of sigma = W^dag rho W:
-  a sub-step of length dt multiplies sigma elementwise by the phases
-  exp(-i (lam_p - lam_q) dt). sigma and each observable's blocks are
-  Hermitian, so entry (q, p) of a block is the conjugate of entry (p, q) and
-  the readouts reduce to one real product over the upper triangles of the
-  blocks against a precomputed table of cosines and sines, one pair per
-  upper-triangle entry and node.
+Before every input the input qubit is re-prepared in the pure state
+psi_s = (sqrt(1-s), sqrt(s)), so the injected class block is P_s tau P_s^dag
+with tau = Tr_q rho, a quarter of the block, and P_s = sqrt(1-s) P_0 +
+sqrt(s) P_1 the d x r isometry (r = d/2) that puts psi_s on the input
+qubit. tau is the state carried from one input to the next. At build time
+the engine stacks, for each input bit b, the factor rows W^dag P_b (split
+by sector, for the readout) and U P_b (for the evolution by
+U = exp(-i H v dt)), both cut from the block arrays. A step
+
+* combines them into F_s and takes Y = F_s tau, one stacked product;
+* reads all v nodes from the diagonal sector blocks of sigma = W^dag rho W,
+  Y_kappa G_kappa^dag for sector kappa, with Y_kappa and G_kappa the
+  readout rows of Y and F_s in that sector: a sub-step of length dt
+  multiplies sigma elementwise by the phases exp(-i (lam_p - lam_q) dt).
+  sigma and each observable's blocks are Hermitian, so entry (q, p) of a
+  block is the conjugate of entry (p, q) and the readouts reduce to one real
+  product over the upper triangles of the blocks against a precomputed
+  table of cosines and sines, one pair per upper-triangle entry and node;
+* carries tau' = Tr_q (U rho U^dag) = sum_b Y_b A_b^dag, with Y_b and A_b
+  the evolution rows of Y and F_s whose input bit is b.
+
+No d x d class block is formed on the way. The stepped state is Y A^dag
+over the evolution rows; ``run_trajectory`` builds the final
+register-order state from it once, and ``dual_trajectory`` traces the
+environment out of it.
 
 This is exactly unitary conjugation by exp(-i H dt), just associated
 differently. Structure that is not there joins the pieces instead of being
@@ -196,13 +210,13 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
-def _encode(s: float) -> np.ndarray:
-    """The pure input state sqrt(1-s)|0> + sqrt(s)|1> as a 2x2 density matrix."""
+def _encode(s: float) -> tuple[float, float]:
+    """The amplitudes (sqrt(1-s), sqrt(s)) of the pure input state
+    sqrt(1-s)|0> + sqrt(s)|1>."""
     s = float(s)
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"input must lie in [0, 1], got {s}")
-    off = np.sqrt(s * (1.0 - s))
-    return np.array([[1.0 - s, off], [off, s]], dtype=complex)
+    return np.sqrt(1.0 - s), np.sqrt(s)
 
 
 class _StepEngine:
@@ -218,12 +232,17 @@ class _StepEngine:
     ``shape`` is (k sectors per class, m states per sector, d states per
     class) and ``classes`` the number of classes kept.
 
-    The state it steps is the stack of class blocks in sector order, each
-    stored as its k column blocks, shape (classes, k, d, m): the layout the
-    right-hand block product leaves it in, so no step copies it into
-    another. The injection gathers read that layout directly. ``to_state``
-    and ``to_register`` convert from and to a register-order matrix, which
-    is zero outside the kept class blocks.
+    The state carried between inputs is tau = Tr_q rho, the class blocks of
+    the state with the input qubit q traced out: shape (classes, r, r),
+    r = d/2, indexed by the rest of the basis index (its bits other than
+    q) in ascending order. That is all a step needs, as the input qubit is
+    re-prepared in a pure state first. Each class basis state is one
+    evolution row: row 2a + b holds the state with rest a and input bit b
+    (``rows`` gives its register index). ``to_state`` gathers tau from a
+    register-order matrix. ``step`` also returns the stepped class blocks in
+    factored form (Y, A), rho = Y A^dag with one evolution row each, and
+    ``trace_out`` takes partial traces of that, the register-order state
+    included.
     """
 
     def __init__(self, real: HamiltonianRealization, cfg: ReservoirConfig, obs: ObservableSet,
@@ -238,7 +257,6 @@ class _StepEngine:
         self.n_obs = len(obs)
         self.dt = cfg.tau * cfg.sub_dt_factor
         shift = n - 1 - cfg.input_qubit
-        low = (1 << shift) - 1
 
         # Sectors are split on the pattern of H joined with that of every
         # O_i x I_env, so an observable with entries between two sectors (none
@@ -266,42 +284,17 @@ class _StepEngine:
         n_sectors, m = eig.eigenvalues.shape
         # Sectors of unequal size come back as one, which may span classes.
         # Members are sorted by class, so each change of label starts one.
-        c = np.count_nonzero(np.diff(label[members])) + 1 if n_sectors > 1 else 1
+        c = int(np.count_nonzero(np.diff(label[members]))) + 1 if n_sectors > 1 else 1
         k, d = n_sectors // c, order.size // c
         self.shape = (k, m, d)
         self.classes = c
-        self.order = order.reshape(c, d)
-        self.position = np.full(p.dim, -1)
-        self.position[order] = np.arange(order.size)
-        self.cls = np.arange(c)[:, None]
-        self.diag = np.arange(k)
 
-        # Eigenvectors W and the step propagator exp(-i H v dt), as stacks of
-        # c x k blocks.
+        # Eigenvectors W and the step propagator U = exp(-i H v dt), as stacks
+        # of c x k blocks.
         lam = eig.eigenvalues
-        self.w = eig.eigenvectors.reshape(c, k, m, m)
-        self.w_h = np.ascontiguousarray(self.w.conj().transpose(0, 1, 3, 2))
-        self.u = (self.w * np.exp(-1j * self.v * self.dt * lam).reshape(c, k, 1, m)) @ self.w_h
-        self.u_h = np.ascontiguousarray(self.u.conj().transpose(0, 1, 3, 2))
-
-        # Injection as gathers from the stored state: the trace over the input
-        # qubit of each class block, over the r = d/2 values ``rests`` its
-        # remaining bits take in that class, then entry (i, j) of the product
-        # state is rho_in at the pair of input bits of i and j times that
-        # trace at the pair of their remaining bits.
-        reg = self.order
-        rest = ((reg >> (shift + 1)) << shift) | (reg & low)
-        bit = (reg >> shift) & 1
-        r = d // 2
-        rests = np.sort(rest, axis=1)[:, ::2]  # each rest of a class comes with both input bits
-        with_bit = ((rests >> shift) << (shift + 1)) | (rests & low)
-        pos = self.position[np.stack([with_bit, with_bit | (1 << shift)])]  # (2, c, r)
-        self.trace_idx = self._offset(pos[..., :, None], pos[..., None, :])
-        rank = np.empty(p.dim // 2, dtype=int)
-        rank[rests] = np.arange(r)
-        a = rank[rest]
-        self.inject_idx = ((bit[:, :, None] * 2 + bit[:, None, :]) * (c * r * r)
-                           + self.cls[:, :, None] * (r * r) + a[:, :, None] * r + a[:, None, :])
+        w = eig.eigenvectors.reshape(c, k, m, m)
+        w_h = w.conj().swapaxes(-1, -2)
+        self.u = (w * np.exp(-1j * self.v * self.dt * lam).reshape(c, k, 1, m)) @ w_h
 
         # Readout from the diagonal blocks of sigma = W^dag rho W. With R_i the
         # blocks of (W^dag O_i W)^T, the feature at node j is the sum over all
@@ -329,73 +322,101 @@ class _StepEngine:
         rows = np.empty((self.n_obs, c * k * m * m), dtype=complex)
         for i, op in enumerate(obs.operators):
             block = _diagonal_blocks(op, order, c * k, p.n_env).reshape(c, k, m, m)
-            rows[i] = (self.w_h @ block @ self.w).transpose(0, 1, 3, 2).ravel()
+            rows[i] = (w_h @ block @ w).transpose(0, 1, 3, 2).ravel()
         self.obs_rows = np.ascontiguousarray(rows[:, self.upper])
         # |Im feature| <= ||sigma - sigma^dag||_F / 2 * max_i ||R_i||_F
         self.row_norm = float(np.max(np.linalg.norm(rows, axis=1), initial=0.0))
 
-    def _offset(self, row: np.ndarray, col: np.ndarray) -> np.ndarray:
-        """Offset in a stored state of entry (row, col) of a class block, both
-        given as positions in ``order``."""
-        k, m, d = self.shape
-        return (row // d) * (d * d) + (col % d // m) * (d * m) + row % d * m + col % m
+        # The injected class block is P_s tau P_s^dag, where P_s, d x r, puts
+        # the input state on the input qubit: P_s = sqrt(1-s) P_0 + sqrt(s) P_1
+        # and P_b maps rest a to the class basis state with rest a and input
+        # bit b. Factor rows per input bit b, shape (2, c, 2d, r): the first d
+        # rows are the sector blocks of W^dag P_b (sigma's readout), the last
+        # d are U P_b as evolution rows. Column a of W^dag P_b is the column of
+        # W^dag at the state (a, b), in its sector's rows; column a of U P_b is
+        # the column of U there, in that sector's evolution rows.
+        r = d // 2
+        reg = order.reshape(c, d)  # class basis, sector after sector
+        rest = ((reg >> (shift + 1)) << shift) | (reg & ((1 << shift) - 1))
+        bit = (reg >> shift) & 1
+        rests = np.sort(rest, axis=1)[:, ::2]  # each rest of a class comes with both input bits
+        rank = np.empty(p.dim // 2, dtype=int)
+        rank[rests] = np.arange(r)
+        a = rank[rest]
+        row = 2 * a + bit  # evolution row of each class basis state
+        cls = np.arange(c)[:, None]
+        self.rows = np.empty_like(reg)
+        self.rows[cls, row] = reg
+        sector, at = np.arange(d) // m, np.arange(d) % m
+        self.factors = np.zeros((2, c, 2 * d, r), dtype=complex)
+        put = (bit[..., None], cls[..., None])
+        self.factors[(*put, sector[:, None] * m + np.arange(m), a[..., None])] = w_h[cls, sector, :, at]
+        self.factors[(*put, d + row.reshape(c, k, m)[cls, sector], a[..., None])] = self.u[cls, sector, :, at]
 
     def to_state(self, rho: np.ndarray) -> np.ndarray:
-        k, m, d = self.shape
-        blocks = rho[self.order[:, :, None], self.order[:, None, :]]
-        return np.ascontiguousarray(blocks.reshape(self.classes, d, k, m).transpose(0, 2, 1, 3))
+        """tau of the register-order matrix ``rho``: the Hermitian part of the
+        trace over the input qubit of each kept class block."""
+        c, d = self.rows.shape
+        idx = self.rows.reshape(c, d // 2, 2)
+        tau = sum(rho[idx[:, :, b, None], idx[:, None, :, b]] for b in (0, 1))
+        return (tau + tau.conj().swapaxes(-1, -2)) / 2
 
-    def to_register(self, state: np.ndarray) -> np.ndarray:
-        k, m, d = self.shape
-        rho = np.zeros((2 ** self.n_qubits,) * 2, dtype=complex)
-        rho[self.order[:, :, None], self.order[:, None, :]] = state.transpose(0, 2, 1, 3).reshape(-1, d, d)
-        return rho
-
-    def input_trace(self, state: np.ndarray) -> np.ndarray:
-        """The trace over the input qubit of each class block, (classes, r, r)."""
-        return state.take(self.trace_idx).sum(axis=0)
-
-    def trace_index(self, traced) -> tuple[np.ndarray, np.ndarray]:
-        """Gather for the partial trace of the register state over the
-        register qubits ``traced``: offsets into the stored state and 0/1
-        weights, both shape (2^t, r, r). Entry [b, i, j] is register entry
-        (i, j) of the kept qubits with the traced bits b on both sides, of
-        weight 0 where that entry lies outside every kept class block (the
-        register state is zero there). Kept qubits stay in register order."""
-        n, d = self.n_qubits, self.shape[2]
+    def trace_index(self, traced) -> tuple[np.ndarray, tuple[int, int]]:
+        """Scatter for the partial trace of a stepped state over the register
+        qubits ``traced``. The groups are the (class, traced bits) pairs that
+        hold an evolution row; a row with kept bits e (in register order) in
+        group g goes to position e * groups + g. Returns the positions, one per
+        evolution row, and (2^kept, groups)."""
+        n = self.n_qubits
         traced = sorted(traced)
         keep = [q for q in range(n) if q not in traced]
 
-        def place(qubits):  # register indices carrying each value's bits on ``qubits``
-            vals = np.arange(2 ** len(qubits))
-            out = np.zeros_like(vals)
-            for i, q in enumerate(qubits):
-                out |= ((vals >> (len(qubits) - 1 - i)) & 1) << (n - 1 - q)
+        def bits(qubits):  # each row's register index read on ``qubits``
+            out = np.zeros_like(self.rows)
+            for q in qubits:
+                out = (out << 1) | ((self.rows >> (n - 1 - q)) & 1)
             return out
 
-        pos = self.position[place(traced)[:, None] | place(keep)]  # (2^t, r), -1 outside the classes
-        row, col = pos[:, :, None], pos[:, None, :]
-        inside = (row >= 0) & (row // d == col // d)
-        return np.where(inside, self._offset(row, col), 0), inside.astype(float)
+        group = (np.arange(self.classes)[:, None] << len(traced)) | bits(traced)
+        present = np.zeros(self.classes << len(traced), dtype=bool)
+        present[group] = True
+        rank = np.zeros(present.size, dtype=int)
+        groups = np.flatnonzero(present)
+        rank[groups] = np.arange(groups.size)
+        return (bits(keep) * groups.size + rank[group]).ravel(), (1 << len(keep), groups.size)
 
     @staticmethod
-    def trace_out(state: np.ndarray, gather: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """Partial trace of a stored state over a ``trace_index`` gather."""
-        idx, weight = gather
-        return (state.take(idx) * weight).sum(axis=0)
+    def trace_out(stepped: tuple[np.ndarray, np.ndarray], index) -> np.ndarray:
+        """Partial trace of a stepped state rho = Y A^dag over a ``trace_index``
+        scatter: the sum over groups g of Y_g A_g^dag."""
+        pos, (size, groups) = index
+        y, a = stepped
+        r = y.shape[-1]
+        ys = np.zeros((size * groups, r), dtype=complex)
+        a_s = np.zeros((size * groups, r), dtype=complex)
+        ys[pos] = y.reshape(-1, r)
+        a_s[pos] = a.reshape(-1, r)
+        return ys.reshape(size, groups * r) @ a_s.reshape(size, groups * r).conj().T
 
-    def step(self, state: np.ndarray, s: float, trace: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    def step(self, tau: np.ndarray, s: float,
+             trace: float = 1.0) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
         """One input step: inject, evolve v sub-steps, read out after each.
 
-        The map is linear in ``state``, so it also steps the difference of two
-        states; ``trace`` is the trace the stepped state must keep: 1 for a
-        density matrix, 0 up to rounding for a difference of two.
+        Returns the next tau, the features (v x n_obs, node-major) and the
+        stepped class blocks as (Y, A), rho = Y A^dag, each (classes, d, r)
+        over the evolution rows. The map is linear in ``tau``, so it also
+        steps the difference of two states; ``trace`` is the trace the
+        stepped state must keep: 1 for a density matrix, 0 up to rounding for
+        a difference of two.
         """
         k, m, d = self.shape
-        c = self.classes
-        rho = np.multiply.outer(_encode(s).ravel(), self.input_trace(state)).take(self.inject_idx)  # (c, d, d)
+        c, r = self.classes, d // 2
+        amp0, amp1 = _encode(s)
+        f = amp0 * self.factors[0] + amp1 * self.factors[1]  # F_s, (c, 2d, r)
+        y = f @ tau
+        f_conj = f.conj()
 
-        sigma = (self.w_h @ rho.reshape(c, k, m, k, m)[self.cls, self.diag, :, self.diag, :] @ self.w).ravel()
+        sigma = (y[:, :d].reshape(c, k, m, r) @ f_conj[:, :d].reshape(c, k, m, r).swapaxes(-1, -2)).ravel()
         upper, lower = sigma[self.upper], sigma[self.lower].conj()
         skew = upper - lower  # sigma - sigma^dag on the upper triangles
         imag_bound = 0.5 * np.sqrt(self.tri_weight @ (skew.real ** 2 + skew.imag ** 2)) * self.row_norm
@@ -413,12 +434,14 @@ class _StepEngine:
             stop = min(start + span, self.v)
             feats[start:stop] = (z.view(float) @ self.phase_table[:, : stop - start]).T
 
-        half = (self.u @ rho.reshape(c, k, m, d)).reshape(c, d, k, m).transpose(0, 2, 1, 3)
-        state = half @ self.u_h
-        trace_err = abs(float(np.einsum("caapp->", state.reshape(c, k, k, m, m)).real) - trace)
+        # Tr_q (Y A^dag): rows 2a and 2a + 1 hold rest a, so each class's
+        # evolution rows read as r x 2r make it one product.
+        y_ev, f_ev = y[:, d:], f[:, d:]
+        tau = y_ev.reshape(c, r, 2 * r) @ f_conj[:, d:].reshape(c, r, 2 * r).swapaxes(-1, -2)
+        trace_err = abs(float(np.einsum("cii->", tau).real) - trace)
         if trace_err > STEP_TRACE_ATOL:
             raise NumericalError(f"state trace drifted by {trace_err:.3e} > {STEP_TRACE_ATOL:.1e}")
-        return state, feats.ravel()
+        return tau, feats.ravel(), (y_ev, f_ev)
 
 
 def _diagonal_blocks(op: np.ndarray, order: np.ndarray, k: int, n_env: int) -> np.ndarray:
@@ -457,14 +480,15 @@ def run_trajectory(
     rows = np.ones((inputs.size, len(labels)))
     # A validated state is Hermitian only to 1e-10, too loose for the bound
     # ``step`` puts on the imaginary part of the features. Its Hermitian part
-    # has the same features, and it is what is stepped; to_state(m.T).conj()
-    # is the stored form of m^dag, gathered without a register-size copy.
-    m = initial_state.matrix
-    rho = (engine.to_state(m) + engine.to_state(m.T).conj()) / 2
+    # has the same features, and ``to_state`` takes it.
+    tau = engine.to_state(initial_state.matrix)
+    final = initial_state
     for k, s in enumerate(inputs):
         try:
-            rho, feats = engine.step(rho, s)
+            tau, feats, stepped = engine.step(tau, s)
         except (NumericalError, ValueError) as exc:
             raise NumericalError(f"trajectory failed at step {k}: {exc}") from exc
         rows[k, :-1] = feats
-    return FeatureMatrix(values=rows, labels=labels), DensityMatrix(engine.to_register(rho))
+    if inputs.size:
+        final = DensityMatrix(engine.trace_out(stepped, engine.trace_index(())))
+    return FeatureMatrix(values=rows, labels=labels), final

@@ -40,10 +40,15 @@ def encode(s):
     return np.array([[1.0 - s, off], [off, s]])
 
 
+def trace_qubit(rho, q, n):
+    """Tr_q rho over register position q, as a tensor with two axes per
+    remaining qubit (rows, then columns)."""
+    return np.trace(rho.reshape((2,) * (2 * n)), axis1=q, axis2=n + q)
+
+
 def inject(rho, s, q, n):
     """The encoded input s at register position q, tensored with Tr_q rho."""
-    rest = np.trace(rho.reshape((2,) * (2 * n)), axis1=q, axis2=n + q)
-    out = np.moveaxis(np.multiply.outer(encode(s), rest), (0, 1), (q, n + q))
+    out = np.moveaxis(np.multiply.outer(encode(s), trace_qubit(rho, q, n)), (0, 1), (q, n + q))
     return out.reshape(rho.shape)
 
 

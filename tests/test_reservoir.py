@@ -45,12 +45,17 @@ def inject(rho, s, input_qubit=0):
 
 
 class TestEncodeInput:
+    """``_encode`` gives the amplitudes of the pure input state; their outer
+    product is its density matrix."""
+
     def test_endpoints(self):
-        assert np.allclose(_encode(0.0), np.diag([1.0, 0.0]))
-        assert np.allclose(_encode(1.0), np.diag([0.0, 1.0]))
+        assert _encode(0.0) == (1.0, 0.0)
+        assert _encode(1.0) == (0.0, 1.0)
+        assert np.allclose(np.outer(_encode(0.0), _encode(0.0)), np.diag([1.0, 0.0]))
+        assert np.allclose(np.outer(_encode(1.0), _encode(1.0)), np.diag([0.0, 1.0]))
 
     def test_half(self):
-        assert np.allclose(_encode(0.5), np.full((2, 2), 0.5))
+        assert np.allclose(np.outer(_encode(0.5), _encode(0.5)), np.full((2, 2), 0.5))
 
     def test_range_guard(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
@@ -157,11 +162,12 @@ class TestMeasure:
         assert abs(vals[0]) < 1e-12
 
     def test_imaginary_part_guard(self):
-        corrupt = np.array(DensityMatrix.ground(3).matrix)
-        corrupt[0, 0] += 1e-3j
-        engine = _StepEngine(make_real(), ReservoirConfig(tau=1.0, v=2), ObservableSet.build(2), corrupt != 0)
+        rho0 = DensityMatrix.ground(3).matrix
+        engine = _StepEngine(make_real(), ReservoirConfig(tau=1.0, v=2), ObservableSet.build(2), rho0 != 0)
+        tau = engine.to_state(rho0)
+        tau[0, 0, 0] += 1e-3j  # Tr_q rho at the register's first rest
         with pytest.raises(NumericalError, match="imaginary"):
-            engine.step(engine.to_state(corrupt), 0.5)
+            engine.step(tau, 0.5)
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -269,11 +275,11 @@ class TestRunTrajectory:
         feats, final = run_trajectory(real, inputs, cfg)
         rho0 = DensityMatrix.ground(3).matrix
         engine = _StepEngine(real, cfg, ObservableSet.build(2), rho0 != 0)
-        state = engine.to_state(rho0)
+        tau = engine.to_state(rho0)
         for k, s in enumerate(inputs):
-            state, f = engine.step(state, s)
+            tau, f, stepped = engine.step(tau, s)
             assert np.array_equal(feats.values[k, :-1], f)
-        assert np.array_equal(final.matrix, engine.to_register(state))
+        assert np.array_equal(final.matrix, engine.trace_out(stepped, engine.trace_index(())))
 
     def test_determinism(self):
         real = make_real(seed=9)

@@ -30,7 +30,7 @@ from nmqrc.reservoir import (
 import oracle
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 ORACLE_ATOL = 1e-10
@@ -49,6 +49,24 @@ def assert_matches_oracle(real, inputs, cfg, rho0):
     want_f, want_rho = oracle.run(real, inputs, cfg, rho0.matrix, obs)
     assert np.max(np.abs(feats.values[:, :-1] - want_f), initial=0.0) < ORACLE_ATOL
     assert np.max(np.abs(final.matrix - want_rho)) < ORACLE_ATOL
+
+
+def oracle_tau(rho, input_qubit):
+    """Tr_q of a register-order state as a matrix over the remaining qubits."""
+    n = int(np.log2(rho.shape[0]))
+    return oracle.trace_qubit(rho, input_qubit, n).reshape(2 ** (n - 1), 2 ** (n - 1))
+
+
+def register_tau(engine, tau, input_qubit):
+    """The engine's carried tau blocks placed in the register-order Tr_q
+    matrix, zero outside the kept classes."""
+    n = engine.n_qubits
+    shift = n - 1 - input_qubit
+    reg = engine.rows[:, ::2]  # rows 2a hold rest a with input bit 0
+    rest = ((reg >> (shift + 1)) << shift) | (reg & ((1 << shift) - 1))
+    out = np.zeros((2 ** (n - 1),) * 2, dtype=complex)
+    out[rest[:, :, None], rest[:, None, :]] = tau
+    return out
 
 
 @st.composite
@@ -138,10 +156,11 @@ def test_observable_across_sectors_uses_the_whole_register():
     assert rmod._StepEngine(real, cfg, obs).shape[0] == 2
     rho0 = random_state(3, np.random.default_rng(53))
     engine = rmod._StepEngine(real, cfg, obs, rho0.matrix != 0)
-    state, got = engine.step(engine.to_state(rho0.matrix), 0.35)
+    tau, got, stepped = engine.step(engine.to_state(rho0.matrix), 0.35)
     want, want_rho = oracle.run(real, [0.35], cfg, rho0.matrix, obs)
     assert np.max(np.abs(got - want[0])) < ORACLE_ATOL
-    assert np.max(np.abs(engine.to_register(state) - want_rho)) < ORACLE_ATOL
+    assert np.max(np.abs(register_tau(engine, tau, cfg.input_qubit) - oracle_tau(want_rho, cfg.input_qubit))) < ORACLE_ATOL
+    assert np.max(np.abs(engine.trace_out(stepped, engine.trace_index(())) - want_rho)) < ORACLE_ATOL
 
 
 def test_long_horizon_keeps_the_physics_invariants():
@@ -156,17 +175,16 @@ def test_long_horizon_keeps_the_physics_invariants():
 
 
 def test_non_hermitian_state_trips_the_imaginary_part_guard():
-    # i * 1e-6 on a diagonal register entry gives the features imaginary parts
-    # far above FEATURE_IMAG_ATOL
+    # i * 1e-6 on a diagonal entry of the carried Tr_q rho gives the features
+    # imaginary parts far above FEATURE_IMAG_ATOL
     real = build_hamiltonian(ReservoirParams(n_sys=4, n_env=3, alpha=1.0, beta=1.0,
                                              h_sys=0.5, h_env=1.0, seed=59))
     rho0 = DensityMatrix.ground(7)
     engine = rmod._StepEngine(real, ReservoirConfig(tau=0.5, v=3), ObservableSet.build(4), rho0.matrix != 0)
-    state, _ = engine.step(engine.to_state(rho0.matrix), 0.3)
-    pos = engine.position[0]  # register entry (0, 0)
-    state.reshape(-1)[engine._offset(pos, pos)] += 1e-6j
+    tau, _, _ = engine.step(engine.to_state(rho0.matrix), 0.3)
+    tau[0, 0, 0] += 1e-6j  # Tr_q rho at the register's first rest
     with pytest.raises(NumericalError, match="imaginary"):
-        engine.step(state, 0.6)
+        engine.step(tau, 0.6)
 
 
 def test_state_hermitian_to_the_density_matrix_tolerance_is_stepped():
@@ -205,9 +223,9 @@ def test_phase_table_chunks_stay_under_the_batch_limit():
     with mock.patch.object(rmod, "_BATCH_LIMIT", 0):
         one_node = rmod._StepEngine(real, cfg, obs)
     assert one_node.phase_table.shape == (per_node, 1)
-    state = engine.to_state(random_state(7, np.random.default_rng(69)).matrix)
-    _, got = engine.step(state, 0.4)
-    _, want = one_node.step(state, 0.4)
+    tau = engine.to_state(random_state(7, np.random.default_rng(69)).matrix)
+    _, got, _ = engine.step(tau, 0.4)
+    _, want, _ = one_node.step(tau, 0.4)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -374,6 +392,71 @@ def test_difference_trajectory_on_class_structured_pairs(case, kind1, kind2):
     got = dual_trajectory(real, inputs, cfg, initial_states=pair)
     want = oracle_dual_records(real, inputs, cfg, pair[0].matrix, pair[1].matrix)
     for r, (sq, td, td_sys) in zip(got, want):
+        big = max(r.sqnorm_diff, sq)
+        assert abs(r.sqnorm_diff - sq) <= DUAL_RTOL * big + 1e-14 * np.sqrt(big)
+        assert abs(r.trace_distance - td) <= DUAL_RTOL
+        assert abs(r.trace_distance_sys - td_sys) <= DUAL_RTOL
+
+
+@st.composite
+def carry_cases(draw):
+    n_sys = draw(st.integers(1, 3))
+    n_env = draw(st.integers(0, 3))
+    coupling = st.one_of(st.just(0.0), st.floats(0.05, 3.0))
+    params = ReservoirParams(
+        n_sys=n_sys,
+        n_env=n_env,
+        alpha=draw(coupling),
+        beta=draw(coupling),
+        h_sys=draw(st.floats(-1.5, 1.5)),
+        h_env=draw(st.floats(-1.5, 1.5)),
+        seed=draw(st.integers(0, 2 ** 16)),
+    )
+    cfg = ReservoirConfig(
+        tau=draw(st.floats(0.05, 2.0)),
+        v=draw(st.integers(1, 4)),
+        observables=draw(st.sampled_from(OBSERVABLE_KINDS)),
+        input_qubit=draw(st.integers(0, n_sys - 1)),
+        multiplex=draw(st.sampled_from(MULTIPLEX_MODES)),
+    )
+    # every case injects the endpoint inputs 0 and 1, where one amplitude is 0
+    inputs = draw(st.permutations([0.0, 1.0] + draw(st.lists(st.floats(0.0, 1.0), max_size=3))))
+    kind = draw(st.sampled_from(STATE_KINDS + ("dense",)))
+    return params, cfg, inputs, kind, draw(st.integers(0, 2 ** 16))
+
+
+def carry_case(n_sys, n_env, alpha, input_qubit, kind):
+    params = ReservoirParams(n_sys=n_sys, n_env=n_env, alpha=alpha, beta=0.9 if n_env else 0.0,
+                             h_sys=0.5, h_env=0.7, seed=73)
+    cfg = ReservoirConfig(tau=0.6, v=3, observables="z_and_zz", input_qubit=input_qubit)
+    return params, cfg, [1.0, 0.3, 0.0, 0.8], kind, 75
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(carry_cases())
+@example(carry_case(3, 2, 0.0, 2, "mixed"))  # alpha = 0: one class per environment configuration
+@example(carry_case(3, 0, 0.0, 1, "ground"))  # no environment
+@example(carry_case(2, 2, 1.1, 1, "dense"))  # coherence between the classes joins them
+def test_carried_tau_is_the_oracle_partial_trace(case):
+    params, cfg, inputs, kind, state_seed = case
+    real = build_hamiltonian(params)
+    rng = np.random.default_rng(state_seed)
+    n = params.n_qubits
+    rho0 = random_state(n, rng) if kind == "dense" else class_structured_state(kind, params.n_sys, params.n_env, rng)
+    obs = ObservableSet.build(params.n_sys, cfg.observables)
+    engine = rmod._StepEngine(real, cfg, obs, rho0.matrix != 0)
+    if kind == "dense" and params.n_env:
+        assert engine.classes == 1
+    tau, rho = engine.to_state(rho0.matrix), rho0.matrix
+    for s in inputs:
+        tau, feats, _ = engine.step(tau, s)
+        want, rho = oracle.run(real, [s], cfg, rho, obs)
+        assert np.max(np.abs(feats - want[0])) < ORACLE_ATOL
+        assert np.max(np.abs(register_tau(engine, tau, cfg.input_qubit) - oracle_tau(rho, cfg.input_qubit))) < ORACLE_ATOL
+    assert_matches_oracle(real, inputs, cfg, rho0)
+    pair = (rho0, DensityMatrix.ground(n))
+    got = dual_trajectory(real, inputs, cfg, initial_states=pair)
+    for r, (sq, td, td_sys) in zip(got, oracle_dual_records(real, inputs, cfg, *(x.matrix for x in pair))):
         big = max(r.sqnorm_diff, sq)
         assert abs(r.sqnorm_diff - sq) <= DUAL_RTOL * big + 1e-14 * np.sqrt(big)
         assert abs(r.trace_distance - td) <= DUAL_RTOL
