@@ -19,7 +19,7 @@ from .hamiltonian import (
     import_couplings,
     sample_couplings,
 )
-from .reservoir import FeatureMatrix, ObservableSet, ReservoirConfig, run_trajectory
+from .reservoir import FeatureMatrix, ReservoirConfig, run_trajectory
 from .readout import ReadoutWeights, fit_linear, predict, squared_correlation
 from .tasks import (
     SplitSpec,
@@ -62,7 +62,6 @@ __all__ = [
     "import_couplings",
     "sample_couplings",
     "FeatureMatrix",
-    "ObservableSet",
     "ReservoirConfig",
     "run_trajectory",
     "ReadoutWeights",

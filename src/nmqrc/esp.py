@@ -31,7 +31,7 @@ calls per input make the whole record.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -39,7 +39,7 @@ import numpy as np
 from .errors import NumericalError
 from .hamiltonian import HamiltonianRealization
 from .linalg import DensityMatrix, partial_trace, trace_norm
-from .reservoir import ObservableSet, ReservoirConfig, _StepEngine
+from .reservoir import ReservoirConfig, _check_inputs, _StepEngine
 
 BACKFLOW_TOL = 1e-6
 
@@ -94,12 +94,9 @@ def dual_trajectory(
             raise ValueError(
                 f"initial state has {state.qubit_count} qubits but the realization has {p.n_qubits}"
             )
-    inputs = np.asarray(inputs, dtype=float).ravel()
-    if inputs.size and (inputs.min() < 0.0 or inputs.max() > 1.0):
-        raise ValueError("inputs must lie in [0, 1]")
-    obs = ObservableSet.build(p.n_sys, "z_only")
+    inputs = _check_inputs(inputs)
     rho1, rho2 = (state.matrix for state in initial_states)
-    engine = _StepEngine(real, cfg, obs, (rho1 != 0) | (rho2 != 0))
+    engine = _StepEngine(real, replace(cfg, observables="z_only"), (rho1 != 0) | (rho2 != 0))
     env = range(p.n_sys, p.n_qubits)
 
     # Each state is Hermitian only to the DensityMatrix tolerance, so their

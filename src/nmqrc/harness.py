@@ -133,7 +133,7 @@ class ExperimentConfig:
         # Probe the module-level constructors so any invalid field fails here,
         # before a run starts, with the module's own message.
         try:
-            ReservoirConfig(tau=self.tau, v=self.v, observables=self.observables, multiplex=self.multiplex)
+            reservoir_config(self)
             for regime in self.regimes:
                 make_params(self, regime, seed=0)
         except (ConfigError, ValueError) as exc:

@@ -15,17 +15,18 @@ varying fastest, and a constant bias 1 is appended as the last column.
 
 Internally a step engine works on two levels of structure. Classes: the
 parts of the register basis that no step connects, the connected components
-of the patterns of H, of the input-qubit flip, of the observables and of the
-initial state. Every term of the Hamiltonian keeps the Z-parity of the
-environment block and the injection touches only a system qubit, so a state
-that starts inside one environment-parity class stays there: from the ground
-state the engine steps one class of half the register (a smaller one when
-alpha = 0, where every environment Z is conserved; the whole register when
-there is no environment). It keeps only the classes the initial state
-occupies and steps them as one stack of blocks. Sectors: within
-a class, the connected components of the pattern of H, on which H, its
-eigenvectors W and the Z_i / Z_i Z_j readout are block diagonal (k = 2 per
-class here, as H also keeps the system-block parity).
+of the patterns of H, of the input-qubit flip and of the initial state.
+Every term of the Hamiltonian keeps the Z-parity of the environment block
+and the injection touches only a system qubit, so a state that starts
+inside one environment-parity class stays there: from the ground state the
+engine steps one class of half the register (a smaller one when alpha = 0,
+where every environment Z is conserved; the whole register when there is no
+environment). It keeps only the classes the initial state occupies and
+steps them as one stack of blocks. Sectors: within a class, the connected
+components of the pattern of H alone, on which H and its eigenvectors W are
+block diagonal (k = 2 per class here, as H also keeps the system-block
+parity). The Z_i / Z_i Z_j readout is diagonal, so it is block diagonal
+over any split.
 
 Before every input the input qubit is re-prepared in the pure state
 psi_s = (sqrt(1-s), sqrt(s)), so the injected class block is P_s tau P_s^dag
@@ -57,9 +58,9 @@ This is exactly unitary conjugation by exp(-i H dt), just associated
 differently. Structure that is not there joins the pieces instead of being
 lost, so it costs speed, not correctness: an initial state with coherence
 between classes (a dense one, say) or a term that flips an environment
-qubit joins the classes, an observable that couples two sectors joins them,
-and kept classes or sectors of unequal size make the engine treat them as
-one. With every class joined the engine steps the whole register.
+qubit joins the classes, and kept classes or sectors of unequal size make
+the engine treat them as one. With every class joined the engine steps the
+whole register.
 """
 
 from __future__ import annotations
@@ -69,9 +70,8 @@ from itertools import combinations
 
 import numpy as np
 
-from . import linalg
 from .errors import ConfigError, NumericalError
-from .hamiltonian import PAULI, HamiltonianRealization, _components, _sector_eig
+from .hamiltonian import HamiltonianRealization, _components, _sector_eig
 from .linalg import DensityMatrix
 
 OBSERVABLE_KINDS = ("z_only", "z_and_zz")
@@ -114,60 +114,19 @@ class ReservoirConfig:
         return 1.0 / self.v if self.multiplex == "sub_step" else 1.0
 
 
-@dataclass(frozen=True)
-class ObservableSet:
-    """Labeled Hermitian observables on the system register."""
-
-    labels: tuple[str, ...]
-    operators: np.ndarray  # stacked (m, 2^n_sys, 2^n_sys)
-
-    def __post_init__(self):
-        ops = np.asarray(self.operators, dtype=complex)
-        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
-            raise ValueError(f"operators must be a stacked (m, d, d) array, got shape {ops.shape}")
-        if len(self.labels) != ops.shape[0]:
-            raise ValueError("label count does not match operator count")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("observable labels must be unique")
-        for k in range(ops.shape[0]):
-            linalg.assert_hermitian(ops[k], what=f"observable {self.labels[k]}")
-        ops = ops.copy()
-        ops.flags.writeable = False
-        object.__setattr__(self, "operators", ops)
-        object.__setattr__(self, "labels", tuple(self.labels))
-
-    def __reduce__(self):
-        # Unpickled arrays come back writable; the constructor freezes them.
-        return type(self), (self.labels, self.operators)
-
-    def __len__(self) -> int:
-        return self.operators.shape[0]
-
-    @classmethod
-    def build(cls, n_sys: int, kind: str = "z_only") -> "ObservableSet":
-        """Z_i observables, optionally extended with Z_i Z_j correlators (i < j)."""
-        if kind not in OBSERVABLE_KINDS:
-            raise ConfigError(f"observables must be one of {OBSERVABLE_KINDS}, got {kind!r}")
-        z_diag = np.diagonal(PAULI["Z"]).real
-        ops, labels = [], []
-        signs = []
-        for i in range(n_sys):
-            s = np.ones(1)
-            for q in range(n_sys):
-                s = np.kron(s, z_diag if q == i else np.ones(2))
-            signs.append(s)
-            ops.append(np.diag(s).astype(complex))
-            labels.append(f"Z{i}")
-        if kind == "z_and_zz":
-            for i, j in combinations(range(n_sys), 2):
-                ops.append(np.diag(signs[i] * signs[j]).astype(complex))
-                labels.append(f"Z{i}Z{j}")
-        return cls(labels=tuple(labels), operators=np.array(ops))
+def _observables(n_sys: int, kind: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """Labels and diagonals, shape (n_obs, 2^n_sys), of the Z_i observables on
+    the system register, followed for ``z_and_zz`` by the Z_i Z_j (i < j)."""
+    bits = (np.arange(2 ** n_sys) >> np.arange(n_sys - 1, -1, -1)[:, None]) & 1
+    z = 1.0 - 2.0 * bits  # row i: the eigenvalues of Z_i, qubit 0 the most significant bit
+    pairs = list(combinations(range(n_sys), 2)) if kind == "z_and_zz" else []
+    labels = [f"Z{i}" for i in range(n_sys)] + [f"Z{i}Z{j}" for i, j in pairs]
+    return tuple(labels), np.array([*z, *(z[i] * z[j] for i, j in pairs)])
 
 
-def feature_labels(obs: ObservableSet, v: int) -> tuple[str, ...]:
+def feature_labels(labels: tuple[str, ...], v: int) -> tuple[str, ...]:
     """Column labels: v1_<obs> ... v{V}_<obs>, then the trailing bias."""
-    cols = [f"v{j + 1}_{lab}" for j in range(v) for lab in obs.labels]
+    cols = [f"v{j + 1}_{lab}" for j in range(v) for lab in labels]
     cols.append("bias")
     return tuple(cols)
 
@@ -219,16 +178,26 @@ def _encode(s: float) -> tuple[float, float]:
     return np.sqrt(1.0 - s), np.sqrt(s)
 
 
+def _check_inputs(inputs) -> np.ndarray:
+    """``inputs`` as a flat float array; every value (so no NaN) must lie in
+    [0, 1], checked before any step."""
+    inputs = np.asarray(inputs, dtype=float).ravel()
+    if not np.all((inputs >= 0.0) & (inputs <= 1.0)):
+        raise ValueError("inputs must lie in [0, 1]")
+    return inputs
+
+
 class _StepEngine:
-    """Precomputed machinery for one (realization, config, observables) triple.
+    """Precomputed machinery for one (realization, config, support) triple.
 
     The register basis splits into classes that no step ever connects: the
-    connected components of the patterns of H, of the input-qubit flip, of
-    every O_i x I_env and of ``support``, the nonzero pattern of the initial
-    state (None for any state, which makes the whole register one class). A
-    state with no entries outside its diagonal class blocks keeps none, so
-    the engine keeps only the classes the support touches and steps each as
-    a block of its own; within a class it splits into the sectors of H.
+    connected components of the patterns of H, of the input-qubit flip and
+    of ``support``, the nonzero pattern of the initial state (all True for
+    any state, which makes the whole register one class). A state with no
+    entries outside its diagonal class blocks keeps none, so the engine
+    keeps only the classes the support touches and steps each as a block of
+    its own; within a class it splits into the sectors of H. The readout is
+    the Z strings of ``cfg.observables``, ``labels`` in feature order.
     ``shape`` is (k sectors per class, m states per sector, d states per
     class) and ``classes`` the number of classes kept.
 
@@ -245,40 +214,33 @@ class _StepEngine:
     included.
     """
 
-    def __init__(self, real: HamiltonianRealization, cfg: ReservoirConfig, obs: ObservableSet,
-                 support: np.ndarray | None = None):
+    def __init__(self, real: HamiltonianRealization, cfg: ReservoirConfig, support: np.ndarray):
         p = real.params
         if cfg.input_qubit >= p.n_sys:
             raise ConfigError(f"input qubit {cfg.input_qubit} is not a system qubit (n_sys={p.n_sys})")
-        if obs.operators.shape[1] != 2 ** p.n_sys:
-            raise ValueError("observable dimension does not match the system register")
+        self.labels, signs = _observables(p.n_sys, cfg.observables)
         self.n_qubits = n = p.n_qubits
         self.v = cfg.v
-        self.n_obs = len(obs)
+        self.n_obs = len(self.labels)
         self.dt = cfg.tau * cfg.sub_dt_factor
         shift = n - 1 - cfg.input_qubit
 
-        # Sectors are split on the pattern of H joined with that of every
-        # O_i x I_env, so an observable with entries between two sectors (none
-        # of the built-in ones has them) joins them. Classes join sectors that
-        # the input-qubit flip or the initial state connects. Kept classes of
-        # unequal size are joined into one.
-        obs_pattern = np.kron(np.any(obs.operators != 0, axis=0), np.eye(2 ** p.n_env, dtype=bool))
-        pattern = (real.h_full != 0) | obs_pattern
-        if support is None:
-            label = np.zeros(p.dim, dtype=int)
-        else:
-            basis = np.arange(p.dim)
-            linked = pattern | support
-            linked[basis, basis ^ (1 << shift)] = True
-            label = _components(linked)  # each class is labeled by a basis index
-            touched = np.zeros(p.dim, dtype=bool)
-            touched[label[np.any(support, axis=1)]] = True
-            occupied = touched[label]
-            sizes = np.unique(label[occupied], return_counts=True)[1]
-            if sizes.min() != sizes.max():
-                label = np.zeros_like(label)
-            label = np.where(occupied, label, -1)
+        # Sectors are split on the pattern of H; the Z-string readout is
+        # diagonal, so it joins none. Classes join sectors that the input-qubit
+        # flip or the initial state connects. Kept classes of unequal size are
+        # joined into one.
+        pattern = real.h_full != 0
+        basis = np.arange(p.dim)
+        linked = pattern | support
+        linked[basis, basis ^ (1 << shift)] = True
+        label = _components(linked)  # each class is labeled by a basis index
+        touched = np.zeros(p.dim, dtype=bool)
+        touched[label[np.any(support, axis=1)]] = True
+        occupied = touched[label]
+        sizes = np.unique(label[occupied], return_counts=True)[1]
+        if sizes.min() != sizes.max():
+            label = np.zeros_like(label)
+        label = np.where(occupied, label, -1)
         members = np.argsort(label, kind="stable")[np.count_nonzero(label < 0):]  # class after class
         order, eig = _sector_eig(real.h_full, pattern, members)
         n_sectors, m = eig.eigenvalues.shape
@@ -296,9 +258,11 @@ class _StepEngine:
         w_h = w.conj().swapaxes(-1, -2)
         self.u = (w * np.exp(-1j * self.v * self.dt * lam).reshape(c, k, 1, m)) @ w_h
 
-        # Readout from the diagonal blocks of sigma = W^dag rho W. With R_i the
-        # blocks of (W^dag O_i W)^T, the feature at node j is the sum over all
-        # block entries of R_i sigma exp(-i (lam_p - lam_q) j dt). R_i and sigma
+        # Readout from the diagonal blocks of sigma = W^dag rho W. Each O_i is a
+        # Z string, diagonal with signs s_i, so W^dag O_i is W^dag with its
+        # columns scaled by s_i. With R_i the blocks of (W^dag O_i W)^T, the
+        # feature at node j is the sum over all block entries of
+        # R_i sigma exp(-i (lam_p - lam_q) j dt). R_i and sigma
         # are Hermitian, so that is the sum over the upper triangles p <= q of
         # w Re(z exp(-i (lam_p - lam_q) j dt)), z = R_i (sigma + sigma^dag)/2,
         # w = 1 on the diagonal and 2 off it: z viewed as interleaved reals
@@ -319,10 +283,8 @@ class _StepEngine:
         table *= self.tri_weight[:, None, None]
         self.phase_table = table.reshape(2 * delta.size, nodes)
         self.phase_shift = np.exp(-1j * nodes * self.dt * delta)
-        rows = np.empty((self.n_obs, c * k * m * m), dtype=complex)
-        for i, op in enumerate(obs.operators):
-            block = _diagonal_blocks(op, order, c * k, p.n_env).reshape(c, k, m, m)
-            rows[i] = (w_h @ block @ w).transpose(0, 1, 3, 2).ravel()
+        sign = signs[:, order >> p.n_env].reshape(self.n_obs, c, k, 1, m)
+        rows = ((w_h * sign) @ w).swapaxes(-1, -2).reshape(self.n_obs, -1)
         self.obs_rows = np.ascontiguousarray(rows[:, self.upper])
         # |Im feature| <= ||sigma - sigma^dag||_F / 2 * max_i ||R_i||_F
         self.row_norm = float(np.max(np.linalg.norm(rows, axis=1), initial=0.0))
@@ -444,15 +406,6 @@ class _StepEngine:
         return tau, feats.ravel(), (y_ev, f_ev)
 
 
-def _diagonal_blocks(op: np.ndarray, order: np.ndarray, k: int, n_env: int) -> np.ndarray:
-    """The k diagonal blocks, shape (k, m, m), of the system operator
-    ``op`` x I_env with the register basis taken in ``order``."""
-    idx = order.reshape(k, -1)
-    sys_idx, env_idx = idx >> n_env, idx & ((1 << n_env) - 1)
-    same_env = env_idx[:, :, None] == env_idx[:, None, :]
-    return op[sys_idx[:, :, None], sys_idx[:, None, :]] * same_env
-
-
 def run_trajectory(
     real: HamiltonianRealization,
     inputs,
@@ -464,10 +417,7 @@ def run_trajectory(
     Returns the feature matrix (one row per input, trailing bias column) and
     the final full-register state for chaining or diagnostics.
     """
-    inputs = np.asarray(inputs, dtype=float).ravel()
-    if inputs.size and (inputs.min() < 0.0 or inputs.max() > 1.0):
-        raise ValueError("inputs must lie in [0, 1]")
-    obs = ObservableSet.build(real.params.n_sys, cfg.observables)
+    inputs = _check_inputs(inputs)
     if initial_state is None:
         initial_state = DensityMatrix.ground(real.params.n_qubits)
     elif initial_state.qubit_count != real.params.n_qubits:
@@ -475,8 +425,8 @@ def run_trajectory(
             f"initial state has {initial_state.qubit_count} qubits but the realization "
             f"has {real.params.n_qubits}"
         )
-    engine = _StepEngine(real, cfg, obs, initial_state.matrix != 0)
-    labels = feature_labels(obs, cfg.v)
+    engine = _StepEngine(real, cfg, initial_state.matrix != 0)
+    labels = feature_labels(engine.labels, cfg.v)
     rows = np.ones((inputs.size, len(labels)))
     # A validated state is Hermitian only to 1e-10, too loose for the bound
     # ``step`` puts on the imaginary part of the features. Its Hermitian part

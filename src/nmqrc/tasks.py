@@ -96,7 +96,7 @@ def narma_series(u, order: int, constants=NARMA_CONSTANTS, guard: float = NARMA_
     n = int(order)
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    if u.size and (u.min() < 0.0 or u.max() > NARMA_INPUT_MAX):
+    if not np.all((u >= 0.0) & (u <= NARMA_INPUT_MAX)):
         raise ValueError(f"raw inputs must lie in [0, {NARMA_INPUT_MAX}]")
     a, b, c, d = constants
     # The recurrence runs on Python floats: numpy scalars cost several times
@@ -118,6 +118,6 @@ def scale_inputs(u, u_max: float = NARMA_INPUT_MAX) -> np.ndarray:
     u = np.asarray(u, dtype=float).ravel()
     if u_max <= 0:
         raise ValueError(f"u_max must be > 0, got {u_max}")
-    if u.size and (u.min() < 0.0 or u.max() > u_max):
+    if not np.all((u >= 0.0) & (u <= u_max)):
         raise ValueError(f"raw inputs must lie in [0, {u_max}]")
     return u / u_max

@@ -5,6 +5,8 @@ register-order density matrix is stepped the textbook way. Qubit 0 is the
 most significant bit of a basis index, as in the package.
 """
 
+from itertools import combinations
+
 import numpy as np
 
 PAULI = {
@@ -52,13 +54,23 @@ def inject(rho, s, q, n):
     return out.reshape(rho.shape)
 
 
-def run(real, inputs, cfg, rho, obs):
+def observables(kind, n_sys, n):
+    """The readout of ``kind`` on an n-qubit register whose first ``n_sys``
+    qubits are the system: every Z_i, then for "z_and_zz" every Z_i Z_j, i < j."""
+    ops = [embed_pauli("Z", i, n) for i in range(n_sys)]
+    if kind == "z_and_zz":
+        ops += [embed({i: PAULI["Z"], j: PAULI["Z"]}, n) for i, j in combinations(range(n_sys), 2)]
+    return ops
+
+
+def run(real, inputs, cfg, rho):
     """Feature rows (one per input, bias column left out) and the final
     state: inject each input, then conjugate by U = exp(-i H dt) once per
-    virtual node and read Tr[(O x I_env) rho] after each."""
+    virtual node and read Tr[O rho] after each, for the observables
+    ``cfg.observables`` names."""
     p = real.params
     u = propagator(real.h_full, cfg.tau * cfg.sub_dt_factor)
-    ops = [np.kron(o, np.eye(2 ** p.n_env)) for o in obs.operators]
+    ops = observables(cfg.observables, p.n_sys, p.n_qubits)
     rows = []
     for s in inputs:
         rho = inject(rho, s, cfg.input_qubit, p.n_qubits)

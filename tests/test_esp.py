@@ -7,7 +7,7 @@ from nmqrc.errors import NumericalError
 from nmqrc.esp import EspRecord, backflow_count, dual_trajectory, records_to_csv, window_stats
 from nmqrc.hamiltonian import ReservoirParams, build_hamiltonian
 from nmqrc.linalg import DensityMatrix
-from nmqrc.reservoir import ObservableSet, ReservoirConfig, _StepEngine
+from nmqrc.reservoir import ReservoirConfig, _StepEngine
 
 
 def make_real(n_sys=2, n_env=1, alpha=1.0, beta=1.0, seed=0):
@@ -21,6 +21,15 @@ def series(values):
 
 
 class TestDualTrajectory:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected_before_any_step(self, bad, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(_StepEngine, "step", no_step)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            dual_trajectory(make_real(), [0.2, bad], ReservoirConfig(tau=0.5, v=2))
+
     def test_identical_initial_states(self):
         real = make_real()
         inputs = np.random.default_rng(0).uniform(0, 1, 10)
@@ -94,7 +103,7 @@ def test_step_checks_the_trace_it_is_given():
     # a difference of two states keeps trace 0; a density matrix stepped as
     # one is caught
     real = make_real()
-    engine = _StepEngine(real, ReservoirConfig(tau=0.5, v=2), ObservableSet.build(2))
+    engine = _StepEngine(real, ReservoirConfig(tau=0.5, v=2), np.ones((8, 8), dtype=bool))
     state = engine.to_state(DensityMatrix.ground(3).matrix)
     engine.step(state, 0.3)
     with pytest.raises(NumericalError, match="trace"):

@@ -9,9 +9,9 @@ from nmqrc.hamiltonian import CouplingSet, ReservoirParams, build_hamiltonian
 from nmqrc.linalg import DensityMatrix
 from nmqrc.reservoir import (
     FeatureMatrix,
-    ObservableSet,
     ReservoirConfig,
     _encode,
+    _observables,
     _StepEngine,
     feature_labels,
     run_trajectory,
@@ -115,33 +115,27 @@ class TestInjectInput:
 
 
 class TestObservableSet:
+    """The Z strings ``_observables`` reads out: labels, and the diagonals
+    of the operators as sign rows."""
+
     def test_z_only_counts(self):
-        obs = ObservableSet.build(3, "z_only")
-        assert obs.labels == ("Z0", "Z1", "Z2")
-        assert len(obs) == 3
+        labels, signs = _observables(3, "z_only")
+        assert labels == ("Z0", "Z1", "Z2")
+        assert signs.shape == (3, 8)
 
     def test_z_and_zz_counts(self):
-        obs = ObservableSet.build(4, "z_and_zz")
-        assert len(obs) == 4 + comb(4, 2)
-        assert "Z0Z3" in obs.labels
+        labels, signs = _observables(4, "z_and_zz")
+        assert len(labels) == len(set(labels)) == 4 + comb(4, 2)
+        assert labels[4:] == ("Z0Z1", "Z0Z2", "Z0Z3", "Z1Z2", "Z1Z3", "Z2Z3")
+        assert signs.shape == (len(labels), 16)
 
     def test_operators_match_embeddings(self):
-        obs = ObservableSet.build(2, "z_and_zz")
-        assert np.array_equal(obs.operators[0], oracle.embed_pauli("Z", 0, 2))
-        zz = oracle.embed_pauli("Z", 0, 2) @ oracle.embed_pauli("Z", 1, 2)
-        assert np.array_equal(obs.operators[2], zz)
-
-    def test_pickle_keeps_operators_read_only(self):
-        obs = ObservableSet.build(2, "z_and_zz")
-        back = pickle.loads(pickle.dumps(obs))
-        assert not back.operators.flags.writeable
-        assert back.labels == obs.labels
-        assert np.array_equal(back.operators, obs.operators)
-
-    def test_unique_labels_enforced(self):
-        ops = np.array([np.eye(2, dtype=complex)] * 2)
-        with pytest.raises(ValueError, match="unique"):
-            ObservableSet(labels=("A", "A"), operators=ops)
+        for n_sys in (1, 2, 3):
+            _, signs = _observables(n_sys, "z_and_zz")
+            ops = oracle.observables("z_and_zz", n_sys, n_sys)
+            assert signs.dtype == float
+            assert np.array_equal(signs, [np.diagonal(op).real for op in ops])
+            assert all(np.count_nonzero(op - np.diag(np.diagonal(op))) == 0 for op in ops)
 
 
 class TestMeasure:
@@ -163,15 +157,11 @@ class TestMeasure:
 
     def test_imaginary_part_guard(self):
         rho0 = DensityMatrix.ground(3).matrix
-        engine = _StepEngine(make_real(), ReservoirConfig(tau=1.0, v=2), ObservableSet.build(2), rho0 != 0)
+        engine = _StepEngine(make_real(), ReservoirConfig(tau=1.0, v=2), rho0 != 0)
         tau = engine.to_state(rho0)
         tau[0, 0, 0] += 1e-3j  # Tr_q rho at the register's first rest
         with pytest.raises(NumericalError, match="imaginary"):
             engine.step(tau, 0.5)
-
-    def test_dimension_guard(self):
-        with pytest.raises(ValueError, match="dimension"):
-            _StepEngine(make_real(), ReservoirConfig(tau=1.0, v=2), ObservableSet.build(1))
 
 
 class TestEvolveStep:
@@ -188,10 +178,9 @@ class TestEvolveStep:
             kind = "z_and_zz" if case % 2 else "z_only"
             cfg = ReservoirConfig(tau=float(rng.uniform(0.2, 2.0)), v=int(rng.integers(1, 5)),
                                   observables=kind, multiplex=multiplex)
-            obs = ObservableSet.build(n_sys, kind)
             rho = DensityMatrix.ground(n_sys + n_env)
             for s in rng.uniform(0, 1, size=3):
-                want_f, want_rho = oracle.run(real, [s], cfg, rho.matrix, obs)
+                want_f, want_rho = oracle.run(real, [s], cfg, rho.matrix)
                 rho, got_f = step(real, rho, s, cfg)
                 assert np.max(np.abs(got_f - want_f[0])) < 1e-11
                 assert np.max(np.abs(rho.matrix - want_rho)) < 1e-11
@@ -262,7 +251,8 @@ class TestRunTrajectory:
         real = make_real()
         cfg = ReservoirConfig(tau=0.5, v=3)
         feats, _ = run_trajectory(real, [0.2, 0.8], cfg)
-        assert feats.labels == feature_labels(ObservableSet.build(2, "z_only"), 3)
+        assert feats.labels == feature_labels(("Z0", "Z1"), 3)
+        assert feats.labels[:3] == ("v1_Z0", "v1_Z1", "v2_Z0")
         assert feats.labels[-1] == "bias"
         assert np.all(feats.values[:, -1] == 1.0)
         assert np.max(np.abs(feats.values[:, :-1])) <= 1.0 + 1e-9
@@ -274,7 +264,7 @@ class TestRunTrajectory:
         inputs = np.random.default_rng(11).uniform(0, 1, 6)
         feats, final = run_trajectory(real, inputs, cfg)
         rho0 = DensityMatrix.ground(3).matrix
-        engine = _StepEngine(real, cfg, ObservableSet.build(2), rho0 != 0)
+        engine = _StepEngine(real, cfg, rho0 != 0)
         tau = engine.to_state(rho0)
         for k, s in enumerate(inputs):
             tau, f, stepped = engine.step(tau, s)
@@ -303,6 +293,15 @@ class TestRunTrajectory:
         real = make_real()
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             run_trajectory(real, [0.5, 1.5], ReservoirConfig(tau=1.0, v=2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected_before_any_step(self, bad, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(_StepEngine, "step", no_step)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            run_trajectory(make_real(), [0.2, bad], ReservoirConfig(tau=1.0, v=2))
 
     def test_initial_state_mismatch(self):
         real = make_real()

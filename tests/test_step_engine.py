@@ -22,7 +22,6 @@ from nmqrc.linalg import DensityMatrix
 from nmqrc.reservoir import (
     MULTIPLEX_MODES,
     OBSERVABLE_KINDS,
-    ObservableSet,
     ReservoirConfig,
     run_trajectory,
 )
@@ -37,6 +36,11 @@ ORACLE_ATOL = 1e-10
 DUAL_RTOL = 1e-12
 
 
+def whole_register(n):
+    """A support mask that puts the whole n-qubit register in one class."""
+    return np.ones((2 ** n, 2 ** n), dtype=bool)
+
+
 def random_state(n, rng):
     a = rng.standard_normal((2 ** n, 2 ** n)) + 1j * rng.standard_normal((2 ** n, 2 ** n))
     rho = a @ a.conj().T
@@ -44,9 +48,8 @@ def random_state(n, rng):
 
 
 def assert_matches_oracle(real, inputs, cfg, rho0):
-    obs = ObservableSet.build(real.params.n_sys, cfg.observables)
     feats, final = run_trajectory(real, inputs, cfg, initial_state=rho0)
-    want_f, want_rho = oracle.run(real, inputs, cfg, rho0.matrix, obs)
+    want_f, want_rho = oracle.run(real, inputs, cfg, rho0.matrix)
     assert np.max(np.abs(feats.values[:, :-1] - want_f), initial=0.0) < ORACLE_ATOL
     assert np.max(np.abs(final.matrix - want_rho)) < ORACLE_ATOL
 
@@ -109,7 +112,7 @@ def test_alpha_zero_splits_into_more_sectors():
     real = build_hamiltonian(ReservoirParams(n_sys=4, n_env=3, alpha=0.0, beta=0.7,
                                              h_sys=0.5, h_env=1.0, seed=41))
     cfg = ReservoirConfig(tau=0.4, v=3, observables="z_and_zz", input_qubit=2)
-    assert rmod._StepEngine(real, cfg, ObservableSet.build(4, cfg.observables)).shape[:2] == (16, 8)
+    assert rmod._StepEngine(real, cfg, whole_register(7)).shape[:2] == (16, 8)
     assert_matches_oracle(real, [0.1, 0.9, 0.4], cfg, random_state(7, np.random.default_rng(43)))
 
 
@@ -124,7 +127,7 @@ class TestSymmetryGuard:
 
     def check(self, real, sectors):
         cfg = ReservoirConfig(tau=0.6, v=4, observables="z_and_zz")
-        assert rmod._StepEngine(real, cfg, ObservableSet.build(2, cfg.observables)).shape[0] == sectors
+        assert rmod._StepEngine(real, cfg, whole_register(4)).shape[0] == sectors
         inputs = np.random.default_rng(47).uniform(0, 1, 5)
         assert_matches_oracle(real, inputs, cfg, random_state(4, np.random.default_rng(49)))
 
@@ -146,21 +149,19 @@ class TestSymmetryGuard:
         self.check(self.realization(extra), 1)
 
 
-def test_observable_across_sectors_uses_the_whole_register():
-    real = build_hamiltonian(ReservoirParams(n_sys=2, n_env=1, alpha=1.0, beta=0.6,
-                                             h_sys=0.5, h_env=1.0, seed=51))
-    ops = [np.kron(oracle.PAULI[axis], np.eye(2)) for axis in ("X", "Y")]
-    obs = ObservableSet(labels=("X0", "Y0"), operators=np.array(ops))
-    cfg = ReservoirConfig(tau=0.7, v=3)
-    # X0 and Y0 flip the system parity, joining the 4 sectors of H in pairs
-    assert rmod._StepEngine(real, cfg, obs).shape[0] == 2
-    rho0 = random_state(3, np.random.default_rng(53))
-    engine = rmod._StepEngine(real, cfg, obs, rho0.matrix != 0)
-    tau, got, stepped = engine.step(engine.to_state(rho0.matrix), 0.35)
-    want, want_rho = oracle.run(real, [0.35], cfg, rho0.matrix, obs)
-    assert np.max(np.abs(got - want[0])) < ORACLE_ATOL
-    assert np.max(np.abs(register_tau(engine, tau, cfg.input_qubit) - oracle_tau(want_rho, cfg.input_qubit))) < ORACLE_ATOL
-    assert np.max(np.abs(engine.trace_out(stepped, engine.trace_index(())) - want_rho)) < ORACLE_ATOL
+def test_complex_readout_rows_match_the_oracle():
+    # the register's Hamiltonians, also with the symmetry-breaking terms
+    # above, give real readout rows W^dag O W; a dense complex H does not, so
+    # only here a readout row taken as its conjugate (the transpose of a
+    # Hermitian block) changes the features
+    real = build_hamiltonian(ReservoirParams(n_sys=2, n_env=1, alpha=1.2, beta=0.8,
+                                             h_sys=0.5, h_env=1.0, seed=45))
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    real = HamiltonianRealization(real.params, real.couplings, (a + a.conj().T) / 2)
+    cfg = ReservoirConfig(tau=0.6, v=4, observables="z_and_zz")
+    assert np.max(np.abs(rmod._StepEngine(real, cfg, whole_register(3)).obs_rows.imag)) > 0.1
+    assert_matches_oracle(real, [0.3, 0.8, 0.1], cfg, random_state(3, rng))
 
 
 def test_long_horizon_keeps_the_physics_invariants():
@@ -180,7 +181,7 @@ def test_non_hermitian_state_trips_the_imaginary_part_guard():
     real = build_hamiltonian(ReservoirParams(n_sys=4, n_env=3, alpha=1.0, beta=1.0,
                                              h_sys=0.5, h_env=1.0, seed=59))
     rho0 = DensityMatrix.ground(7)
-    engine = rmod._StepEngine(real, ReservoirConfig(tau=0.5, v=3), ObservableSet.build(4), rho0.matrix != 0)
+    engine = rmod._StepEngine(real, ReservoirConfig(tau=0.5, v=3), rho0.matrix != 0)
     tau, _, _ = engine.step(engine.to_state(rho0.matrix), 0.3)
     tau[0, 0, 0] += 1e-6j  # Tr_q rho at the register's first rest
     with pytest.raises(NumericalError, match="imaginary"):
@@ -215,13 +216,12 @@ def test_phase_table_chunks_stay_under_the_batch_limit():
     real = build_hamiltonian(ReservoirParams(n_sys=4, n_env=3, alpha=1.0, beta=1.0,
                                              h_sys=0.5, h_env=1.0, seed=59))
     cfg = ReservoirConfig(tau=0.5, v=2000, multiplex="sub_step")
-    obs = ObservableSet.build(4)
-    engine = rmod._StepEngine(real, cfg, obs)
+    engine = rmod._StepEngine(real, cfg, whole_register(7))
     per_node = engine.phase_table.shape[0]
     assert per_node * cfg.v > 8_000_000
     assert engine.phase_table.size <= max(rmod._BATCH_LIMIT, per_node)
     with mock.patch.object(rmod, "_BATCH_LIMIT", 0):
-        one_node = rmod._StepEngine(real, cfg, obs)
+        one_node = rmod._StepEngine(real, cfg, whole_register(7))
     assert one_node.phase_table.shape == (per_node, 1)
     tau = engine.to_state(random_state(7, np.random.default_rng(69)).matrix)
     _, got, _ = engine.step(tau, 0.4)
@@ -233,7 +233,7 @@ def oracle_dual_records(real, inputs, cfg, rho1, rho2):
     """Echo-state records from two states stepped apart by the oracle:
     (sqnorm_diff, full-register and system-marginal trace distances)."""
     p = real.params
-    obs = ObservableSet.build(p.n_sys, "z_only")
+    cfg = dataclasses.replace(cfg, observables="z_only")  # as dual_trajectory reads out
     env = range(p.n_sys, p.n_qubits)
 
     def distances(a, b):
@@ -245,8 +245,8 @@ def oracle_dual_records(real, inputs, cfg, rho1, rho2):
 
     records = [(0.0, *distances(rho1, rho2))]
     for s in inputs:
-        f1, rho1 = oracle.run(real, [s], cfg, rho1, obs)
-        f2, rho2 = oracle.run(real, [s], cfg, rho2, obs)
+        f1, rho1 = oracle.run(real, [s], cfg, rho1)
+        f2, rho2 = oracle.run(real, [s], cfg, rho2)
         records.append((float(np.sum((f1 - f2) ** 2)), *distances(rho1, rho2)))
     return records
 
@@ -326,8 +326,7 @@ def test_engine_on_class_structured_states_matches_propagator_oracle(case, kind)
 
 
 def engine_for(real, cfg, rho0):
-    obs = ObservableSet.build(real.params.n_sys, cfg.observables)
-    return rmod._StepEngine(real, cfg, obs, rho0.matrix != 0)
+    return rmod._StepEngine(real, cfg, rho0.matrix != 0)
 
 
 @pytest.mark.parametrize("kind, classes, shape", [
@@ -443,14 +442,13 @@ def test_carried_tau_is_the_oracle_partial_trace(case):
     rng = np.random.default_rng(state_seed)
     n = params.n_qubits
     rho0 = random_state(n, rng) if kind == "dense" else class_structured_state(kind, params.n_sys, params.n_env, rng)
-    obs = ObservableSet.build(params.n_sys, cfg.observables)
-    engine = rmod._StepEngine(real, cfg, obs, rho0.matrix != 0)
+    engine = rmod._StepEngine(real, cfg, rho0.matrix != 0)
     if kind == "dense" and params.n_env:
         assert engine.classes == 1
     tau, rho = engine.to_state(rho0.matrix), rho0.matrix
     for s in inputs:
         tau, feats, _ = engine.step(tau, s)
-        want, rho = oracle.run(real, [s], cfg, rho, obs)
+        want, rho = oracle.run(real, [s], cfg, rho)
         assert np.max(np.abs(feats - want[0])) < ORACLE_ATOL
         assert np.max(np.abs(register_tau(engine, tau, cfg.input_qubit) - oracle_tau(rho, cfg.input_qubit))) < ORACLE_ATOL
     assert_matches_oracle(real, inputs, cfg, rho0)

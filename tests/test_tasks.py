@@ -97,6 +97,11 @@ class TestNarmaSeries:
         with pytest.raises(ValueError, match="raw inputs"):
             narma_series(np.array([0.7]), 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(ValueError, match="raw inputs"):
+            narma_series(np.array([0.1, bad, 0.2, 0.3]), 1)
+
 
 class TestScaleInputs:
     def test_endpoints_and_linearity(self):
@@ -113,6 +118,11 @@ class TestScaleInputs:
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="raw inputs"):
             scale_inputs(np.array([0.6]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(ValueError, match="raw inputs"):
+            scale_inputs(np.array([0.1, bad]))
 
 
 class TestSplits:

@@ -1,12 +1,14 @@
-"""The benchmark workloads take the class path of the step engine.
+"""The benchmark's view of the package stays valid.
 
 Each config under ``bench/workloads`` is read (never written) and one job
 of each regime is started the way the harness starts it, with the step
 engine recorded as it is built. A fall-back to the joined path (the whole
 register as one class) would still give the right numbers, only slower, so
-these shapes are what catches it.
+these shapes are what catches it. ``bench/tracing.py`` is loaded, also
+read only, to check that every name it wraps still exists.
 """
 
+import importlib
 from pathlib import Path
 from unittest import mock
 
@@ -18,7 +20,8 @@ from nmqrc.hamiltonian import build_hamiltonian
 from nmqrc.harness import load_config, make_params, reservoir_config
 from nmqrc.reservoir import run_trajectory
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+WORKLOADS = BENCH / "workloads"
 
 # (classes, (k sectors, m states per sector, d states per class)): from the
 # ground state the 4+3 registers step one environment-parity class, the
@@ -53,3 +56,15 @@ def test_workload_engine_shape(name):
             else:
                 run_trajectory(real, [0.5], reservoir_config(cfg))
     assert [(e.classes, e.shape) for e in built] == [EXPECTED[name]] * len(cfg.regimes)
+
+
+def test_every_traced_boundary_resolves():
+    # bench/run.py --trace 1 wraps each (module, attribute); a name dropped
+    # by a refactor would break the traced run, not the package's tests
+    path = BENCH / "tracing.py"
+    tracing = {"__name__": "bench_tracing"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracing)
+    missing = [(module, attr) for module, attr, *_ in tracing["BOUNDARIES"]
+               if not callable(getattr(importlib.import_module(f"nmqrc.{module}"), attr, None))]
+    assert len(tracing["BOUNDARIES"]) >= 15
+    assert missing == []
