@@ -20,7 +20,7 @@ from .hamiltonian import (
     sample_couplings,
 )
 from .reservoir import FeatureMatrix, ReservoirConfig, run_trajectory
-from .readout import ReadoutWeights, fit_linear, predict, squared_correlation
+from .readout import squared_correlation
 from .tasks import (
     SplitSpec,
     gen_uniform_inputs,
@@ -64,9 +64,6 @@ __all__ = [
     "FeatureMatrix",
     "ReservoirConfig",
     "run_trajectory",
-    "ReadoutWeights",
-    "fit_linear",
-    "predict",
     "squared_correlation",
     "SplitSpec",
     "gen_uniform_inputs",

@@ -137,22 +137,22 @@ def window_stats(records: Sequence[EspRecord], start: int, stop: int) -> WindowS
     return WindowStats(float(sq.mean()), float(sq.max()), float(td.mean()))
 
 
-def backflow_count(records: Sequence[EspRecord], use: str = "sys", tol: float = BACKFLOW_TOL) -> tuple[int, float]:
-    """Count step-to-step trace-distance increases beyond ``tol``.
+def backflow_count(records: Sequence[EspRecord]) -> tuple[int, float]:
+    """Count step-to-step increases of the system-marginal trace distance
+    beyond BACKFLOW_TOL.
 
     Returns (number of increasing steps, summed increase over those steps).
-    ``use`` selects the full-register or system-marginal series.
+    The full-register series never rises: injection, evolution and the
+    partial trace all contract the trace norm.
     """
-    if use not in ("full", "sys"):
-        raise ValueError(f"use must be 'full' or 'sys', got {use!r}")
     if len(records) < 2:
         raise ValueError("need at least two records to count increases")
-    series = [r.trace_distance if use == "full" else r.trace_distance_sys for r in records]
+    series = [r.trace_distance_sys for r in records]
     count = 0
     total = 0.0
     for prev, cur in zip(series, series[1:]):
         inc = cur - prev
-        if inc > tol:
+        if inc > BACKFLOW_TOL:
             count += 1
             total += inc
     return count, total

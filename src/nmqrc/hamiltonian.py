@@ -28,12 +28,6 @@ from . import linalg
 from .errors import ConfigError
 from .linalg import HermitianEigen, hermitian_eig
 
-PAULI = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 
 @dataclass(frozen=True)
 class ReservoirParams:
@@ -102,10 +96,9 @@ class CouplingSet:
         return type(self), (self.j_sys, self.j_env, self.g)
 
 
-def sample_couplings(params: ReservoirParams, rng: np.random.Generator | None = None) -> CouplingSet:
-    """Draw a coupling realization; ``rng`` defaults to PCG64 seeded with params.seed."""
-    if rng is None:
-        rng = np.random.default_rng(params.seed)
+def sample_couplings(params: ReservoirParams) -> CouplingSet:
+    """Draw a coupling realization from PCG64 seeded with params.seed."""
+    rng = np.random.default_rng(params.seed)
     j0 = params.j0
     j_sys = rng.uniform(-j0, j0, size=comb(params.n_sys, 2))
     j_env = rng.uniform(-params.alpha * j0, params.alpha * j0, size=comb(params.n_env, 2))

@@ -456,7 +456,7 @@ def _job(job):
     except (NumericalError, ValueError) as exc:
         raise NumericalError(f"{cfg.task} run failed ({where}): {exc}") from exc
     if cfg.task == "esp":
-        stats, backflow = window_stats(records, *cfg.window), backflow_count(records, use="sys")
+        stats, backflow = window_stats(records, *cfg.window), backflow_count(records)
         return EspRunResult(regime.label, seed, records, stats, backflow), export_couplings(real)
 
     spec = _TASKS[cfg.task]
@@ -507,14 +507,19 @@ def _blas_threads():
     return None
 
 
-def _pin_blas() -> None:
-    """Pool-worker initializer: one BLAS thread per worker. Each forked worker
-    otherwise keeps the parent's multi-threaded BLAS pool and the workers
-    oversubscribe the cores; setting OPENBLAS_NUM_THREADS after numpy is
-    loaded does nothing."""
+def _pin_blas():
+    """Set the loaded OpenBLAS to one thread; return its setter and the count
+    it had, or None when no setter is found. Pool workers call it when they
+    start: each forked worker otherwise keeps the parent's multi-threaded
+    BLAS pool and the workers oversubscribe the cores; setting
+    OPENBLAS_NUM_THREADS after numpy is loaded does nothing."""
     found = _blas_threads()
-    if found is not None:
-        found[0](1)
+    if found is None:
+        return None
+    set_threads, get_threads = found
+    threads = get_threads()
+    set_threads(1)
+    return set_threads, threads
 
 
 def _pooled(cfg: ExperimentConfig, jobs: list) -> bool:
@@ -522,10 +527,20 @@ def _pooled(cfg: ExperimentConfig, jobs: list) -> bool:
 
 
 def _run_jobs(cfg: ExperimentConfig, jobs: list) -> list:
-    if not _pooled(cfg, jobs):
-        return [_job(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=min(cfg.workers, len(jobs)), initializer=_pin_blas) as pool:
-        return list(pool.map(_job, jobs))
+    """Run the jobs, in this process or in a pool, each with one BLAS thread,
+    then restore this process's thread count. The pseudoinverse of a large
+    training design depends on the BLAS thread count, so pinning every job
+    keeps results independent of the worker count."""
+    pinned = _pin_blas()
+    try:
+        if not _pooled(cfg, jobs):
+            return [_job(job) for job in jobs]
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(jobs)), initializer=_pin_blas) as pool:
+            return list(pool.map(_job, jobs))
+    finally:
+        if pinned is not None:
+            set_threads, threads = pinned
+            set_threads(threads)
 
 
 def _run(cfg: ExperimentConfig, task: str) -> list:
@@ -545,8 +560,9 @@ def _run(cfg: ExperimentConfig, task: str) -> list:
     if cfg.output_dir is not None:
         timing = {"started_utc": started.isoformat(), "finished_utc": datetime.now(timezone.utc).isoformat(),
                   "wall_s": time.perf_counter() - t0}
+        pinned = _blas_threads() is not None
         _write_outputs(cfg, results, {key: couplings for key, (_, couplings) in done.items()},
-                       _pooled(cfg, jobs) and _blas_threads() is not None, timing)
+                       {"pool_blas_pinned": _pooled(cfg, jobs) and pinned, "jobs_blas_pinned": pinned}, timing)
     return results
 
 
@@ -588,11 +604,12 @@ def _environment() -> dict:
     }
 
 
-def _write_outputs(cfg: ExperimentConfig, results: list, couplings: dict, pinned: bool, timing: dict) -> None:
+def _write_outputs(cfg: ExperimentConfig, results: list, couplings: dict, pinned: dict, timing: dict) -> None:
     """run_meta.json, then per regime its couplings, summary.csv and (esp)
-    record streams. ``pinned`` says whether pool workers ran with one BLAS
-    thread each; ``timing`` holds the run's UTC start and finish and its
-    wall time in seconds, from before the first job to after the last."""
+    record streams. ``pinned`` says whether pool workers, and whether all
+    jobs, ran with one BLAS thread each; ``timing`` holds the run's UTC start
+    and finish and its wall time in seconds, from before the first job to
+    after the last."""
     spec = _TASKS[cfg.task]
     root = Path(cfg.output_dir) / cfg.task
     root.mkdir(parents=True, exist_ok=True)
@@ -602,7 +619,7 @@ def _write_outputs(cfg: ExperimentConfig, results: list, couplings: dict, pinned
             "inputs for seed k come from SeedSequence([k, 1]) and are shared "
             "across regimes; realizations use seed k directly"
         ),
-        "environment": {**_environment(), "pool_blas_pinned": pinned},
+        "environment": {**_environment(), **pinned},
         **timing,
     }
     with open(root / "run_meta.json", "w", encoding="utf-8") as fh:

@@ -85,12 +85,12 @@ def stm_targets(s, tau_d: int) -> np.ndarray:
     return y
 
 
-def narma_series(u, order: int, constants=NARMA_CONSTANTS, guard: float = NARMA_GUARD) -> np.ndarray:
+def narma_series(u, order: int) -> np.ndarray:
     """Order-n autoregressive series driven by u in [0, 0.5].
 
     The first ``order`` outputs are initialized to 0 (their recurrence would
     reach before the start of the input). Raises DivergenceError as soon as
-    |y| exceeds ``guard``.
+    |y| exceeds NARMA_GUARD.
     """
     u = np.asarray(u, dtype=float).ravel()
     n = int(order)
@@ -98,7 +98,7 @@ def narma_series(u, order: int, constants=NARMA_CONSTANTS, guard: float = NARMA_
         raise ValueError(f"order must be >= 1, got {n}")
     if not np.all((u >= 0.0) & (u <= NARMA_INPUT_MAX)):
         raise ValueError(f"raw inputs must lie in [0, {NARMA_INPUT_MAX}]")
-    a, b, c, d = constants
+    a, b, c, d = NARMA_CONSTANTS
     # The recurrence runs on Python floats: numpy scalars cost several times
     # more per operation, and the arithmetic is the same IEEE double either way.
     u = u.tolist()
@@ -106,18 +106,16 @@ def narma_series(u, order: int, constants=NARMA_CONSTANTS, guard: float = NARMA_
     history_sum = 0.0  # running sum of y[k-1] ... y[k-n]
     for k in range(n, len(u)):
         y_k = a * y[k - 1] + b * y[k - 1] * history_sum / n + c * u[k - n] * u[k - 1] + d
-        if not math.isfinite(y_k) or abs(y_k) > guard:
+        if not math.isfinite(y_k) or abs(y_k) > NARMA_GUARD:
             raise DivergenceError(f"series diverged at step {k} (order {n}): y = {y_k!r}")
         y[k] = y_k
         history_sum += y[k] - y[k - n]
     return np.array(y)
 
 
-def scale_inputs(u, u_max: float = NARMA_INPUT_MAX) -> np.ndarray:
-    """Min-max scale from the declared generation range [0, u_max] to [0, 1]."""
+def scale_inputs(u) -> np.ndarray:
+    """Min-max scale from the declared generation range [0, 0.5] to [0, 1]."""
     u = np.asarray(u, dtype=float).ravel()
-    if u_max <= 0:
-        raise ValueError(f"u_max must be > 0, got {u_max}")
-    if not np.all((u >= 0.0) & (u <= u_max)):
-        raise ValueError(f"raw inputs must lie in [0, {u_max}]")
-    return u / u_max
+    if not np.all((u >= 0.0) & (u <= NARMA_INPUT_MAX)):
+        raise ValueError(f"raw inputs must lie in [0, {NARMA_INPUT_MAX}]")
+    return u / NARMA_INPUT_MAX

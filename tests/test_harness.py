@@ -25,7 +25,10 @@ from nmqrc.harness import (
     run_narma,
     run_stm,
 )
-from nmqrc.tasks import SplitSpec
+from nmqrc.hamiltonian import build_hamiltonian
+from nmqrc.readout import squared_correlation
+from nmqrc.reservoir import ReservoirConfig, run_trajectory
+from nmqrc.tasks import SplitSpec, narma_series
 
 
 def tiny_stm_config(tmp_path=None, **over):
@@ -297,10 +300,19 @@ def worker_blas_threads(job):
 
 class TestWorkerPool:
     def test_workers_run_one_blas_thread(self, monkeypatch):
-        if harness._blas_threads() is None:
+        found = harness._blas_threads()
+        if found is None:
             pytest.skip("no loaded OpenBLAS with a known thread setter")
+        set_threads, get_threads = found
         monkeypatch.setattr(harness, "_job", worker_blas_threads)
-        assert harness._run_jobs(tiny_stm_config(workers=2), [0, 1, 2, 3]) == [1, 1, 1, 1]
+        before = get_threads()
+        try:
+            set_threads(2)
+            assert harness._run_jobs(tiny_stm_config(workers=2), [0, 1, 2, 3]) == [1, 1, 1, 1]
+            assert harness._run_jobs(tiny_stm_config(workers=1), [0, 1]) == [1, 1]
+            assert get_threads() == 2  # the caller's count comes back
+        finally:
+            set_threads(before)
 
     def test_run_meta_says_whether_workers_were_pinned(self, tmp_path):
         pinnable = harness._blas_threads() is not None
@@ -308,6 +320,28 @@ class TestWorkerPool:
             run_stm(tiny_stm_config(tmp_path / str(workers), workers=workers))
             meta = json.loads((tmp_path / str(workers) / "stm" / "run_meta.json").read_text())
             assert meta["environment"]["pool_blas_pinned"] is (workers == 2 and pinnable)
+            assert meta["environment"]["jobs_blas_pinned"] is pinnable
+
+    def test_summaries_do_not_depend_on_the_worker_count(self, tmp_path):
+        # A 3000-row training design is large enough for a multi-threaded
+        # BLAS to split its pseudoinverse, and its rounding then differs
+        # from the single-threaded one; designs of a few hundred rows run on
+        # one thread either way.
+        if harness._blas_threads() is None:
+            pytest.skip("no loaded OpenBLAS with a known thread setter")
+        split = SplitSpec(100, 3000, 100)
+        configs = {
+            "stm": tiny_stm_config(v=100, split=split, regimes=(parse_regime("non_markov", "stm"),)),
+            "narma": tiny_narma_config(n_sys=4, n_env=0, tau=0.5, v=20, split=split, orders=(1, 5, 10),
+                                       regimes=(parse_regime("fn", "narma"),)),
+        }
+        for task, cfg in configs.items():
+            summaries = []
+            for workers in (1, 2):
+                out = tmp_path / f"{task}{workers}"
+                getattr(harness, f"run_{task}")(dataclasses.replace(cfg, output_dir=str(out), workers=workers))
+                summaries.append((out / task / cfg.regimes[0].label / "summary.csv").read_bytes())
+            assert summaries[0] == summaries[1], task
 
 
 class TestRunNarma:
@@ -451,6 +485,25 @@ class TestJob:
         )
         run_esp(cfg)
         assert calls == dict.fromkeys(TRACED, 0) | dict(build_hamiltonian=4, dual_trajectory=4, records_to_csv=4)
+
+    @pytest.mark.parametrize("task", ["stm", "narma"])
+    def test_scores_are_the_pseudoinverse_readout(self, task):
+        # every score, recomputed from the trajectory's features with numpy's
+        # pseudoinverse on the same washout / train / validation split
+        narma = task == "narma"
+        make = tiny_narma_config if narma else tiny_stm_config
+        cfg = make(seeds=(1,), regimes=(parse_regime("non_markov", task),))
+        results = (run_narma if narma else run_stm)(cfg)
+        hi = 0.5 if narma else 1.0
+        u = np.random.default_rng(np.random.SeedSequence([1, 1])).uniform(0.0, hi, cfg.split.total)
+        rcfg = ReservoirConfig(tau=cfg.tau, v=cfg.v, observables=cfg.observables, multiplex=cfg.multiplex)
+        x = run_trajectory(build_hamiltonian(make_params(cfg, cfg.regimes[0], 1)), u / hi, rcfg)[0].values
+        train, val = cfg.split.train_slice, cfg.split.val_slice
+        pinv = np.linalg.pinv(x[train], rcond=1e-12)
+        assert [r.axis for r in results] == list(cfg.orders if narma else range(cfg.tau_d_max + 1))
+        for r in results:
+            y = narma_series(u, r.axis) if narma else np.concatenate([np.zeros(r.axis), u[:u.size - r.axis]])
+            assert abs(r.scores[0] - squared_correlation(y[val], x[val] @ (pinv @ y[train]))) <= 1e-12
 
     def test_diverging_target_keeps_its_type_and_context(self, monkeypatch):
         def diverge(u, order):

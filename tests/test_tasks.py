@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nmqrc import tasks
 from nmqrc.errors import DivergenceError
 from nmqrc.tasks import (
     NARMA_CONSTANTS,
@@ -88,10 +89,11 @@ class TestNarmaSeries:
                 y = narma_series(u, order)
                 assert np.max(np.abs(y)) <= 10.0
 
-    def test_divergence_guard(self):
+    def test_divergence_guard(self, monkeypatch):
+        monkeypatch.setattr(tasks, "NARMA_CONSTANTS", (1.1, 0.05, 1.5, 0.5))
         u = np.full(100, 0.5)
         with pytest.raises(DivergenceError, match="diverged"):
-            narma_series(u, 1, constants=(1.1, 0.05, 1.5, 0.5))
+            narma_series(u, 1)
 
     def test_input_range_guard(self):
         with pytest.raises(ValueError, match="raw inputs"):
