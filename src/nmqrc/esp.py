@@ -36,10 +36,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import NumericalError
 from .hamiltonian import HamiltonianRealization
-from .linalg import DensityMatrix, partial_trace, trace_norm
-from .reservoir import ReservoirConfig, _check_inputs, _StepEngine
+from .linalg import DensityMatrix, _ground_matrix, _mixed_matrix, partial_trace, trace_norm
+from .reservoir import ReservoirConfig, _check_inputs, _step_inputs, _StepEngine
 
 BACKFLOW_TOL = 1e-6
 
@@ -85,17 +84,15 @@ def dual_trajectory(
     """
     p = real.params
     if initial_states is None:
-        initial_states = (
-            DensityMatrix.maximally_mixed(p.n_qubits),
-            DensityMatrix.ground(p.n_qubits),
-        )
-    for state in initial_states:
-        if state.qubit_count != p.n_qubits:
-            raise ValueError(
-                f"initial state has {state.qubit_count} qubits but the realization has {p.n_qubits}"
-            )
+        rho1, rho2 = _mixed_matrix(p.n_qubits), _ground_matrix(p.n_qubits)
+    else:
+        for state in initial_states:
+            if state.qubit_count != p.n_qubits:
+                raise ValueError(
+                    f"initial state has {state.qubit_count} qubits but the realization has {p.n_qubits}"
+                )
+        rho1, rho2 = (state.matrix for state in initial_states)
     inputs = _check_inputs(inputs)
-    rho1, rho2 = (state.matrix for state in initial_states)
     engine = _StepEngine(real, replace(cfg, observables="z_only"), (rho1 != 0) | (rho2 != 0))
     env = range(p.n_sys, p.n_qubits)
 
@@ -110,17 +107,19 @@ def dual_trajectory(
         td_sys = trace_norm(partial_trace(diff, env, p.n_qubits))
         env_index = engine.trace_index(env)
     records = [EspRecord(step=0, sqnorm_diff=0.0, trace_distance=td_full, trace_distance_sys=td_sys)]
+    distances = []
+
+    def record(tau, stepped):
+        td_full = trace_norm(tau)  # Tr_q Delta before the step, one block per class
+        td_sys = trace_norm(engine.trace_out(stepped, env_index)) if env else td_full
+        distances.append((td_full, td_sys))
+
     # The step map keeps the trace, so Delta keeps that of the initial pair:
     # 0 up to rounding.
-    trace = float(diff.trace().real)
-    tau = engine.to_state(diff)
-    for k, s in enumerate(inputs):
-        td_full = trace_norm(tau)  # Tr_q Delta, one block per class
-        try:
-            tau, f, stepped = engine.step(tau, s, trace=trace)
-        except (NumericalError, ValueError) as exc:
-            raise NumericalError(f"trajectory pair failed at step {k}: {exc}") from exc
-        td_sys = trace_norm(engine.trace_out(stepped, env_index)) if env else td_full
+    feats = np.empty((inputs.size, cfg.v * engine.n_obs))
+    _step_inputs(engine, engine.to_state(diff), inputs, feats, trace=float(diff.trace().real),
+                 what="trajectory pair", visit=record)
+    for k, (f, (td_full, td_sys)) in enumerate(zip(feats, distances)):
         records.append(EspRecord(step=k + 1, sqnorm_diff=float(np.sum(f ** 2)),
                                  trace_distance=td_full, trace_distance_sys=td_sys))
     return records

@@ -526,21 +526,25 @@ def _pooled(cfg: ExperimentConfig, jobs: list) -> bool:
     return cfg.workers > 1 and len(jobs) > 1
 
 
-def _run_jobs(cfg: ExperimentConfig, jobs: list) -> list:
+def _run_jobs(cfg: ExperimentConfig, jobs: list) -> tuple[list, bool]:
     """Run the jobs, in this process or in a pool, each with one BLAS thread,
-    then restore this process's thread count. The pseudoinverse of a large
-    training design depends on the BLAS thread count, so pinning every job
-    keeps results independent of the worker count."""
+    then restore this process's thread count. Returns the job results and
+    whether a BLAS thread setter was found, so that every job was pinned. The
+    pseudoinverse of a large training design depends on the BLAS thread
+    count, so pinning every job keeps results independent of the worker
+    count."""
     pinned = _pin_blas()
     try:
         if not _pooled(cfg, jobs):
-            return [_job(job) for job in jobs]
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(jobs)), initializer=_pin_blas) as pool:
-            return list(pool.map(_job, jobs))
+            outs = [_job(job) for job in jobs]
+        else:
+            with ProcessPoolExecutor(max_workers=min(cfg.workers, len(jobs)), initializer=_pin_blas) as pool:
+                outs = list(pool.map(_job, jobs))
     finally:
         if pinned is not None:
             set_threads, threads = pinned
             set_threads(threads)
+    return outs, pinned is not None
 
 
 def _run(cfg: ExperimentConfig, task: str) -> list:
@@ -548,7 +552,8 @@ def _run(cfg: ExperimentConfig, task: str) -> list:
         raise ConfigError(f"config task is {cfg.task!r} but run_{task} was called")
     started, t0 = datetime.now(timezone.utc), time.perf_counter()
     jobs = [(cfg, regime, seed) for regime in cfg.regimes for seed in cfg.seeds]
-    done = {(regime.label, seed): out for (_, regime, seed), out in zip(jobs, _run_jobs(cfg, jobs))}
+    outs, pinned = _run_jobs(cfg, jobs)
+    done = {(regime.label, seed): out for (_, regime, seed), out in zip(jobs, outs)}
     if task == "esp":
         results = [result for result, _ in done.values()]
     else:
@@ -560,7 +565,6 @@ def _run(cfg: ExperimentConfig, task: str) -> list:
     if cfg.output_dir is not None:
         timing = {"started_utc": started.isoformat(), "finished_utc": datetime.now(timezone.utc).isoformat(),
                   "wall_s": time.perf_counter() - t0}
-        pinned = _blas_threads() is not None
         _write_outputs(cfg, results, {key: couplings for key, (_, couplings) in done.items()},
                        {"pool_blas_pinned": _pooled(cfg, jobs) and pinned, "jobs_blas_pinned": pinned}, timing)
     return results

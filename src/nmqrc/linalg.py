@@ -184,13 +184,24 @@ class DensityMatrix:
     @classmethod
     def ground(cls, n_qubits: int) -> "DensityMatrix":
         """|0...0><0...0| on ``n_qubits`` qubits."""
-        d = 2 ** int(n_qubits)
-        m = np.zeros((d, d), dtype=complex)
-        m[0, 0] = 1.0
-        return cls(m)
+        return cls(_ground_matrix(n_qubits))
 
     @classmethod
     def maximally_mixed(cls, n_qubits: int) -> "DensityMatrix":
         """I / 2^n on ``n_qubits`` qubits."""
-        d = 2 ** int(n_qubits)
-        return cls(np.eye(d, dtype=complex) / d)
+        return cls(_mixed_matrix(n_qubits))
+
+
+# The matrices of the two known states, which need no validation. The
+# trajectories start from them by default without the eigenvalue check of a
+# DensityMatrix, a full-register eigvalsh.
+def _ground_matrix(n_qubits: int) -> np.ndarray:
+    d = 2 ** int(n_qubits)
+    m = np.zeros((d, d), dtype=complex)
+    m[0, 0] = 1.0
+    return m
+
+
+def _mixed_matrix(n_qubits: int) -> np.ndarray:
+    d = 2 ** int(n_qubits)
+    return np.eye(d, dtype=complex) / d

@@ -38,21 +38,25 @@ by sector, for the readout) and U P_b (for the evolution by
 U = exp(-i H v dt)), both cut from the block arrays. A step
 
 * combines them into F_s and takes Y = F_s tau, one stacked product;
-* reads all v nodes from the diagonal sector blocks of sigma = W^dag rho W,
-  Y_kappa G_kappa^dag for sector kappa, with Y_kappa and G_kappa the
-  readout rows of Y and F_s in that sector: a sub-step of length dt
-  multiplies sigma elementwise by the phases exp(-i (lam_p - lam_q) dt).
-  sigma and each observable's blocks are Hermitian, so entry (q, p) of a
-  block is the conjugate of entry (p, q) and the readouts reduce to one real
-  product over the upper triangles of the blocks against a precomputed
+* forms the readout of all v nodes from the diagonal sector blocks of
+  sigma = W^dag rho W, Y_kappa G_kappa^dag for sector kappa, with Y_kappa
+  and G_kappa the readout rows of Y and F_s in that sector: a sub-step of
+  length dt multiplies sigma elementwise by the phases
+  exp(-i (lam_p - lam_q) dt). sigma and each observable's blocks are
+  Hermitian, so entry (q, p) of a block is the conjugate of entry (p, q)
+  and the readouts reduce to a real product of the node operand z, the
+  observables times the upper triangles of the blocks, with a precomputed
   table of cosines and sines, one pair per upper-triangle entry and node;
 * carries tau' = Tr_q (U rho U^dag) = sum_b Y_b A_b^dag, with Y_b and A_b
   the evolution rows of Y and F_s whose input bit is b.
 
-No d x d class block is formed on the way. The stepped state is Y A^dag
-over the evolution rows; ``run_trajectory`` builds the final
-register-order state from it once, and ``dual_trajectory`` traces the
-environment out of it.
+Each step checks the Hermiticity the readout relies on and the trace of the
+stepped state, and writes its node operand into a block buffer; the product
+with the phase table then runs once for the whole block of inputs, so the
+table is read once per block. No d x d class block is formed on the way.
+The stepped state is Y A^dag over the evolution rows; ``run_trajectory``
+builds the final register-order state from it once, and ``dual_trajectory``
+traces the environment out of it.
 
 This is exactly unitary conjugation by exp(-i H dt), just associated
 differently. Structure that is not there joins the pieces instead of being
@@ -65,6 +69,7 @@ whole register.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -72,7 +77,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .hamiltonian import HamiltonianRealization, _components, _sector_eig
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, _ground_matrix
 
 OBSERVABLE_KINDS = ("z_only", "z_and_zz")
 MULTIPLEX_MODES = ("per_node", "sub_step")
@@ -84,6 +89,13 @@ STEP_TRACE_ATOL = 1e-9
 # upper-triangle entry of the k diagonal blocks, d(m+1) per class and node),
 # and at least one node; further nodes reuse it after a phase shift.
 _BATCH_LIMIT = 4_000_000
+# The node operands of a block of inputs, read out by one product with the
+# phase table, take at most this many reals (2 n_obs per upper-triangle
+# entry and input), and a block holds at least one input. About 1 MB: on a
+# 2-core x86 machine with OpenBLAS, blocks of 8-16 inputs read the 1.7 MB
+# table of a 4+3 register at v = 50 fastest, and tables that fit in cache
+# read as fast in blocks of 2-32.
+_BLOCK_LIMIT = 140_000
 
 
 @dataclass(frozen=True)
@@ -175,7 +187,7 @@ def _encode(s: float) -> tuple[float, float]:
     s = float(s)
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"input must lie in [0, 1], got {s}")
-    return np.sqrt(1.0 - s), np.sqrt(s)
+    return math.sqrt(1.0 - s), math.sqrt(s)
 
 
 def _check_inputs(inputs) -> np.ndarray:
@@ -208,10 +220,13 @@ class _StepEngine:
     re-prepared in a pure state first. Each class basis state is one
     evolution row: row 2a + b holds the state with rest a and input bit b
     (``rows`` gives its register index). ``to_state`` gathers tau from a
-    register-order matrix. ``step`` also returns the stepped class blocks in
-    factored form (Y, A), rho = Y A^dag with one evolution row each, and
-    ``trace_out`` takes partial traces of that, the register-order state
-    included.
+    register-order matrix. ``step`` writes the input's node operand, of
+    shape (n_obs, entries) over the upper-triangle entries of the sector
+    blocks, and ``features`` reads the v nodes of a whole block of those
+    operands with one product per span of the phase table. ``step`` also
+    returns the stepped class blocks in factored form (Y, A), rho = Y A^dag
+    with one evolution row each, and ``trace_out`` takes partial traces of
+    that, the register-order state included.
     """
 
     def __init__(self, real: HamiltonianRealization, cfg: ReservoirConfig, support: np.ndarray):
@@ -268,7 +283,9 @@ class _StepEngine:
         # w = 1 on the diagonal and 2 off it: z viewed as interleaved reals
         # (Re, Im) times a table of interleaved rows (w cos, w sin). The table
         # holds as many nodes as fit under _BATCH_LIMIT reals; later nodes
-        # reuse it after a phase shift of z by its whole span.
+        # reuse it after a phase shift of z by its whole span. It is built in
+        # Fortran order, each node's column contiguous, which the product with
+        # a block of operands reads fastest.
         p_idx, q_idx = np.triu_indices(m)
         base = np.arange(c * k)[:, None] * (m * m)  # offset of each block in sigma
         self.upper = (base + p_idx * m + q_idx).ravel()
@@ -276,12 +293,12 @@ class _StepEngine:
         self.tri_weight = np.tile(np.where(p_idx == q_idx, 1.0, 2.0), c * k)
         delta = (lam[:, p_idx] - lam[:, q_idx]).ravel()
         nodes = max(1, min(self.v, _BATCH_LIMIT // (2 * delta.size)))
-        angle = np.outer(self.dt * delta, np.arange(1, nodes + 1))
-        table = np.empty((delta.size, 2, nodes))
-        np.cos(angle, out=table[:, 0])
-        np.sin(angle, out=table[:, 1])
-        table *= self.tri_weight[:, None, None]
-        self.phase_table = table.reshape(2 * delta.size, nodes)
+        angle = np.outer(np.arange(1, nodes + 1), self.dt * delta)
+        table = np.empty((nodes, delta.size, 2))
+        np.cos(angle, out=table[..., 0])
+        np.sin(angle, out=table[..., 1])
+        table *= self.tri_weight[:, None]
+        self.phase_table = table.reshape(nodes, 2 * delta.size).T
         self.phase_shift = np.exp(-1j * nodes * self.dt * delta)
         sign = signs[:, order >> p.n_env].reshape(self.n_obs, c, k, 1, m)
         rows = ((w_h * sign) @ w).swapaxes(-1, -2).reshape(self.n_obs, -1)
@@ -292,11 +309,11 @@ class _StepEngine:
         # The injected class block is P_s tau P_s^dag, where P_s, d x r, puts
         # the input state on the input qubit: P_s = sqrt(1-s) P_0 + sqrt(s) P_1
         # and P_b maps rest a to the class basis state with rest a and input
-        # bit b. Factor rows per input bit b, shape (2, c, 2d, r): the first d
-        # rows are the sector blocks of W^dag P_b (sigma's readout), the last
-        # d are U P_b as evolution rows. Column a of W^dag P_b is the column of
-        # W^dag at the state (a, b), in its sector's rows; column a of U P_b is
-        # the column of U there, in that sector's evolution rows.
+        # bit b. Factor rows per input bit b, shape (2, 2, c, d, r): first the
+        # sector blocks of W^dag P_b (sigma's readout), then U P_b as
+        # evolution rows. Column a of W^dag P_b is the column of W^dag at the
+        # state (a, b), in its sector's rows; column a of U P_b is the column
+        # of U there, in that sector's evolution rows.
         r = d // 2
         reg = order.reshape(c, d)  # class basis, sector after sector
         rest = ((reg >> (shift + 1)) << shift) | (reg & ((1 << shift) - 1))
@@ -310,10 +327,11 @@ class _StepEngine:
         self.rows = np.empty_like(reg)
         self.rows[cls, row] = reg
         sector, at = np.arange(d) // m, np.arange(d) % m
-        self.factors = np.zeros((2, c, 2 * d, r), dtype=complex)
-        put = (bit[..., None], cls[..., None])
-        self.factors[(*put, sector[:, None] * m + np.arange(m), a[..., None])] = w_h[cls, sector, :, at]
-        self.factors[(*put, d + row.reshape(c, k, m)[cls, sector], a[..., None])] = self.u[cls, sector, :, at]
+        factors = np.zeros((2, 2, c, d, r), dtype=complex)
+        b, g, col = bit[..., None], cls[..., None], a[..., None]
+        factors[b, 0, g, sector[:, None] * m + np.arange(m), col] = w_h[cls, sector, :, at]
+        factors[b, 1, g, row.reshape(c, k, m)[cls, sector], col] = self.u[cls, sector, :, at]
+        self.factors = factors.reshape(2, -1).view(float)  # F_s is (amplitudes) @ factors
 
     def to_state(self, rho: np.ndarray) -> np.ndarray:
         """tau of the register-order matrix ``rho``: the Hermitian part of the
@@ -323,12 +341,13 @@ class _StepEngine:
         tau = sum(rho[idx[:, :, b, None], idx[:, None, :, b]] for b in (0, 1))
         return (tau + tau.conj().swapaxes(-1, -2)) / 2
 
-    def trace_index(self, traced) -> tuple[np.ndarray, tuple[int, int]]:
-        """Scatter for the partial trace of a stepped state over the register
+    def trace_index(self, traced) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
+        """Gather for the partial trace of a stepped state over the register
         qubits ``traced``. The groups are the (class, traced bits) pairs that
-        hold an evolution row; a row with kept bits e (in register order) in
-        group g goes to position e * groups + g. Returns the positions, one per
-        evolution row, and (2^kept, groups)."""
+        hold an evolution row; the row with kept bits e (in register order) in
+        group g fills slot e * groups + g. Returns the evolution row of each
+        slot (counting the rows of all classes in turn), the slots no row
+        fills, and (2^kept, groups)."""
         n = self.n_qubits
         traced = sorted(traced)
         keep = [q for q in range(n) if q not in traced]
@@ -345,26 +364,29 @@ class _StepEngine:
         rank = np.zeros(present.size, dtype=int)
         groups = np.flatnonzero(present)
         rank[groups] = np.arange(groups.size)
-        return (bits(keep) * groups.size + rank[group]).ravel(), (1 << len(keep), groups.size)
+        slot = (bits(keep) * groups.size + rank[group]).ravel()
+        gather = np.full((1 << len(keep)) * groups.size, -1)
+        gather[slot] = np.arange(slot.size)
+        empty = np.flatnonzero(gather < 0)
+        gather[empty] = 0  # any row: trace_out zeroes these slots
+        return gather, empty, (1 << len(keep), groups.size)
 
     @staticmethod
     def trace_out(stepped: tuple[np.ndarray, np.ndarray], index) -> np.ndarray:
         """Partial trace of a stepped state rho = Y A^dag over a ``trace_index``
-        scatter: the sum over groups g of Y_g A_g^dag."""
-        pos, (size, groups) = index
-        y, a = stepped
-        r = y.shape[-1]
-        ys = np.zeros((size * groups, r), dtype=complex)
-        a_s = np.zeros((size * groups, r), dtype=complex)
-        ys[pos] = y.reshape(-1, r)
-        a_s[pos] = a.reshape(-1, r)
-        return ys.reshape(size, groups * r) @ a_s.reshape(size, groups * r).conj().T
+        gather: the sum over groups g of Y_g A_g^dag."""
+        gather, empty, (size, groups) = index
+        y, a = (x.reshape(-1, x.shape[-1]).take(gather, axis=0) for x in stepped)
+        y[empty] = 0
+        a[empty] = 0
+        return y.reshape(size, -1) @ a.reshape(size, -1).conj().T
 
-    def step(self, tau: np.ndarray, s: float,
-             trace: float = 1.0) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        """One input step: inject, evolve v sub-steps, read out after each.
+    def step(self, tau: np.ndarray, s: float, z: np.ndarray,
+             trace: float = 1.0) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """One input step: inject, evolve v sub-steps, and form the readout.
 
-        Returns the next tau, the features (v x n_obs, node-major) and the
+        Writes the node operand z, shape (n_obs, entries), from which
+        ``features`` reads the v nodes, and returns the next tau and the
         stepped class blocks as (Y, A), rho = Y A^dag, each (classes, d, r)
         over the evolution rows. The map is linear in ``tau``, so it also
         steps the difference of two states; ``trace`` is the trace the
@@ -373,37 +395,82 @@ class _StepEngine:
         """
         k, m, d = self.shape
         c, r = self.classes, d // 2
-        amp0, amp1 = _encode(s)
-        f = amp0 * self.factors[0] + amp1 * self.factors[1]  # F_s, (c, 2d, r)
+        # F_s: its readout rows, then its evolution rows
+        f = (np.array(_encode(s)) @ self.factors).view(complex).reshape(2, c, d, r)
         y = f @ tau
         f_conj = f.conj()
 
-        sigma = (y[:, :d].reshape(c, k, m, r) @ f_conj[:, :d].reshape(c, k, m, r).swapaxes(-1, -2)).ravel()
-        upper, lower = sigma[self.upper], sigma[self.lower].conj()
+        sigma = (y[0].reshape(c, k, m, r) @ f_conj[0].reshape(c, k, m, r).swapaxes(-1, -2)).ravel()
+        upper, lower = sigma.take(self.upper), sigma.take(self.lower).conj()
         skew = upper - lower  # sigma - sigma^dag on the upper triangles
-        imag_bound = 0.5 * np.sqrt(self.tri_weight @ (skew.real ** 2 + skew.imag ** 2)) * self.row_norm
+        imag_bound = 0.5 * math.sqrt(self.tri_weight @ (skew.real ** 2 + skew.imag ** 2)) * self.row_norm
         if imag_bound > FEATURE_IMAG_ATOL:
             raise NumericalError(
                 f"features may have an imaginary part up to {imag_bound:.3e} > {FEATURE_IMAG_ATOL:.1e}; "
                 "state is corrupted"
             )
-        z = self.obs_rows * (0.5 * (upper + lower))
-        feats = np.empty((self.v, self.n_obs))
+        upper += lower
+        upper *= 0.5
+        np.multiply(self.obs_rows, upper, out=z)
+
+        # Tr_q (Y A^dag): rows 2a and 2a + 1 hold rest a, so each class's
+        # evolution rows read as r x 2r make it one product. Its trace is
+        # Tr (Y A^dag), the inner product of A and Y.
+        y_ev, f_ev = y[1], f[1]
+        trace_err = abs(np.vdot(f_ev, y_ev).real - trace)
+        if trace_err > STEP_TRACE_ATOL:
+            raise NumericalError(f"state trace drifted by {trace_err:.3e} > {STEP_TRACE_ATOL:.1e}")
+        tau = y_ev.reshape(c, r, 2 * r) @ f_conj[1].reshape(c, r, 2 * r).swapaxes(-1, -2)
+        return tau, (y_ev, f_ev)
+
+    def features(self, z: np.ndarray) -> np.ndarray:
+        """Feature rows, (b, v x n_obs) node-major, of a block of b node
+        operands z, (b, n_obs, entries): one product with the phase table per
+        span of nodes it holds. Later spans shift the phases of z in place."""
+        b = z.shape[0]
+        out = np.empty((b, self.v, self.n_obs))
+        z_real = z.reshape(b * self.n_obs, -1).view(float)
         span = self.phase_table.shape[1]
         for start in range(0, self.v, span):
             if start:
                 z *= self.phase_shift
             stop = min(start + span, self.v)
-            feats[start:stop] = (z.view(float) @ self.phase_table[:, : stop - start]).T
+            nodes = z_real @ self.phase_table[:, : stop - start]
+            out[:, start:stop] = nodes.reshape(b, self.n_obs, -1).swapaxes(1, 2)
+        return out.reshape(b, -1)
 
-        # Tr_q (Y A^dag): rows 2a and 2a + 1 hold rest a, so each class's
-        # evolution rows read as r x 2r make it one product.
-        y_ev, f_ev = y[:, d:], f[:, d:]
-        tau = y_ev.reshape(c, r, 2 * r) @ f_conj[:, d:].reshape(c, r, 2 * r).swapaxes(-1, -2)
-        trace_err = abs(float(np.einsum("cii->", tau).real) - trace)
-        if trace_err > STEP_TRACE_ATOL:
-            raise NumericalError(f"state trace drifted by {trace_err:.3e} > {STEP_TRACE_ATOL:.1e}")
-        return tau, feats.ravel(), (y_ev, f_ev)
+
+def _block_inputs(n_obs: int, entries: int) -> int:
+    """Inputs per block: as many node operands, (n_obs, entries) complex, as
+    fit under _BLOCK_LIMIT reals, and at least one."""
+    return max(1, _BLOCK_LIMIT // (2 * n_obs * entries))
+
+
+def _step_inputs(engine: _StepEngine, tau: np.ndarray, inputs: np.ndarray, rows: np.ndarray,
+                 trace: float = 1.0, what: str = "trajectory", visit=None):
+    """Step ``inputs`` from ``tau`` and write each input's features to its row
+    of ``rows``, reading them out once per block of inputs.
+
+    ``visit(tau, stepped)``, when given, sees every input's carried state
+    before its step and the stepped state after it. Returns the last stepped
+    state. Every step runs its checks at once, and an error is raised with
+    its step index.
+    """
+    block = _block_inputs(engine.n_obs, engine.upper.size)
+    z = np.empty((min(block, inputs.size), engine.n_obs, engine.upper.size), dtype=complex)
+    stepped = None
+    for start in range(0, inputs.size, block):
+        chunk = inputs[start:start + block]
+        for i, s in enumerate(chunk):
+            try:
+                carried, stepped = engine.step(tau, s, z[i], trace)
+            except (NumericalError, ValueError) as exc:
+                raise NumericalError(f"{what} failed at step {start + i}: {exc}") from exc
+            if visit is not None:
+                visit(tau, stepped)
+            tau = carried
+        rows[start:start + chunk.size] = engine.features(z[:chunk.size])
+    return stepped
 
 
 def run_trajectory(
@@ -419,26 +486,23 @@ def run_trajectory(
     """
     inputs = _check_inputs(inputs)
     if initial_state is None:
-        initial_state = DensityMatrix.ground(real.params.n_qubits)
+        rho0 = _ground_matrix(real.params.n_qubits)
     elif initial_state.qubit_count != real.params.n_qubits:
         raise ValueError(
             f"initial state has {initial_state.qubit_count} qubits but the realization "
             f"has {real.params.n_qubits}"
         )
-    engine = _StepEngine(real, cfg, initial_state.matrix != 0)
+    else:
+        rho0 = initial_state.matrix
+    engine = _StepEngine(real, cfg, rho0 != 0)
     labels = feature_labels(engine.labels, cfg.v)
     rows = np.ones((inputs.size, len(labels)))
     # A validated state is Hermitian only to 1e-10, too loose for the bound
     # ``step`` puts on the imaginary part of the features. Its Hermitian part
     # has the same features, and ``to_state`` takes it.
-    tau = engine.to_state(initial_state.matrix)
-    final = initial_state
-    for k, s in enumerate(inputs):
-        try:
-            tau, feats, stepped = engine.step(tau, s)
-        except (NumericalError, ValueError) as exc:
-            raise NumericalError(f"trajectory failed at step {k}: {exc}") from exc
-        rows[k, :-1] = feats
+    stepped = _step_inputs(engine, engine.to_state(rho0), inputs, rows[:, :-1])
     if inputs.size:
         final = DensityMatrix(engine.trace_out(stepped, engine.trace_index(())))
+    else:
+        final = DensityMatrix(rho0) if initial_state is None else initial_state
     return FeatureMatrix(values=rows, labels=labels), final

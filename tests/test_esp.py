@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from nmqrc import linalg
 from nmqrc.errors import NumericalError
 from nmqrc.esp import EspRecord, backflow_count, dual_trajectory, records_to_csv, window_stats
 from nmqrc.hamiltonian import ReservoirParams, build_hamiltonian
@@ -29,6 +30,24 @@ class TestDualTrajectory:
         monkeypatch.setattr(_StepEngine, "step", no_step)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             dual_trajectory(make_real(), [0.2, bad], ReservoirConfig(tau=0.5, v=2))
+
+    def test_default_states_are_built_without_validation(self, monkeypatch):
+        # I/d and |0><0| are known: no DensityMatrix is built, and the
+        # records are those of the validated pair
+        for n in (1, 3, 6):
+            assert np.array_equal(linalg._mixed_matrix(n), DensityMatrix.maximally_mixed(n).matrix)
+            assert np.array_equal(linalg._ground_matrix(n), DensityMatrix.ground(n).matrix)
+        real = make_real()
+        cfg = ReservoirConfig(tau=0.5, v=3)
+        inputs = [0.2, 0.8, 0.5]
+        want = dual_trajectory(real, inputs, cfg,
+                               initial_states=(DensityMatrix.maximally_mixed(3), DensityMatrix.ground(3)))
+
+        def no_validation(self):
+            raise AssertionError("validated a default state")
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", no_validation)
+        assert dual_trajectory(real, inputs, cfg) == want
 
     def test_identical_initial_states(self):
         real = make_real()
@@ -110,9 +129,10 @@ def test_step_checks_the_trace_it_is_given():
     real = make_real()
     engine = _StepEngine(real, ReservoirConfig(tau=0.5, v=2), np.ones((8, 8), dtype=bool))
     state = engine.to_state(DensityMatrix.ground(3).matrix)
-    engine.step(state, 0.3)
+    z = np.empty((engine.n_obs, engine.upper.size), dtype=complex)
+    engine.step(state, 0.3, z)
     with pytest.raises(NumericalError, match="trace"):
-        engine.step(state, 0.3, trace=0.0)
+        engine.step(state, 0.3, z, trace=0.0)
 
 
 class TestWindowStats:

@@ -308,8 +308,8 @@ class TestWorkerPool:
         before = get_threads()
         try:
             set_threads(2)
-            assert harness._run_jobs(tiny_stm_config(workers=2), [0, 1, 2, 3]) == [1, 1, 1, 1]
-            assert harness._run_jobs(tiny_stm_config(workers=1), [0, 1]) == [1, 1]
+            assert harness._run_jobs(tiny_stm_config(workers=2), [0, 1, 2, 3]) == ([1, 1, 1, 1], True)
+            assert harness._run_jobs(tiny_stm_config(workers=1), [0, 1]) == ([1, 1], True)
             assert get_threads() == 2  # the caller's count comes back
         finally:
             set_threads(before)

@@ -4,6 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from nmqrc import linalg
 from nmqrc.errors import ConfigError, NumericalError
 from nmqrc.hamiltonian import CouplingSet, ReservoirParams, build_hamiltonian
 from nmqrc.linalg import DensityMatrix
@@ -161,7 +162,7 @@ class TestMeasure:
         tau = engine.to_state(rho0)
         tau[0, 0, 0] += 1e-3j  # Tr_q rho at the register's first rest
         with pytest.raises(NumericalError, match="imaginary"):
-            engine.step(tau, 0.5)
+            engine.step(tau, 0.5, np.empty((engine.n_obs, engine.upper.size), dtype=complex))
 
 
 class TestEvolveStep:
@@ -247,6 +248,27 @@ class TestRunTrajectory:
         assert feats.width == 3 * 2 + 1
         assert np.array_equal(final.matrix, DensityMatrix.ground(3).matrix)
 
+    def test_default_state_is_built_without_validation(self, monkeypatch):
+        # the ground state is known: only the returned final state is
+        # validated, and the trajectory is that of DensityMatrix.ground
+        for n in (1, 3, 6):
+            assert np.array_equal(linalg._ground_matrix(n), DensityMatrix.ground(n).matrix)
+        real = make_real()
+        cfg = ReservoirConfig(tau=0.5, v=3)
+        want = run_trajectory(real, [0.2, 0.8], cfg, initial_state=DensityMatrix.ground(3))
+        validated = []
+        check = DensityMatrix.__post_init__
+
+        def counted(self):
+            validated.append(self)
+            check(self)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
+        feats, final = run_trajectory(real, [0.2, 0.8], cfg)
+        assert len(validated) == 1 and validated[0] is final
+        assert np.array_equal(feats.values, want[0].values)
+        assert np.array_equal(final.matrix, want[1].matrix)
+
     def test_feature_layout_and_bias(self):
         real = make_real()
         cfg = ReservoirConfig(tau=0.5, v=3)
@@ -258,7 +280,8 @@ class TestRunTrajectory:
         assert np.max(np.abs(feats.values[:, :-1])) <= 1.0 + 1e-9
 
     def test_rows_match_evolve_step_chain(self):
-        # the rows and final state are those of one engine stepped input by input
+        # the rows and final state are those of one engine stepped input by
+        # input, its node operands read out as one block
         real = make_real(seed=7)
         cfg = ReservoirConfig(tau=0.7, v=4)
         inputs = np.random.default_rng(11).uniform(0, 1, 6)
@@ -266,9 +289,10 @@ class TestRunTrajectory:
         rho0 = DensityMatrix.ground(3).matrix
         engine = _StepEngine(real, cfg, rho0 != 0)
         tau = engine.to_state(rho0)
+        z = np.empty((inputs.size, engine.n_obs, engine.upper.size), dtype=complex)
         for k, s in enumerate(inputs):
-            tau, f, stepped = engine.step(tau, s)
-            assert np.array_equal(feats.values[k, :-1], f)
+            tau, stepped = engine.step(tau, s, z[k])
+        assert np.array_equal(feats.values[:, :-1], engine.features(z))
         assert np.array_equal(final.matrix, engine.trace_out(stepped, engine.trace_index(())))
 
     def test_determinism(self):
@@ -316,11 +340,11 @@ class TestRunTrajectory:
         calls = {"n": 0}
         original = rmod._StepEngine.step
 
-        def flaky(self, rho, s):
+        def flaky(self, tau, s, *args):
             if calls["n"] == 2:
                 raise NumericalError("synthetic corruption")
             calls["n"] += 1
-            return original(self, rho, s)
+            return original(self, tau, s, *args)
 
         monkeypatch.setattr(rmod._StepEngine, "step", flaky)
         with pytest.raises(NumericalError, match="step 2"):

@@ -60,6 +60,14 @@ def oracle_tau(rho, input_qubit):
     return oracle.trace_qubit(rho, input_qubit, n).reshape(2 ** (n - 1), 2 ** (n - 1))
 
 
+def step_once(engine, tau, s, trace=1.0):
+    """One engine step read out on its own: (next tau, feature slice,
+    stepped state)."""
+    z = np.empty((1, engine.n_obs, engine.upper.size), dtype=complex)
+    tau, stepped = engine.step(tau, s, z[0], trace)
+    return tau, engine.features(z)[0], stepped
+
+
 def register_tau(engine, tau, input_qubit):
     """The engine's carried tau blocks placed in the register-order Tr_q
     matrix, zero outside the kept classes."""
@@ -182,10 +190,10 @@ def test_non_hermitian_state_trips_the_imaginary_part_guard():
                                              h_sys=0.5, h_env=1.0, seed=59))
     rho0 = DensityMatrix.ground(7)
     engine = rmod._StepEngine(real, ReservoirConfig(tau=0.5, v=3), rho0.matrix != 0)
-    tau, _, _ = engine.step(engine.to_state(rho0.matrix), 0.3)
+    tau, _, _ = step_once(engine, engine.to_state(rho0.matrix), 0.3)
     tau[0, 0, 0] += 1e-6j  # Tr_q rho at the register's first rest
     with pytest.raises(NumericalError, match="imaginary"):
-        engine.step(tau, 0.6)
+        step_once(engine, tau, 0.6)
 
 
 def test_state_hermitian_to_the_density_matrix_tolerance_is_stepped():
@@ -224,8 +232,8 @@ def test_phase_table_chunks_stay_under_the_batch_limit():
         one_node = rmod._StepEngine(real, cfg, whole_register(7))
     assert one_node.phase_table.shape == (per_node, 1)
     tau = engine.to_state(random_state(7, np.random.default_rng(69)).matrix)
-    _, got, _ = engine.step(tau, 0.4)
-    _, want, _ = one_node.step(tau, 0.4)
+    _, got, _ = step_once(engine, tau, 0.4)
+    _, want, _ = step_once(one_node, tau, 0.4)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -447,7 +455,7 @@ def test_carried_tau_is_the_oracle_partial_trace(case):
         assert engine.classes == 1
     tau, rho = engine.to_state(rho0.matrix), rho0.matrix
     for s in inputs:
-        tau, feats, _ = engine.step(tau, s)
+        tau, feats, _ = step_once(engine, tau, s)
         want, rho = oracle.run(real, [s], cfg, rho)
         assert np.max(np.abs(feats - want[0])) < ORACLE_ATOL
         assert np.max(np.abs(register_tau(engine, tau, cfg.input_qubit) - oracle_tau(rho, cfg.input_qubit))) < ORACLE_ATOL
@@ -459,6 +467,91 @@ def test_carried_tau_is_the_oracle_partial_trace(case):
         assert abs(r.sqnorm_diff - sq) <= DUAL_RTOL * big + 1e-14 * np.sqrt(big)
         assert abs(r.trace_distance - td) <= DUAL_RTOL
         assert abs(r.trace_distance_sys - td_sys) <= DUAL_RTOL
+
+
+def block_of(size):
+    """A stand-in for reservoir._block_inputs that gives blocks of ``size``."""
+    return lambda n_obs, entries: size
+
+
+@st.composite
+def block_cases(draw):
+    """An engine case read out in blocks of 2-4 inputs, with a trajectory
+    shorter than one block or not a multiple of the block."""
+    params, cfg, _, state_seed, batch_limit = draw(engine_cases())
+    block = draw(st.integers(2, 4))
+    length = draw(st.sampled_from([block - 1, block + 1, 2 * block + 1]))
+    inputs = draw(st.lists(st.floats(0.0, 1.0), min_size=length, max_size=length))
+    return params, cfg, inputs, state_seed, batch_limit, block
+
+
+def block_case(length, block, batch_limit):
+    params = ReservoirParams(n_sys=3, n_env=2, alpha=1.1, beta=0.9, h_sys=0.5, h_env=0.7, seed=77)
+    cfg = ReservoirConfig(tau=0.6, v=5, observables="z_and_zz", multiplex="sub_step")
+    return params, cfg, list(np.random.default_rng(79).uniform(0, 1, length)), 81, batch_limit, block
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(block_cases())
+@example(block_case(2, 3, rmod._BATCH_LIMIT))  # shorter than one block
+@example(block_case(7, 3, rmod._BATCH_LIMIT))  # not a multiple of the block
+@example(block_case(7, 3, 0))  # a phase table of one node, narrower than v
+def test_blocks_match_the_propagator_oracle(case):
+    # the features and the echo-state records of a pair, read out in blocks
+    params, cfg, inputs, state_seed, batch_limit, block = case
+    real = build_hamiltonian(params)
+    rng = np.random.default_rng(state_seed)
+    pair = (random_state(params.n_qubits, rng), random_state(params.n_qubits, rng))
+    with mock.patch.object(rmod, "_BATCH_LIMIT", batch_limit), \
+            mock.patch.object(rmod, "_block_inputs", block_of(block)):
+        assert_matches_oracle(real, inputs, cfg, pair[0])
+        got = dual_trajectory(real, inputs, cfg, initial_states=pair)
+    want = oracle_dual_records(real, inputs, cfg, pair[0].matrix, pair[1].matrix)
+    assert len(got) == len(want) == len(inputs) + 1
+    for r, (sq, td, td_sys) in zip(got, want):
+        big = max(r.sqnorm_diff, sq)
+        assert abs(r.sqnorm_diff - sq) <= DUAL_RTOL * big + 1e-14 * np.sqrt(big)
+        assert abs(r.trace_distance - td) <= DUAL_RTOL
+        assert abs(r.trace_distance_sys - td_sys) <= DUAL_RTOL
+
+
+@pytest.mark.parametrize("driver, what", [(run_trajectory, "trajectory"), (dual_trajectory, "trajectory pair")])
+def test_error_inside_a_block_names_its_step(driver, what, monkeypatch):
+    # blocks of 4 inputs; the carried state is corrupted before step 5, the
+    # second input of the second block, and the step's own check trips
+    real = build_hamiltonian(ReservoirParams(n_sys=2, n_env=1, alpha=1.0, beta=1.0,
+                                             h_sys=0.5, h_env=1.0, seed=83))
+    original = rmod._StepEngine.step
+    stepped = []
+
+    def corrupting(self, tau, s, *args):
+        if len(stepped) == 5:
+            tau = tau.copy()
+            tau[0, 0, 0] += 1e-3j
+        stepped.append(s)
+        return original(self, tau, s, *args)
+
+    monkeypatch.setattr(rmod, "_block_inputs", block_of(4))
+    monkeypatch.setattr(rmod._StepEngine, "step", corrupting)
+    with pytest.raises(NumericalError, match=f"^{what} failed at step 5: features may have an imaginary part"):
+        driver(real, np.linspace(0.1, 0.9, 10), ReservoirConfig(tau=0.5, v=3))
+    assert len(stepped) == 6
+
+
+def test_block_buffer_stays_within_its_budget():
+    # From the shapes alone, (n_obs, classes, k, m): the three benchmark
+    # workloads' engines, whose blocks hold several inputs, and one
+    # environment-parity class of a 12-qubit register (8+4, z_only), whose
+    # single node operand is already over the budget.
+    def entries(c, k, m):  # upper-triangle entries of the c x k sector blocks
+        return c * k * m * (m + 1) // 2
+
+    for n_obs, c, k, m in [(4, 2, 2, 32), (4, 1, 2, 32), (15, 1, 2, 16)]:
+        block = rmod._block_inputs(n_obs, entries(c, k, m))
+        assert block > 1
+        assert block * 2 * n_obs * entries(c, k, m) <= rmod._BLOCK_LIMIT
+    assert 2 * 8 * entries(1, 2, 1024) > rmod._BLOCK_LIMIT
+    assert rmod._block_inputs(8, entries(1, 2, 1024)) == 1
 
 
 class TestMetamorphic:
