@@ -13,7 +13,6 @@ turns any residual blow-up into a diagnosable error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,8 +88,9 @@ def narma_series(u, order: int) -> np.ndarray:
     """Order-n autoregressive series driven by u in [0, 0.5].
 
     The first ``order`` outputs are initialized to 0 (their recurrence would
-    reach before the start of the input). Raises DivergenceError as soon as
-    |y| exceeds NARMA_GUARD.
+    reach before the start of the input). If |y| exceeds NARMA_GUARD, or a
+    value is not finite, raises DivergenceError naming the first step past
+    the guard and its value.
     """
     u = np.asarray(u, dtype=float).ravel()
     n = int(order)
@@ -99,18 +99,27 @@ def narma_series(u, order: int) -> np.ndarray:
     if not np.all((u >= 0.0) & (u <= NARMA_INPUT_MAX)):
         raise ValueError(f"raw inputs must lie in [0, {NARMA_INPUT_MAX}]")
     a, b, c, d = NARMA_CONSTANTS
+    steps = max(u.size - n, 0)
+    # c u[k-n] u[k-1] for k = n .. len(u)-1, the same two products in the
+    # same order as the scalar recurrence would take them.
+    drives = (c * u[:steps] * u[n - 1:n - 1 + steps]).tolist()
     # The recurrence runs on Python floats: numpy scalars cost several times
     # more per operation, and the arithmetic is the same IEEE double either way.
-    u = u.tolist()
-    y = [0.0] * len(u)
+    # Past the guard the values are never returned, so the loop does not stop
+    # for them; the check after it finds the first.
+    y = [0.0] * min(n, u.size)
+    y_prev = 0.0
     history_sum = 0.0  # running sum of y[k-1] ... y[k-n]
-    for k in range(n, len(u)):
-        y_k = a * y[k - 1] + b * y[k - 1] * history_sum / n + c * u[k - n] * u[k - 1] + d
-        if not math.isfinite(y_k) or abs(y_k) > NARMA_GUARD:
-            raise DivergenceError(f"series diverged at step {k} (order {n}): y = {y_k!r}")
-        y[k] = y_k
-        history_sum += y[k] - y[k - n]
-    return np.array(y)
+    for k, drive in enumerate(drives, n):
+        y_prev = a * y_prev + b * y_prev * history_sum / n + drive + d
+        y.append(y_prev)
+        history_sum += y_prev - y[k - n]
+    series = np.array(y)
+    past = np.flatnonzero(~(np.abs(series) <= NARMA_GUARD))
+    if past.size:
+        k = int(past[0])
+        raise DivergenceError(f"series diverged at step {k} (order {n}): y = {y[k]!r}")
+    return series
 
 
 def scale_inputs(u) -> np.ndarray:

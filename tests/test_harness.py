@@ -26,6 +26,7 @@ from nmqrc.harness import (
     run_stm,
 )
 from nmqrc.hamiltonian import build_hamiltonian
+from nmqrc.linalg import DEFAULT_RCOND
 from nmqrc.readout import squared_correlation
 from nmqrc.reservoir import ReservoirConfig, run_trajectory
 from nmqrc.tasks import SplitSpec, narma_series
@@ -518,6 +519,54 @@ class TestJob:
         monkeypatch.setattr(harness, "run_trajectory", fail)
         with pytest.raises(NumericalError, match=r"stm run failed \(regime=markov, seed=0\): synthetic"):
             run_stm(tiny_stm_config())
+
+    def test_readout_failure_names_the_run(self, monkeypatch):
+        def fail(a):
+            raise NumericalError("SVD failed to converge: synthetic")
+        monkeypatch.setattr(harness, "pseudoinverse", fail)
+        with pytest.raises(NumericalError, match=r"stm readout failed \(regime=markov, seed=0\): SVD failed"):
+            run_stm(tiny_stm_config())
+
+    def test_score_does_not_depend_on_the_other_points(self):
+        # one QR serves every target, so a point's score may move only in its
+        # last bits when other points join the sweep
+        def order_two(orders):
+            results = run_narma(tiny_narma_config(orders=orders))
+            return [r.scores for r in results if r.axis == 2]
+        for both, alone in zip(order_two((1, 2)), order_two((2,)), strict=True):
+            assert np.max(np.abs(np.subtract(both, alone))) <= 1e-12
+
+
+class TestReadout:
+    """``harness._readout`` against numpy's pseudoinverse of the training
+    design, relative to the largest reference weight. Both solves are
+    backward stable, so they differ by about kappa * eps, with kappa the
+    condition number of the part of the design the cutoff keeps: the
+    tolerance is 1e-12 where that part is well conditioned (measured: up to
+    5e-15) and 10 * kappa * eps at kappa = 1e8 (measured: up to 0.82 * kappa
+    * eps over 200 designs)."""
+
+    @staticmethod
+    def check(x, y, tol):
+        want = np.linalg.pinv(x, rcond=DEFAULT_RCOND) @ y
+        assert np.max(np.abs(harness._readout(x, y) - want)) <= tol * np.max(np.abs(want))
+
+    def test_duplicated_feature_column(self):
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-1, 1, (60, 8))
+        self.check(np.hstack([x, x[:, :1]]), rng.standard_normal((60, 3)), 1e-12)
+
+    def test_fewer_training_rows_than_columns(self):
+        rng = np.random.default_rng(1)
+        self.check(rng.uniform(-1, 1, (12, 20)), rng.standard_normal((12, 3)), 1e-12)
+
+    def test_ill_conditioned_design(self):
+        rng = np.random.default_rng(2)
+        u, _ = np.linalg.qr(rng.standard_normal((80, 10)))
+        v, _ = np.linalg.qr(rng.standard_normal((10, 10)))
+        kappa = 1e8
+        x = u @ np.diag(np.logspace(0, -np.log10(kappa), 10)) @ v.T
+        self.check(x, rng.standard_normal((80, 3)), 10 * kappa * np.finfo(float).eps)
 
 
 class TestCli:

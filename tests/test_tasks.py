@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from nmqrc import tasks
 from nmqrc.errors import DivergenceError
 from nmqrc.tasks import (
     NARMA_CONSTANTS,
+    NARMA_GUARD,
     SplitSpec,
     gen_uniform_inputs,
     narma_series,
@@ -52,6 +55,23 @@ class TestStmTargets:
             stm_targets(np.ones(3), -1)
 
 
+def stepwise_narma(u, n):
+    """The recurrence one step at a time, with the guard checked at each
+    step. Returns (series, None), or (None, (step, value)) at the first step
+    past the guard."""
+    a, b, c, d = tasks.NARMA_CONSTANTS
+    u = [float(v) for v in u]
+    y = [0.0] * len(u)
+    history_sum = 0.0
+    for k in range(n, len(u)):
+        y_k = a * y[k - 1] + b * y[k - 1] * history_sum / n + c * u[k - n] * u[k - 1] + d
+        if not abs(y_k) <= NARMA_GUARD:
+            return None, (k, y_k)
+        y[k] = y_k
+        history_sum += y[k] - y[k - n]
+    return np.array(y), None
+
+
 class TestNarmaSeries:
     def test_zero_input_fixed_point(self):
         # y* solves y = a y + b y^2 + d -> 0.05 y^2 - 0.7 y + 0.1 = 0 (smaller root)
@@ -94,6 +114,36 @@ class TestNarmaSeries:
         u = np.full(100, 0.5)
         with pytest.raises(DivergenceError, match="diverged"):
             narma_series(u, 1)
+
+    def test_divergence_names_the_stepwise_step(self, monkeypatch):
+        monkeypatch.setattr(tasks, "NARMA_CONSTANTS", (1.1, 0.05, 1.5, 0.5))
+        for seed in range(3):
+            u = gen_uniform_inputs(300, 0.0, 0.5, seed=seed)
+            for order in (1, 2, 3, 7):
+                _, (k, y_k) = stepwise_narma(u, order)
+                message = f"series diverged at step {k} (order {order}): y = {y_k!r}"
+                with pytest.raises(DivergenceError, match=f"^{re.escape(message)}$"):
+                    narma_series(u, order)
+
+    def test_equals_the_stepwise_loop(self):
+        for seed in (0, 1, 2):
+            u = gen_uniform_inputs(1000, 0.0, 0.5, seed=seed)
+            for order in range(1, 61):
+                want, diverged = stepwise_narma(u, order)
+                assert diverged is None
+                assert np.array_equal(narma_series(u, order), want), (seed, order)
+
+    def test_order_at_least_the_length_is_all_zeros(self):
+        u = gen_uniform_inputs(6, 0.0, 0.5, seed=4)
+        for order in (6, 7, 40):
+            y = narma_series(u, order)
+            assert np.array_equal(y, np.zeros(6))
+            assert np.array_equal(y, stepwise_narma(u, order)[0])
+
+    def test_empty_input(self):
+        y = narma_series(np.array([]), 3)
+        assert y.shape == (0,)
+        assert np.array_equal(y, stepwise_narma([], 3)[0])
 
     def test_input_range_guard(self):
         with pytest.raises(ValueError, match="raw inputs"):
