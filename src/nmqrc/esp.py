@@ -16,16 +16,22 @@ and its features are the feature difference. The step engine carries
 Tr_q Delta between inputs. The injection tensors a pure input state onto
 it and the evolution is unitary, so the full-register trace distance after
 input k is Tr|Tr_q Delta_{k-1}|, the trace norm of the carried state before
-the step, on half the register. The default pair occupies both
-environment-parity classes with no coherence between them, so it is a
-stack of two class blocks and that trace norm is one ``trace_norm`` call on
-the stack (the trace norm of the block-diagonal matrix it forms). The step
-returns Delta_k in factored form, Y A^dag over one row per class basis
-state, and the system marginal is the sum over environment configurations e
-of Y_e A_e^dag, with the rows grouped by their environment bits: no
-register-size Delta is formed. The stepped Delta stays Hermitian to
-rounding, and ``trace_norm`` checks that on the blocks as they are, so two
-calls per input make the whole record.
+the step, on half the register. That state is a stack of class blocks with
+no coherence between them, so its trace norm is the sum of theirs.
+Injection and evolution are block diagonal over classes, so each class
+block evolves under its own completely positive map: a class that only one
+state occupies holds a semidefinite block of Delta (rho1's, or minus
+rho2's) at every step, and its trace norm is |Tr|. Only the classes both
+states occupy are eigensolved, by one ``trace_norm`` call on their stack.
+The default pair (I/d and |0><0|) occupies both environment-parity classes
+and shares one, the ground state's. The step returns Delta_k in factored
+form, Y A^dag over one row per class basis state, and the system marginal
+is the sum over environment configurations e of Y_e A_e^dag, with the rows
+grouped by their environment bits: no register-size Delta is formed. The
+stepped Delta stays Hermitian to rounding. Every class block is checked
+for that, and for finite entries, as it is, the shared ones by
+``trace_norm``, so two ``trace_norm`` calls per input, the shared classes
+and the system marginal, make the whole record.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .hamiltonian import HamiltonianRealization
-from .linalg import DensityMatrix, _ground_matrix, _mixed_matrix, partial_trace, trace_norm
+from .linalg import DensityMatrix, _ground_matrix, _hermitian_skew, _mixed_matrix, partial_trace, trace_norm
 from .reservoir import ReservoirConfig, _check_inputs, _step_inputs, _StepEngine
 
 BACKFLOW_TOL = 1e-6
@@ -77,8 +83,15 @@ def dual_trajectory(
     injection tensors a pure input state onto Tr_q Delta and the evolution is
     unitary, the full-register trace distance after input k is
     Tr|Tr_q Delta_{k-1}|, the trace norm of the state the step engine
-    carries, taken before the step over its stack of class blocks. Feature
-    distances always use the single-site Z observables regardless of
+    carries, taken before the step over its stack of class blocks. The
+    classes both states occupy are eigensolved; every other class block
+    belongs to one state alone and counts |Tr|. At step 0 the same is done
+    on the class blocks of Delta_0, read through the engine's rows. A
+    validated state may have eigenvalues down to -EIGENVALUE_ATOL, so a
+    block one state holds alone is semidefinite only to that tolerance, and
+    there |Tr| may fall short of the trace norm by up to
+    2 d_c EIGENVALUE_ATOL for a class of d_c states. Feature distances
+    always use the single-site Z observables regardless of
     ``cfg.observables``. Returns len(inputs) + 1 records, the first being
     the step-0 snapshot of the initial states.
     """
@@ -96,21 +109,33 @@ def dual_trajectory(
     engine = _StepEngine(real, replace(cfg, observables="z_only"), (rho1 != 0) | (rho2 != 0))
     env = range(p.n_sys, p.n_qubits)
 
+    # The classes both states occupy, whose blocks of Delta are eigensolved;
+    # every other kept class holds a semidefinite block of one state, whose
+    # trace norm is |Tr|. Every block is gated as trace_norm gates its input.
+    block = (engine.rows[:, :, None], engine.rows[:, None, :])
+    both = np.all([np.any(rho[block] != 0, axis=(1, 2)) for rho in (rho1, rho2)], axis=0)
+    shared, alone = np.flatnonzero(both), np.flatnonzero(~both)
+
+    def full_distance(blocks):
+        single = blocks[alone]
+        _hermitian_skew(single, "trace norm input")
+        td = float(np.abs(single.trace(axis1=1, axis2=2).real).sum())
+        return td + trace_norm(blocks[shared]) if shared.size else td
+
     # Each state is Hermitian only to the DensityMatrix tolerance, so their
     # difference may miss trace_norm's gate by up to twice that, and the
     # engine's bound on the imaginary part of the features. Its Hermitian part
     # is recorded and stepped.
     diff = rho1 - rho2
     diff = (diff + diff.conj().T) / 2
-    td_full = td_sys = trace_norm(diff)
+    td_full = td_sys = full_distance(diff[block])
     if env:
         td_sys = trace_norm(partial_trace(diff, env, p.n_qubits))
         env_index = engine.trace_index(env)
-    records = [EspRecord(step=0, sqnorm_diff=0.0, trace_distance=td_full, trace_distance_sys=td_sys)]
-    distances = []
+    distances = [(td_full, td_sys)]
 
     def record(tau, stepped):
-        td_full = trace_norm(tau)  # Tr_q Delta before the step, one block per class
+        td_full = full_distance(tau)  # Tr_q Delta before the step, one block per class
         td_sys = trace_norm(engine.trace_out(stepped, env_index)) if env else td_full
         distances.append((td_full, td_sys))
 
@@ -119,10 +144,9 @@ def dual_trajectory(
     feats = np.empty((inputs.size, cfg.v * engine.n_obs))
     _step_inputs(engine, engine.to_state(diff), inputs, feats, trace=float(diff.trace().real),
                  what="trajectory pair", visit=record)
-    for k, (f, (td_full, td_sys)) in enumerate(zip(feats, distances)):
-        records.append(EspRecord(step=k + 1, sqnorm_diff=float(np.sum(f ** 2)),
-                                 trace_distance=td_full, trace_distance_sys=td_sys))
-    return records
+    sqnorm = [0.0, *(feats ** 2).sum(axis=1).tolist()]
+    return [EspRecord(step=k, sqnorm_diff=sq, trace_distance=td_full, trace_distance_sys=td_sys)
+            for k, (sq, (td_full, td_sys)) in enumerate(zip(sqnorm, distances))]
 
 
 def window_stats(records: Sequence[EspRecord], start: int, stop: int) -> WindowStats:

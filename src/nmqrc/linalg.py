@@ -11,6 +11,7 @@ Conventions shared by the whole package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -45,12 +46,24 @@ def qubit_count(dim: int) -> int:
     return n
 
 
-def assert_hermitian(a: np.ndarray, what: str = "matrix") -> None:
-    """Raise unless max entrywise |A - A^dag| <= HERMITICITY_ATOL, over one
-    matrix or every matrix of a stack (..., n, n)."""
-    err = float(np.max(np.abs(a - a.conj().swapaxes(-1, -2)))) if a.size else 0.0
-    if err > HERMITICITY_ATOL:
+def _hermitian_skew(a: np.ndarray, what: str) -> np.ndarray:
+    """A - A^dag of one matrix or a stack (..., n, n), after checking that
+    every entry is finite and max |A - A^dag| <= HERMITICITY_ATOL. One pass
+    serves both: an entry of A that is not finite leaves one of A - A^dag
+    that is not, at the entry or its transpose."""
+    skew = a - a.conj().swapaxes(-1, -2)
+    err = float(np.abs(skew).max()) if a.size else 0.0
+    if not math.isfinite(err):
+        raise ValueError(f"{what} contains non-finite entries")
+    if not err <= HERMITICITY_ATOL:
         raise ValueError(f"{what} is not Hermitian: max |A - A^dag| = {err:.3e} > {HERMITICITY_ATOL:.1e}")
+    return skew
+
+
+def assert_hermitian(a: np.ndarray, what: str = "matrix") -> None:
+    """Raise unless every entry is finite and max entrywise |A - A^dag| <=
+    HERMITICITY_ATOL, over one matrix or every matrix of a stack (..., n, n)."""
+    _hermitian_skew(a, what)
 
 
 @dataclass(frozen=True)
@@ -108,26 +121,17 @@ def trace_norm(a) -> float:
     ``a`` is one matrix or a stack (..., n, n) of them; a stack gives the
     trace norm of the block-diagonal matrix its blocks form. Finiteness and
     Hermiticity are checked on ``a`` as given; the Hermitian part is then
-    taken, which only removes rounding, for one batched ``eigvalsh``. One
-    pass of A - A^dag serves all three: an entry of A that is not finite
-    leaves one of A - A^dag that is not, at the entry or its transpose.
+    taken, which only removes rounding, for one batched ``eigvalsh``.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"trace norm input must be a square matrix or a stack of them, got shape {a.shape}")
-    skew = a - a.conj().swapaxes(-1, -2)
-    err = float(np.max(np.abs(skew))) if a.size else 0.0
-    if not np.isfinite(err):
-        raise ValueError("trace norm input contains non-finite entries")
-    if err > HERMITICITY_ATOL:
-        raise ValueError(
-            f"trace norm input is not Hermitian: max |A - A^dag| = {err:.3e} > {HERMITICITY_ATOL:.1e}"
-        )
+    skew = _hermitian_skew(a, "trace norm input")
     try:
         w = np.linalg.eigvalsh(a - 0.5 * skew)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
-    return float(np.sum(np.abs(w)))
+    return float(np.abs(w).sum())
 
 
 def pseudoinverse(a) -> np.ndarray:

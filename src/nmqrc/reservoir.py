@@ -404,7 +404,7 @@ class _StepEngine:
         upper, lower = sigma.take(self.upper), sigma.take(self.lower).conj()
         skew = upper - lower  # sigma - sigma^dag on the upper triangles
         imag_bound = 0.5 * math.sqrt(self.tri_weight @ (skew.real ** 2 + skew.imag ** 2)) * self.row_norm
-        if imag_bound > FEATURE_IMAG_ATOL:
+        if not imag_bound <= FEATURE_IMAG_ATOL:  # NaN included
             raise NumericalError(
                 f"features may have an imaginary part up to {imag_bound:.3e} > {FEATURE_IMAG_ATOL:.1e}; "
                 "state is corrupted"
@@ -418,7 +418,7 @@ class _StepEngine:
         # Tr (Y A^dag), the inner product of A and Y.
         y_ev, f_ev = y[1], f[1]
         trace_err = abs(np.vdot(f_ev, y_ev).real - trace)
-        if trace_err > STEP_TRACE_ATOL:
+        if not trace_err <= STEP_TRACE_ATOL:
             raise NumericalError(f"state trace drifted by {trace_err:.3e} > {STEP_TRACE_ATOL:.1e}")
         tau = y_ev.reshape(c, r, 2 * r) @ f_conj[1].reshape(c, r, 2 * r).swapaxes(-1, -2)
         return tau, (y_ev, f_ev)

@@ -1,9 +1,10 @@
 import csv
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from nmqrc import linalg
+from nmqrc import esp, linalg
 from nmqrc.errors import NumericalError
 from nmqrc.esp import EspRecord, backflow_count, dual_trajectory, records_to_csv, window_stats
 from nmqrc.hamiltonian import ReservoirParams, build_hamiltonian
@@ -121,6 +122,105 @@ class TestDualTrajectory:
         for real, cfg, steps in cases:
             records = dual_trajectory(real, rng.uniform(0, 1, steps), cfg)
             assert np.max(np.diff([r.trace_distance for r in records])) <= 1e-12
+
+
+def record_carried(monkeypatch):
+    """Patch the step engine to keep a copy of every carried stack it steps;
+    the record after input k is taken on the k-th."""
+    seen = []
+    original = _StepEngine.step
+
+    def recording(self, tau, *args):
+        seen.append(tau.copy())
+        return original(self, tau, *args)
+
+    monkeypatch.setattr(_StepEngine, "step", recording)
+    return seen
+
+
+def hermitian_difference(pair):
+    diff = pair[0].matrix - pair[1].matrix
+    return (diff + diff.conj().T) / 2
+
+
+class TestClassSplit:
+    """The full-register distance eigensolves only the classes both states
+    occupy and takes |Tr| of the others; it must equal the trace norm of the
+    whole carried stack (at step 0, of the whole register's Delta)."""
+
+    STATES = {
+        "mixed": DensityMatrix.maximally_mixed(4),
+        "ground": DensityMatrix.ground(4),
+        "flipped": DensityMatrix(np.diag(np.eye(16)[1]).astype(complex)),  # last environment qubit set
+    }
+
+    @pytest.mark.parametrize("alpha, names, classes, shared", [
+        (1.0, ("mixed", "ground"), 2, 1),
+        (0.0, ("mixed", "ground"), 4, 1),  # every environment Z conserved
+        (1.0, ("ground", "mixed"), 2, 1),  # the block held by rho2 alone is negative
+        (1.0, ("ground", "flipped"), 2, 0),  # opposite environment parities
+    ], ids=["default-pair", "default-pair-alpha-0", "reversed-pair", "disjoint-supports"])
+    def test_full_distance_is_the_trace_norm_of_the_stack(self, alpha, names, classes, shared, monkeypatch):
+        real = make_real(n_sys=2, n_env=2, alpha=alpha, seed=11)
+        cfg = ReservoirConfig(tau=0.5, v=3)
+        pair = tuple(self.STATES[name] for name in names)
+        support = (pair[0].matrix != 0) | (pair[1].matrix != 0)
+        assert _StepEngine(real, cfg, support).classes == classes
+        norms = mock.Mock(wraps=linalg.trace_norm)
+        monkeypatch.setattr(esp, "trace_norm", norms)
+        seen = record_carried(monkeypatch)
+        records = dual_trajectory(real, np.random.default_rng(12).uniform(0, 1, 25), cfg, initial_states=pair)
+        assert len(seen) == 25
+        want = [linalg.trace_norm(hermitian_difference(pair))] + [linalg.trace_norm(tau) for tau in seen]
+        for r, w in zip(records, want):
+            assert abs(r.trace_distance - w) <= 1e-12
+        # one system-marginal call per record, and one eigensolve of the
+        # shared classes where there are any
+        full_calls = [c.args[0] for c in norms.call_args_list if c.args[0].ndim == 3]
+        assert [a.shape[0] for a in full_calls] == [1] * (26 if shared else 0)
+
+    @pytest.mark.parametrize("cls", [0, 1], ids=["shared-class", "mixed-state-class"])
+    @pytest.mark.parametrize("entry, match", [(np.nan, "non-finite"), (1e-8, "not Hermitian")])
+    def test_corrupt_block_is_caught(self, cls, entry, match, monkeypatch):
+        # the ground state's class (0) is eigensolved; the other holds I/d's
+        # block alone. An entry corrupted after the step has checked the
+        # carried stack reaches only the record, which must still catch it.
+        real = make_real()
+        original = _StepEngine.step
+        steps = []
+
+        def corrupting(self, tau, *args):
+            out = original(self, tau, *args)
+            steps.append(tau)
+            if len(steps) == 3:
+                tau[cls, 0, 1] += entry
+            return out
+
+        monkeypatch.setattr(_StepEngine, "step", corrupting)
+        with pytest.raises(ValueError, match=f"^trace norm input (contains|is) {match}"):
+            dual_trajectory(real, [0.2, 0.5, 0.7, 0.1], ReservoirConfig(tau=0.5, v=2))
+        assert len(steps) == 3
+
+    def test_block_at_the_eigenvalue_tolerance(self, monkeypatch):
+        # rho2 puts 1/2 on |000>, in the class rho1 = |000><000| occupies, and
+        # 1/2 on the other class, with three eigenvalues just inside
+        # -EIGENVALUE_ATOL. There |Tr| misses the trace norm by up to
+        # 2 d_c EIGENVALUE_ATOL, d_c = 4 states per class.
+        real = make_real()
+        neg = -0.99 * linalg.EIGENVALUE_ATOL
+        diag = np.zeros(8)
+        diag[0] = 0.5
+        diag[[1, 3, 5]] = neg  # the class of |001>: register indices 1, 3, 5 and 7
+        diag[7] = 0.5 - 3 * neg
+        pair = (DensityMatrix.ground(3), DensityMatrix(np.diag(diag).astype(complex)))
+        seen = record_carried(monkeypatch)
+        records = dual_trajectory(real, np.random.default_rng(13).uniform(0, 1, 20),
+                                  ReservoirConfig(tau=0.5, v=2), initial_states=pair)
+        exact = [linalg.trace_norm(hermitian_difference(pair))] + [linalg.trace_norm(tau) for tau in seen]
+        gap = np.array(exact) - [r.trace_distance for r in records]
+        assert gap[0] == pytest.approx(2 * 3 * 0.99 * linalg.EIGENVALUE_ATOL, rel=1e-3)
+        assert np.all(gap >= -1e-12)
+        assert np.all(gap <= 2 * 4 * linalg.EIGENVALUE_ATOL)
 
 
 def test_step_checks_the_trace_it_is_given():

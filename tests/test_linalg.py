@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from nmqrc.errors import ConfigError
-from nmqrc.linalg import DensityMatrix, hermitian_eig, partial_trace, pseudoinverse, qubit_count, trace_norm
+from nmqrc.linalg import (
+    DensityMatrix,
+    assert_hermitian,
+    hermitian_eig,
+    partial_trace,
+    pseudoinverse,
+    qubit_count,
+    trace_norm,
+)
 from nmqrc.reservoir import ReservoirConfig
 
 import oracle
@@ -106,6 +114,17 @@ class TestKron:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
             DensityMatrix(np.array([[np.nan, 0], [0, 1]]))
+
+
+class TestAssertHermitian:
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    @pytest.mark.parametrize("at", [(1, 2), (1, 1)])
+    def test_rejects_a_non_finite_entry(self, bad, at):
+        m = np.eye(3, dtype=complex)
+        m[at] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            assert_hermitian(m)
 
 
 class TestHermitianEig:

@@ -196,6 +196,22 @@ def test_non_hermitian_state_trips_the_imaginary_part_guard():
         step_once(engine, tau, 0.6)
 
 
+@pytest.mark.parametrize("corrupt, trace, match", [(True, 1.0, "imaginary"), (False, np.nan, "trace")])
+def test_nan_trips_the_step_checks(corrupt, trace, match):
+    # a comparison with NaN is False, so each check must fail on NaN rather
+    # than pass: a NaN entry of the carried tau reaches the imaginary-part
+    # bound, and a NaN trace the trace check
+    real = build_hamiltonian(ReservoirParams(n_sys=2, n_env=1, alpha=1.0, beta=1.0,
+                                             h_sys=0.5, h_env=1.0, seed=61))
+    rho0 = DensityMatrix.ground(3)
+    engine = rmod._StepEngine(real, ReservoirConfig(tau=0.5, v=2), rho0.matrix != 0)
+    tau = engine.to_state(rho0.matrix)
+    if corrupt:
+        tau[0, 1, 0] = np.nan
+    with pytest.raises(NumericalError, match=match):
+        step_once(engine, tau, 0.4, trace)
+
+
 def test_state_hermitian_to_the_density_matrix_tolerance_is_stepped():
     # an anti-Hermitian part just inside the DensityMatrix gate changes no
     # feature, so it must not trip the imaginary-part guard

@@ -58,6 +58,21 @@ def test_workload_engine_shape(name):
     assert [(e.classes, e.shape) for e in built] == [EXPECTED[name]] * len(cfg.regimes)
 
 
+def test_esp_workload_eigensolves_only_the_shared_class():
+    # The default pair (I/d, |0><0|) shares only the ground state's class, so
+    # the full-register distance eigensolves that 64-state block at step 0
+    # and its 32 x 32 carried block per input; the other goes by |Tr|. The
+    # (16, 16) calls are the system marginal. A whole-stack fall-back would
+    # give the same distances, slower.
+    cfg = load_config(WORKLOADS / "esp-divergence.json")
+    with mock.patch.object(esp, "trace_norm", wraps=esp.trace_norm) as traced:
+        for regime in cfg.regimes:
+            dual_trajectory(build_hamiltonian(make_params(cfg, regime, cfg.seeds[0])), [0.5, 0.5],
+                            reservoir_config(cfg))
+    step0, per_input = [(1, 64, 64), (16, 16)], [(1, 32, 32), (16, 16)]
+    assert [c.args[0].shape for c in traced.call_args_list] == (step0 + per_input * 2) * len(cfg.regimes)
+
+
 def test_every_traced_boundary_resolves():
     # bench/run.py --trace 1 wraps each (module, attribute); a name dropped
     # by a refactor would break the traced run, not the package's tests
