@@ -133,8 +133,12 @@ def _sector_eig(h: np.ndarray, pattern: np.ndarray, members: np.ndarray) -> tupl
     the components are parity sectors (more of them when alpha = 0 or
     n_env <= 1). Components of unequal size are treated as one sector, so a
     term that breaks the symmetry gets the plain eigendecomposition of all
-    the members.
+    the members. A Hamiltonian with no imaginary part, as every one this
+    module builds, is eigendecomposed as a real matrix, so its eigenvectors
+    are real.
     """
+    if not h.imag.any():
+        h = h.real
     label = _components(pattern[np.ix_(members, members)])
     sizes = np.unique(label, return_counts=True)[1]
     if sizes.min() == sizes.max():

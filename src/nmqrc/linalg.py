@@ -27,8 +27,8 @@ EIGENVALUE_ATOL = 1e-9
 DEFAULT_RCOND = 1e-12
 
 
-def _as_complex_matrix(a, what: str = "matrix") -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
+def _as_matrix(a, what: str = "matrix", dtype=complex) -> np.ndarray:
+    a = np.asarray(a, dtype=dtype)
     if a.ndim != 2:
         raise ValueError(f"{what} must be 2-dimensional, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -50,8 +50,10 @@ def _hermitian_skew(a: np.ndarray, what: str) -> np.ndarray:
     """A - A^dag of one matrix or a stack (..., n, n), after checking that
     every entry is finite and max |A - A^dag| <= HERMITICITY_ATOL. One pass
     serves both: an entry of A that is not finite leaves one of A - A^dag
-    that is not, at the entry or its transpose."""
-    skew = a - a.conj().swapaxes(-1, -2)
+    that is not, at the entry or its transpose. An inf facing an inf of the
+    same sign gives NaN there, without numpy's warning."""
+    with np.errstate(invalid="ignore"):
+        skew = a - a.conj().swapaxes(-1, -2)
     err = float(np.abs(skew).max()) if a.size else 0.0
     if not math.isfinite(err):
         raise ValueError(f"{what} contains non-finite entries")
@@ -75,8 +77,10 @@ class HermitianEigen:
 
 
 def hermitian_eig(h) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    h = _as_complex_matrix(h, "eigendecomposition input")
+    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending. A
+    real (symmetric) ``h`` gets real eigenvectors, a complex one complex
+    eigenvectors."""
+    h = _as_matrix(h, "eigendecomposition input", complex if np.iscomplexobj(h) else float)
     if h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     assert_hermitian(h, "eigendecomposition input")
@@ -89,7 +93,7 @@ def hermitian_eig(h) -> HermitianEigen:
 
 def partial_trace(rho, traced: Iterable[int], n_qubits: int | None = None) -> np.ndarray:
     """Trace out ``traced`` qubits, preserving the register order of the rest."""
-    rho = _as_complex_matrix(rho, "partial trace input")
+    rho = _as_matrix(rho, "partial trace input")
     if rho.shape[0] != rho.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
     n = qubit_count(rho.shape[0]) if n_qubits is None else int(n_qubits)
@@ -158,7 +162,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _as_complex_matrix(self.matrix, "density matrix")
+        m = _as_matrix(self.matrix, "density matrix")
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
         qubit_count(m.shape[0])

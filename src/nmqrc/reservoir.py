@@ -32,27 +32,37 @@ Before every input the input qubit is re-prepared in the pure state
 psi_s = (sqrt(1-s), sqrt(s)), so the injected class block is P_s tau P_s^dag
 with tau = Tr_q rho, a quarter of the block, and P_s = sqrt(1-s) P_0 +
 sqrt(s) P_1 the d x r isometry (r = d/2) that puts psi_s on the input
-qubit. tau is the state carried from one input to the next. At build time
-the engine stacks, for each input bit b, the factor rows W^dag P_b (split
-by sector, for the readout) and U P_b (for the evolution by
-U = exp(-i H v dt)), both cut from the block arrays. A step
+qubit. tau is the state carried from one input to the next. Every
+Hamiltonian ``build_hamiltonian`` makes is real (XX, Z and ZZ terms), so its
+sector eigenvectors W are real, and so are the readout factors
+G_b = W^dag P_b. At build time the engine stacks, for each input bit b,
+G_b (split by sector) and the conjugate of A_b = U P_b, the evolution by
+U = W E W^dag, E = exp(-i Lambda v dt), as evolution rows. A step mixes
+each pair by the input's amplitudes into G_s and conj(A_s), then
 
-* combines them into F_s and takes Y = F_s tau, one stacked product;
-* forms the readout of all v nodes from the diagonal sector blocks of
-  sigma = W^dag rho W, Y_kappa G_kappa^dag for sector kappa, with Y_kappa
-  and G_kappa the readout rows of Y and F_s in that sector: a sub-step of
-  length dt multiplies sigma elementwise by the phases
-  exp(-i (lam_p - lam_q) dt). sigma and each observable's blocks are
-  Hermitian, so entry (q, p) of a block is the conjugate of entry (p, q)
-  and the readouts reduce to a real product of the node operand z, the
-  observables times the upper triangles of the blocks, with a precomputed
-  table of cosines and sines, one pair per upper-triangle entry and node;
-* carries tau' = Tr_q (U rho U^dag) = sum_b Y_b A_b^dag, with Y_b and A_b
-  the evolution rows of Y and F_s whose input bit is b.
+* takes the readout rows Y = G_s tau;
+* forms the diagonal sector blocks of sigma = W^dag rho W, as
+  sigma^dag = G_s Y^dag sector by sector: a sub-step of length dt
+  multiplies sigma elementwise by the phases exp(-i (lam_p - lam_q) dt).
+  sigma and each observable's blocks are Hermitian, so entry (q, p) of a
+  block is the conjugate of entry (p, q), and every node's readout is a
+  real product of the node operand z, sigma + sigma^dag on the upper
+  triangles of the blocks, with a precomputed table that folds in the
+  observables and the phases of each node;
+* takes the evolution rows U P_s tau = W (E o Y), gathered into evolution
+  order, and carries tau' = Tr_q (U rho U^dag) = sum_b Y_b A_b^dag, with
+  Y_b and A_b the evolution rows whose input bit is b.
+
+The first three products are real times complex: the real factor multiplies
+the complex operand read as interleaved reals, half the work of a complex
+product, and only Y^dag is copied (to be contiguous). Only tau' takes a
+complex product. A
+complex H (a test's dense or Y-field Hamiltonian) has complex W and G_b, and
+those three products stay complex.
 
 Each step checks the Hermiticity the readout relies on and the trace of the
 stepped state, and writes its node operand into a block buffer; the product
-with the phase table then runs once for the whole block of inputs, so the
+with the folded table then runs once for the whole block of inputs, so the
 table is read once per block. No d x d class block is formed on the way.
 The stepped state is Y A^dag over the evolution rows; ``run_trajectory``
 builds the final register-order state from it once, and ``dual_trajectory``
@@ -85,16 +95,19 @@ MULTIPLEX_MODES = ("per_node", "sub_step")
 FEATURE_IMAG_ATOL = 1e-9
 STEP_TRACE_ATOL = 1e-9
 
-# The phase table holds as many nodes as fit in this many reals (two per
-# upper-triangle entry of the k diagonal blocks, d(m+1) per class and node),
-# and at least one node; further nodes reuse it after a phase shift.
-_BATCH_LIMIT = 4_000_000
+# The folded phase table holds as many nodes as fit in this many reals (two
+# per upper-triangle entry of the k diagonal blocks and observable:
+# n_obs d(m+1) per class and node), and at least one node; further nodes
+# reuse it after a phase shift. About 2 MB: a 4+3 register at z_only takes
+# 8,448 reals per node and class, so one class reads v = 10 nodes in one span
+# (0.68 MB) and the two classes of the echo-state pair read v = 50 in 4 spans
+# of 14 nodes (1.9 MB).
+_BATCH_LIMIT = 250_000
 # The node operands of a block of inputs, read out by one product with the
-# phase table, take at most this many reals (2 n_obs per upper-triangle
-# entry and input), and a block holds at least one input. About 1 MB: on a
-# 2-core x86 machine with OpenBLAS, blocks of 8-16 inputs read the 1.7 MB
-# table of a 4+3 register at v = 50 fastest, and tables that fit in cache
-# read as fast in blocks of 2-32.
+# phase table, take at most this many reals (2 per upper-triangle entry and
+# input, a block buffer of inputs x entries complex), and a block holds at
+# least one input. About 1 MB: 66 inputs of one 4+3 class (1,056 entries),
+# 33 of the echo-state pair's two.
 _BLOCK_LIMIT = 140_000
 
 
@@ -220,13 +233,19 @@ class _StepEngine:
     re-prepared in a pure state first. Each class basis state is one
     evolution row: row 2a + b holds the state with rest a and input bit b
     (``rows`` gives its register index). ``to_state`` gathers tau from a
-    register-order matrix. ``step`` writes the input's node operand, of
-    shape (n_obs, entries) over the upper-triangle entries of the sector
-    blocks, and ``features`` reads the v nodes of a whole block of those
-    operands with one product per span of the phase table. ``step`` also
-    returns the stepped class blocks in factored form (Y, A), rho = Y A^dag
+    register-order matrix. ``step`` writes the input's node operand,
+    sigma + sigma^dag on the ``entries`` upper-triangle entries of the
+    sector blocks, and ``features`` reads the v nodes of a whole block of
+    those operands with one product per span of the folded phase table,
+    whose columns hold the observables of each node. ``step`` also returns
+    the stepped class blocks in factored form (Y, conj(A)), rho = Y A^dag
     with one evolution row each, and ``trace_out`` takes partial traces of
     that, the register-order state included.
+
+    A real H gives real eigenvectors ``w`` and real readout factors, and
+    three of the step's four products then take a real factor times the
+    float view of a complex operand; a complex H keeps complex products.
+    ``_product`` is the one place that tells the two apart.
     """
 
     def __init__(self, real: HamiltonianRealization, cfg: ReservoirConfig, support: np.ndarray):
@@ -266,54 +285,60 @@ class _StepEngine:
         self.shape = (k, m, d)
         self.classes = c
 
-        # Eigenvectors W and the step propagator U = exp(-i H v dt), as stacks
-        # of c x k blocks.
+        # Eigenvectors W (real for a real H) and the step propagator
+        # U = W E W^dag, E = exp(-i Lambda v dt), as stacks of c x k blocks.
         lam = eig.eigenvalues
-        w = eig.eigenvectors.reshape(c, k, m, m)
+        self.w = w = eig.eigenvectors.reshape(c, k, m, m)
         w_h = w.conj().swapaxes(-1, -2)
-        self.u = (w * np.exp(-1j * self.v * self.dt * lam).reshape(c, k, 1, m)) @ w_h
+        self.evolve_phase = np.exp(-1j * self.v * self.dt * lam).reshape(c, k, m, 1)
+        self.u = (w * self.evolve_phase.swapaxes(-1, -2)) @ w_h
 
         # Readout from the diagonal blocks of sigma = W^dag rho W. Each O_i is a
         # Z string, diagonal with signs s_i, so W^dag O_i is W^dag with its
         # columns scaled by s_i. With R_i the blocks of (W^dag O_i W)^T, the
         # feature at node j is the sum over all block entries of
-        # R_i sigma exp(-i (lam_p - lam_q) j dt). R_i and sigma
-        # are Hermitian, so that is the sum over the upper triangles p <= q of
-        # w Re(z exp(-i (lam_p - lam_q) j dt)), z = R_i (sigma + sigma^dag)/2,
-        # w = 1 on the diagonal and 2 off it: z viewed as interleaved reals
-        # (Re, Im) times a table of interleaved rows (w cos, w sin). The table
-        # holds as many nodes as fit under _BATCH_LIMIT reals; later nodes
-        # reuse it after a phase shift of z by its whole span. It is built in
-        # Fortran order, each node's column contiguous, which the product with
-        # a block of operands reads fastest.
+        # R_i sigma exp(-i (lam_p - lam_q) j dt). R_i and sigma are Hermitian,
+        # so that is the sum over the upper triangles p <= q of Re(z c_ij),
+        # z = sigma + sigma^dag and c_ij = w R_i exp(-i (lam_p - lam_q) j dt),
+        # w = 1/2 on the diagonal and 1 off it: z viewed as interleaved reals
+        # (Re, Im) times the folded table of interleaved rows (Re c, -Im c),
+        # one column per (node, observable). The table holds as many nodes as
+        # fit under _BATCH_LIMIT reals; later nodes reuse it after a phase
+        # shift of z by its whole span. It is built in Fortran order, each
+        # column contiguous, which the product with a block of operands reads
+        # fastest.
         p_idx, q_idx = np.triu_indices(m)
         base = np.arange(c * k)[:, None] * (m * m)  # offset of each block in sigma
-        self.upper = (base + p_idx * m + q_idx).ravel()
-        self.lower = (base + q_idx * m + p_idx).ravel()
-        self.tri_weight = np.tile(np.where(p_idx == q_idx, 1.0, 2.0), c * k)
+        upper = (base + p_idx * m + q_idx).ravel()
+        self.triangles = np.stack([upper, (base + q_idx * m + p_idx).ravel()])
+        self.entries = upper.size
+        diagonal = np.tile(p_idx == q_idx, c * k)
+        # |Im feature| <= ||sigma - sigma^dag||_F / 2 * max_i ||R_i||_F: an
+        # upper entry off the diagonal stands for two entries of
+        # sigma - sigma^dag, and each weight is repeated for its two reals
+        self.skew_weight = np.repeat(np.where(diagonal, 1.0, 2.0), 2)
         delta = (lam[:, p_idx] - lam[:, q_idx]).ravel()
-        nodes = max(1, min(self.v, _BATCH_LIMIT // (2 * delta.size)))
-        angle = np.outer(np.arange(1, nodes + 1), self.dt * delta)
-        table = np.empty((nodes, delta.size, 2))
-        np.cos(angle, out=table[..., 0])
-        np.sin(angle, out=table[..., 1])
-        table *= self.tri_weight[:, None]
-        self.phase_table = table.reshape(nodes, 2 * delta.size).T
-        self.phase_shift = np.exp(-1j * nodes * self.dt * delta)
         sign = signs[:, order >> p.n_env].reshape(self.n_obs, c, k, 1, m)
         rows = ((w_h * sign) @ w).swapaxes(-1, -2).reshape(self.n_obs, -1)
-        self.obs_rows = np.ascontiguousarray(rows[:, self.upper])
-        # |Im feature| <= ||sigma - sigma^dag||_F / 2 * max_i ||R_i||_F
         self.row_norm = float(np.max(np.linalg.norm(rows, axis=1), initial=0.0))
+        nodes = max(1, min(self.v, _BATCH_LIMIT // (2 * self.entries * self.n_obs)))
+        # conj(c_ij), (node, obs, entry), read as reals is (Re c, -Im c)
+        phases = np.exp(1j * self.dt * np.outer(np.arange(1, nodes + 1), delta))
+        weighted = (rows[:, upper] * np.where(diagonal, 0.5, 1.0)).conj()
+        table = np.multiply(phases[:, None, :], weighted, order="C")
+        self.phase_table = table.reshape(nodes * self.n_obs, -1).view(float).T
+        self.phase_shift = np.exp(-1j * nodes * self.dt * delta)
 
         # The injected class block is P_s tau P_s^dag, where P_s, d x r, puts
         # the input state on the input qubit: P_s = sqrt(1-s) P_0 + sqrt(s) P_1
         # and P_b maps rest a to the class basis state with rest a and input
-        # bit b. Factor rows per input bit b, shape (2, 2, c, d, r): first the
-        # sector blocks of W^dag P_b (sigma's readout), then U P_b as
-        # evolution rows. Column a of W^dag P_b is the column of W^dag at the
-        # state (a, b), in its sector's rows; column a of U P_b is the column
-        # of U there, in that sector's evolution rows.
+        # bit b. Factor rows per input bit b, each (c, d, r): the conjugate of
+        # U P_b as evolution rows, then the sector blocks of G_b = W^dag P_b,
+        # real for a real W. Column a of W^dag P_b is the column of W^dag at
+        # the state (a, b), in its sector's rows; column a of U P_b is the
+        # column of U there, in that sector's evolution rows. ``gather`` takes
+        # the rows of W (E o G_s tau), one per class basis state sector after
+        # sector, into evolution order.
         r = d // 2
         reg = order.reshape(c, d)  # class basis, sector after sector
         rest = ((reg >> (shift + 1)) << shift) | (reg & ((1 << shift) - 1))
@@ -326,12 +351,18 @@ class _StepEngine:
         cls = np.arange(c)[:, None]
         self.rows = np.empty_like(reg)
         self.rows[cls, row] = reg
+        gather = np.empty_like(reg)
+        gather[cls, row] = cls * d + np.arange(d)
+        self.gather = gather.ravel()
         sector, at = np.arange(d) // m, np.arange(d) % m
-        factors = np.zeros((2, 2, c, d, r), dtype=complex)
+        evolve = np.zeros((2, c, d, r), dtype=complex)
+        readout = np.zeros((2, c, d, r), dtype=w.dtype)
         b, g, col = bit[..., None], cls[..., None], a[..., None]
-        factors[b, 0, g, sector[:, None] * m + np.arange(m), col] = w_h[cls, sector, :, at]
-        factors[b, 1, g, row.reshape(c, k, m)[cls, sector], col] = self.u[cls, sector, :, at]
-        self.factors = factors.reshape(2, -1).view(float)  # F_s is (amplitudes) @ factors
+        evolve[b, g, row.reshape(c, k, m)[cls, sector], col] = self.u[cls, sector, :, at].conj()
+        readout[b, g, sector[:, None] * m + np.arange(m), col] = w_h[cls, sector, :, at]
+        # (amplitudes) @ factors gives conj(A_s), then G_s, as reals
+        self.factors = np.hstack([x.reshape(2, -1).view(float) for x in (evolve, readout)])
+        self.split = 2 * evolve[0].size
 
     def to_state(self, rho: np.ndarray) -> np.ndarray:
         """tau of the register-order matrix ``rho``: the Hermitian part of the
@@ -373,77 +404,88 @@ class _StepEngine:
 
     @staticmethod
     def trace_out(stepped: tuple[np.ndarray, np.ndarray], index) -> np.ndarray:
-        """Partial trace of a stepped state rho = Y A^dag over a ``trace_index``
-        gather: the sum over groups g of Y_g A_g^dag."""
+        """Partial trace of a stepped state (Y, conj(A)), rho = Y A^dag, over a
+        ``trace_index`` gather: the sum over groups g of Y_g A_g^dag."""
         gather, empty, (size, groups) = index
-        y, a = (x.reshape(-1, x.shape[-1]).take(gather, axis=0) for x in stepped)
+        y, a_conj = (x.reshape(-1, x.shape[-1]).take(gather, axis=0) for x in stepped)
         y[empty] = 0
-        a[empty] = 0
-        return y.reshape(size, -1) @ a.reshape(size, -1).conj().T
+        a_conj[empty] = 0
+        return y.reshape(size, -1) @ a_conj.reshape(size, -1).T
 
     def step(self, tau: np.ndarray, s: float, z: np.ndarray,
              trace: float = 1.0) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
         """One input step: inject, evolve v sub-steps, and form the readout.
 
-        Writes the node operand z, shape (n_obs, entries), from which
-        ``features`` reads the v nodes, and returns the next tau and the
-        stepped class blocks as (Y, A), rho = Y A^dag, each (classes, d, r)
-        over the evolution rows. The map is linear in ``tau``, so it also
-        steps the difference of two states; ``trace`` is the trace the
-        stepped state must keep: 1 for a density matrix, 0 up to rounding for
-        a difference of two.
+        Writes the node operand z, sigma + sigma^dag on the ``entries``
+        upper-triangle entries of the sector blocks, from which ``features``
+        reads the v nodes, and returns the next tau and the stepped class
+        blocks as (Y, conj(A)), rho = Y A^dag, each (classes, d, r) over the
+        evolution rows. The map is linear in ``tau``, so it also steps the
+        difference of two states; ``trace`` is the trace the stepped state
+        must keep: 1 for a density matrix, 0 up to rounding for a difference
+        of two.
         """
         k, m, d = self.shape
         c, r = self.classes, d // 2
-        # F_s: its readout rows, then its evolution rows
-        f = (np.array(_encode(s)) @ self.factors).view(complex).reshape(2, c, d, r)
-        y = f @ tau
-        f_conj = f.conj()
+        f = np.array(_encode(s)) @ self.factors
+        a_conj = f[:self.split].view(complex).reshape(c, d, r)
+        g = f[self.split:].view(self.w.dtype).reshape(c, d, r)
+        y = _product(g, tau).reshape(c, k, m, r)  # the readout rows G_s tau
+        g = g.reshape(c, k, m, r)
 
-        sigma = (y[0].reshape(c, k, m, r) @ f_conj[0].reshape(c, k, m, r).swapaxes(-1, -2)).ravel()
-        upper, lower = sigma.take(self.upper), sigma.take(self.lower).conj()
-        skew = upper - lower  # sigma - sigma^dag on the upper triangles
-        imag_bound = 0.5 * math.sqrt(self.tri_weight @ (skew.real ** 2 + skew.imag ** 2)) * self.row_norm
+        # sigma^dag = G_s Y^dag, sector by sector
+        sigma_h = _product(g, np.conjugate(y.swapaxes(-1, -2), order="C")).ravel()
+        upper, lower = sigma_h.take(self.triangles)
+        np.conjugate(lower, out=lower)
+        skew = (upper - lower).view(float)  # sigma^dag - sigma on the upper triangles
+        imag_bound = 0.5 * math.sqrt(self.skew_weight @ (skew * skew)) * self.row_norm
         if not imag_bound <= FEATURE_IMAG_ATOL:  # NaN included
             raise NumericalError(
                 f"features may have an imaginary part up to {imag_bound:.3e} > {FEATURE_IMAG_ATOL:.1e}; "
                 "state is corrupted"
             )
-        upper += lower
-        upper *= 0.5
-        np.multiply(self.obs_rows, upper, out=z)
+        np.add(upper, lower, out=z)
 
-        # Tr_q (Y A^dag): rows 2a and 2a + 1 hold rest a, so each class's
-        # evolution rows read as r x 2r make it one product. Its trace is
-        # Tr (Y A^dag), the inner product of A and Y.
-        y_ev, f_ev = y[1], f[1]
-        trace_err = abs(np.vdot(f_ev, y_ev).real - trace)
+        # U P_s tau = W (E o Y), gathered into evolution rows. Tr_q (Y A^dag):
+        # rows 2a and 2a + 1 hold rest a, so each class's evolution rows read
+        # as r x 2r make it one product. Its trace is Tr (Y A^dag), the sum of
+        # Y times conj(A).
+        y_ev = _product(self.w, y * self.evolve_phase).reshape(c * d, r).take(self.gather, axis=0)
+        y_ev = y_ev.reshape(c, d, r)
+        trace_err = abs(np.dot(y_ev.ravel(), a_conj.ravel()).real - trace)
         if not trace_err <= STEP_TRACE_ATOL:
             raise NumericalError(f"state trace drifted by {trace_err:.3e} > {STEP_TRACE_ATOL:.1e}")
-        tau = y_ev.reshape(c, r, 2 * r) @ f_conj[1].reshape(c, r, 2 * r).swapaxes(-1, -2)
-        return tau, (y_ev, f_ev)
+        tau = y_ev.reshape(c, r, 2 * r) @ a_conj.reshape(c, r, 2 * r).swapaxes(-1, -2)
+        return tau, (y_ev, a_conj)
 
     def features(self, z: np.ndarray) -> np.ndarray:
         """Feature rows, (b, v x n_obs) node-major, of a block of b node
-        operands z, (b, n_obs, entries): one product with the phase table per
-        span of nodes it holds. Later spans shift the phases of z in place."""
-        b = z.shape[0]
-        out = np.empty((b, self.v, self.n_obs))
-        z_real = z.reshape(b * self.n_obs, -1).view(float)
+        operands z, (b, entries): one product with the folded table per span
+        of nodes it holds. Later spans shift the phases of z in place."""
+        out = np.empty((z.shape[0], self.v * self.n_obs))
+        z_real = z.view(float)
         span = self.phase_table.shape[1]
-        for start in range(0, self.v, span):
+        for start in range(0, out.shape[1], span):
             if start:
                 z *= self.phase_shift
-            stop = min(start + span, self.v)
-            nodes = z_real @ self.phase_table[:, : stop - start]
-            out[:, start:stop] = nodes.reshape(b, self.n_obs, -1).swapaxes(1, 2)
-        return out.reshape(b, -1)
+            stop = min(start + span, out.shape[1])
+            out[:, start:stop] = z_real @ self.phase_table[:, : stop - start]
+        return out
 
 
-def _block_inputs(n_obs: int, entries: int) -> int:
-    """Inputs per block: as many node operands, (n_obs, entries) complex, as
+def _product(f: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """f @ x for a complex x, with x's last axis contiguous. A real f (that
+    of a real Hamiltonian) multiplies the float view of x: half the work of
+    a complex product."""
+    if f.dtype.kind == "c":
+        return f @ x
+    return (f @ x.view(float)).view(complex)
+
+
+def _block_inputs(entries: int) -> int:
+    """Inputs per block: as many node operands, ``entries`` complex each, as
     fit under _BLOCK_LIMIT reals, and at least one."""
-    return max(1, _BLOCK_LIMIT // (2 * n_obs * entries))
+    return max(1, _BLOCK_LIMIT // (2 * entries))
 
 
 def _step_inputs(engine: _StepEngine, tau: np.ndarray, inputs: np.ndarray, rows: np.ndarray,
@@ -453,21 +495,21 @@ def _step_inputs(engine: _StepEngine, tau: np.ndarray, inputs: np.ndarray, rows:
 
     ``visit(tau, stepped)``, when given, sees every input's carried state
     before its step and the stepped state after it. Returns the last stepped
-    state. Every step runs its checks at once, and an error is raised with
-    its step index.
+    state. Every step runs its checks at once, and an error of a step or of
+    ``visit`` is raised with its step index.
     """
-    block = _block_inputs(engine.n_obs, engine.upper.size)
-    z = np.empty((min(block, inputs.size), engine.n_obs, engine.upper.size), dtype=complex)
+    block = _block_inputs(engine.entries)
+    z = np.empty((min(block, inputs.size), engine.entries), dtype=complex)
     stepped = None
     for start in range(0, inputs.size, block):
         chunk = inputs[start:start + block]
         for i, s in enumerate(chunk):
             try:
                 carried, stepped = engine.step(tau, s, z[i], trace)
+                if visit is not None:
+                    visit(tau, stepped)
             except (NumericalError, ValueError) as exc:
                 raise NumericalError(f"{what} failed at step {start + i}: {exc}") from exc
-            if visit is not None:
-                visit(tau, stepped)
             tau = carried
         rows[start:start + chunk.size] = engine.features(z[:chunk.size])
     return stepped

@@ -184,7 +184,8 @@ class TestClassSplit:
     def test_corrupt_block_is_caught(self, cls, entry, match, monkeypatch):
         # the ground state's class (0) is eigensolved; the other holds I/d's
         # block alone. An entry corrupted after the step has checked the
-        # carried stack reaches only the record, which must still catch it.
+        # carried stack reaches only the record, which must still catch it
+        # and name the step.
         real = make_real()
         original = _StepEngine.step
         steps = []
@@ -197,7 +198,8 @@ class TestClassSplit:
             return out
 
         monkeypatch.setattr(_StepEngine, "step", corrupting)
-        with pytest.raises(ValueError, match=f"^trace norm input (contains|is) {match}"):
+        with pytest.raises(NumericalError,
+                           match=f"^trajectory pair failed at step 2: trace norm input (contains|is) {match}"):
             dual_trajectory(real, [0.2, 0.5, 0.7, 0.1], ReservoirConfig(tau=0.5, v=2))
         assert len(steps) == 3
 
@@ -229,7 +231,7 @@ def test_step_checks_the_trace_it_is_given():
     real = make_real()
     engine = _StepEngine(real, ReservoirConfig(tau=0.5, v=2), np.ones((8, 8), dtype=bool))
     state = engine.to_state(DensityMatrix.ground(3).matrix)
-    z = np.empty((engine.n_obs, engine.upper.size), dtype=complex)
+    z = np.empty(engine.entries, dtype=complex)
     engine.step(state, 0.3, z)
     with pytest.raises(NumericalError, match="trace"):
         engine.step(state, 0.3, z, trace=0.0)

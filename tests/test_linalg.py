@@ -117,7 +117,6 @@ class TestKron:
 
 
 class TestAssertHermitian:
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
     @pytest.mark.parametrize("at", [(1, 2), (1, 1)])
     def test_rejects_a_non_finite_entry(self, bad, at):
@@ -288,6 +287,16 @@ class TestTraceNorm:
             full[i * d:(i + 1) * d, i * d:(i + 1) * d] = block
         want = float(np.sum(np.abs(np.linalg.eigvalsh(full))))
         assert abs(trace_norm(blocks.reshape(*shape, d, d)) - want) < 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_inf_diagonal_entry_raises_the_documented_error(self, bad):
+        # inf - inf in A - A^dag gives NaN there; it must reach the ValueError
+        # without numpy's invalid-value warning on the way
+        m = np.eye(3, dtype=complex)
+        m[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            trace_norm(m)
 
     def test_stack_rejects_a_non_hermitian_block(self):
         rng = np.random.default_rng(41)

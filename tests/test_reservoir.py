@@ -162,7 +162,7 @@ class TestMeasure:
         tau = engine.to_state(rho0)
         tau[0, 0, 0] += 1e-3j  # Tr_q rho at the register's first rest
         with pytest.raises(NumericalError, match="imaginary"):
-            engine.step(tau, 0.5, np.empty((engine.n_obs, engine.upper.size), dtype=complex))
+            engine.step(tau, 0.5, np.empty(engine.entries, dtype=complex))
 
 
 class TestEvolveStep:
@@ -289,7 +289,7 @@ class TestRunTrajectory:
         rho0 = DensityMatrix.ground(3).matrix
         engine = _StepEngine(real, cfg, rho0 != 0)
         tau = engine.to_state(rho0)
-        z = np.empty((inputs.size, engine.n_obs, engine.upper.size), dtype=complex)
+        z = np.empty((inputs.size, engine.entries), dtype=complex)
         for k, s in enumerate(inputs):
             tau, stepped = engine.step(tau, s, z[k])
         assert np.array_equal(feats.values[:, :-1], engine.features(z))

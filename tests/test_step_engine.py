@@ -8,6 +8,7 @@ virtual node and reading Tr[(O x I) rho].
 
 import dataclasses
 from itertools import combinations
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,6 +19,7 @@ from nmqrc import reservoir as rmod
 from nmqrc.esp import dual_trajectory
 from nmqrc.errors import NumericalError
 from nmqrc.hamiltonian import CouplingSet, HamiltonianRealization, ReservoirParams, build_hamiltonian
+from nmqrc.harness import load_config, make_params, reservoir_config
 from nmqrc.linalg import DensityMatrix
 from nmqrc.reservoir import (
     MULTIPLEX_MODES,
@@ -34,6 +36,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 ORACLE_ATOL = 1e-10
 DUAL_RTOL = 1e-12
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
 
 
 def whole_register(n):
@@ -63,7 +66,7 @@ def oracle_tau(rho, input_qubit):
 def step_once(engine, tau, s, trace=1.0):
     """One engine step read out on its own: (next tau, feature slice,
     stepped state)."""
-    z = np.empty((1, engine.n_obs, engine.upper.size), dtype=complex)
+    z = np.empty((1, engine.entries), dtype=complex)
     tau, stepped = engine.step(tau, s, z[0], trace)
     return tau, engine.features(z)[0], stepped
 
@@ -158,18 +161,43 @@ class TestSymmetryGuard:
 
 
 def test_complex_readout_rows_match_the_oracle():
-    # the register's Hamiltonians, also with the symmetry-breaking terms
+    # the register's Hamiltonians, also with the X symmetry-breaking terms
     # above, give real readout rows W^dag O W; a dense complex H does not, so
     # only here a readout row taken as its conjugate (the transpose of a
-    # Hermitian block) changes the features
+    # Hermitian block) changes the features, and the engine takes complex
+    # products throughout
     real = build_hamiltonian(ReservoirParams(n_sys=2, n_env=1, alpha=1.2, beta=0.8,
                                              h_sys=0.5, h_env=1.0, seed=45))
     rng = np.random.default_rng(1)
     a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    real = HamiltonianRealization(real.params, real.couplings, (a + a.conj().T) / 2)
+    h = (a + a.conj().T) / 2
+    real = HamiltonianRealization(real.params, real.couplings, h)
     cfg = ReservoirConfig(tau=0.6, v=4, observables="z_and_zz")
-    assert np.max(np.abs(rmod._StepEngine(real, cfg, whole_register(3)).obs_rows.imag)) > 0.1
+    engine = rmod._StepEngine(real, cfg, whole_register(3))
+    assert engine.shape == (1, 8, 8) and engine.w.dtype == complex
+    w = engine.w[0, 0]  # one sector: the register, in register order
+    assert np.max(np.abs(np.triu(w.conj().T @ h @ w, 1))) < 1e-12
+    z0 = np.diag(oracle.embed_pauli("Z", 0, 3))
+    assert np.max(np.abs((w.conj().T * z0 @ w).imag)) > 0.1
     assert_matches_oracle(real, [0.3, 0.8, 0.1], cfg, random_state(3, rng))
+
+
+@pytest.mark.parametrize("n_sys, n_env, alpha, beta", [(4, 3, 1.0, 1.0), (4, 3, 0.0, 0.7), (3, 0, 0.0, 0.0),
+                                                       (2, 2, 1.2, 0.0)])
+def test_real_hamiltonians_give_real_factors(n_sys, n_env, alpha, beta):
+    # every realization build_hamiltonian makes is real, so its engine's
+    # eigenvectors and readout factors G_b = W^T P_b are real: a silent fall
+    # back to complex products would keep the features, only slower
+    real = build_hamiltonian(ReservoirParams(n_sys=n_sys, n_env=n_env, alpha=alpha, beta=beta,
+                                             h_sys=0.5, h_env=1.0, seed=87))
+    for support in (DensityMatrix.ground(real.params.n_qubits).matrix != 0, whole_register(real.params.n_qubits)):
+        engine = rmod._StepEngine(real, ReservoirConfig(tau=0.5, v=3), support)
+        d = engine.shape[2]
+        assert engine.w.dtype == np.float64
+        assert engine.factors.dtype == np.float64
+        # conj(A_b) takes two reals per entry, G_b one
+        assert engine.factors.shape == (2, 3 * engine.classes * d * (d // 2))
+        assert engine.split == 2 * engine.classes * d * (d // 2)
 
 
 def test_long_horizon_keeps_the_physics_invariants():
@@ -236,17 +264,19 @@ def test_state_hermitian_to_the_density_matrix_tolerance_is_stepped():
 
 
 def test_phase_table_chunks_stay_under_the_batch_limit():
-    # 2000 nodes of the whole 4+3 register would take a table of over 8M reals
+    # 2000 nodes of the whole 4+3 register would take a folded table of over
+    # 32M reals: two per upper-triangle entry, node and observable
     real = build_hamiltonian(ReservoirParams(n_sys=4, n_env=3, alpha=1.0, beta=1.0,
                                              h_sys=0.5, h_env=1.0, seed=59))
     cfg = ReservoirConfig(tau=0.5, v=2000, multiplex="sub_step")
     engine = rmod._StepEngine(real, cfg, whole_register(7))
-    per_node = engine.phase_table.shape[0]
-    assert per_node * cfg.v > 8_000_000
+    per_node = engine.phase_table.shape[0] * engine.n_obs
+    assert engine.phase_table.shape[0] == 2 * engine.entries
+    assert per_node * cfg.v > 32_000_000
     assert engine.phase_table.size <= max(rmod._BATCH_LIMIT, per_node)
     with mock.patch.object(rmod, "_BATCH_LIMIT", 0):
         one_node = rmod._StepEngine(real, cfg, whole_register(7))
-    assert one_node.phase_table.shape == (per_node, 1)
+    assert one_node.phase_table.shape == (2 * engine.entries, engine.n_obs)
     tau = engine.to_state(random_state(7, np.random.default_rng(69)).matrix)
     _, got, _ = step_once(engine, tau, 0.4)
     _, want, _ = step_once(one_node, tau, 0.4)
@@ -487,7 +517,7 @@ def test_carried_tau_is_the_oracle_partial_trace(case):
 
 def block_of(size):
     """A stand-in for reservoir._block_inputs that gives blocks of ``size``."""
-    return lambda n_obs, entries: size
+    return lambda entries: size
 
 
 @st.composite
@@ -554,20 +584,62 @@ def test_error_inside_a_block_names_its_step(driver, what, monkeypatch):
     assert len(stepped) == 6
 
 
-def test_block_buffer_stays_within_its_budget():
-    # From the shapes alone, (n_obs, classes, k, m): the three benchmark
-    # workloads' engines, whose blocks hold several inputs, and one
-    # environment-parity class of a 12-qubit register (8+4, z_only), whose
-    # single node operand is already over the budget.
-    def entries(c, k, m):  # upper-triangle entries of the c x k sector blocks
-        return c * k * m * (m + 1) // 2
+def workload_engine(name):
+    """The step engine of the first job of a benchmark workload (its config
+    read from ``bench/workloads``), with the support its task steps."""
+    cfg = load_config(WORKLOADS / f"{name}.json")
+    real = build_hamiltonian(make_params(cfg, cfg.regimes[0], cfg.seeds[0]))
+    n = real.params.n_qubits
+    support = DensityMatrix.ground(n).matrix != 0
+    if cfg.task == "esp":
+        support |= DensityMatrix.maximally_mixed(n).matrix != 0
+        cfg = dataclasses.replace(cfg, observables="z_only")
+    return rmod._StepEngine(real, reservoir_config(cfg), support)
 
-    for n_obs, c, k, m in [(4, 2, 2, 32), (4, 1, 2, 32), (15, 1, 2, 16)]:
-        block = rmod._block_inputs(n_obs, entries(c, k, m))
+
+def test_block_buffer_stays_within_its_budget():
+    # The three benchmark workloads' engines hold a block buffer of several
+    # inputs, each of ``entries`` complex values, and a folded phase table
+    # of at most _BATCH_LIMIT reals; esp-divergence's 50 nodes take 4 spans
+    # of it. One environment-parity class of a 12-qubit register (8+4,
+    # k = 2 sectors of 1024 states) has a single node operand already over
+    # the budget.
+    spans = {"stm-serial": 1, "narma-readout": 1, "esp-divergence": 4}
+    for name, count in spans.items():
+        engine = workload_engine(name)
+        block = rmod._block_inputs(engine.entries)
         assert block > 1
-        assert block * 2 * n_obs * entries(c, k, m) <= rmod._BLOCK_LIMIT
-    assert 2 * 8 * entries(1, 2, 1024) > rmod._BLOCK_LIMIT
-    assert rmod._block_inputs(8, entries(1, 2, 1024)) == 1
+        assert block * engine.entries * 16 <= 8 * rmod._BLOCK_LIMIT
+        assert engine.phase_table.dtype == np.float64
+        assert engine.phase_table.nbytes <= 8 * rmod._BATCH_LIMIT <= 2_100_000
+        assert -(-engine.v * engine.n_obs // engine.phase_table.shape[1]) == count
+    big = 2 * (1024 * 1025 // 2)  # upper-triangle entries of two 1024-state sectors
+    assert 2 * big > rmod._BLOCK_LIMIT
+    assert rmod._block_inputs(big) == 1
+
+
+def test_folded_table_spans_match_the_one_node_table():
+    # both environment-parity classes of a 4+3 register at v = 50 sub-steps,
+    # esp-divergence's shape: the default table is read in 4 spans, the one
+    # of a single node in 50
+    real = build_hamiltonian(ReservoirParams(n_sys=4, n_env=3, alpha=1.0, beta=1.0,
+                                             h_sys=0.5, h_env=1.0, seed=89))
+    cfg = ReservoirConfig(tau=0.5, v=50, multiplex="sub_step")
+    rho0 = DensityMatrix.maximally_mixed(7).matrix
+    inputs = np.random.default_rng(91).uniform(0, 1, 20)
+
+    def features():
+        engine = rmod._StepEngine(real, cfg, rho0 != 0)
+        rows = np.empty((inputs.size, cfg.v * engine.n_obs))
+        rmod._step_inputs(engine, engine.to_state(rho0), inputs, rows)
+        return engine.phase_table.shape[1] // engine.n_obs, rows
+
+    nodes, got = features()
+    assert -(-cfg.v // nodes) == 4
+    with mock.patch.object(rmod, "_BATCH_LIMIT", 0):
+        one, want = features()
+    assert one == 1
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 class TestMetamorphic:
