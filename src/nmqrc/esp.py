@@ -67,7 +67,6 @@ class EspRecord:
 class WindowStats(NamedTuple):
     mean_sqnorm: float
     max_sqnorm: float
-    mean_trace_distance: float
 
 
 def dual_trajectory(
@@ -150,14 +149,13 @@ def dual_trajectory(
 
 
 def window_stats(records: Sequence[EspRecord], start: int, stop: int) -> WindowStats:
-    """Mean/max squared feature distance and mean full-register trace distance
-    over records with step in [start, stop)."""
+    """Mean and max squared feature distance over records with step in
+    [start, stop)."""
     window = [r for r in records if start <= r.step < stop]
     if not window:
         raise ValueError(f"no records with step in [{start}, {stop})")
     sq = np.array([r.sqnorm_diff for r in window])
-    td = np.array([r.trace_distance for r in window])
-    return WindowStats(float(sq.mean()), float(sq.max()), float(td.mean()))
+    return WindowStats(float(sq.mean()), float(sq.max()))
 
 
 def backflow_count(records: Sequence[EspRecord]) -> tuple[int, float]:

@@ -133,12 +133,8 @@ def _sector_eig(h: np.ndarray, pattern: np.ndarray, members: np.ndarray) -> tupl
     the components are parity sectors (more of them when alpha = 0 or
     n_env <= 1). Components of unequal size are treated as one sector, so a
     term that breaks the symmetry gets the plain eigendecomposition of all
-    the members. A Hamiltonian with no imaginary part, as every one this
-    module builds, is eigendecomposed as a real matrix, so its eigenvectors
-    are real.
+    the members. H is real, so its eigenvectors are real.
     """
-    if not h.imag.any():
-        h = h.real
     label = _components(pattern[np.ix_(members, members)])
     sizes = np.unique(label, return_counts=True)[1]
     if sizes.min() == sizes.max():
@@ -157,15 +153,25 @@ def _sector_eig(h: np.ndarray, pattern: np.ndarray, members: np.ndarray) -> tupl
 @dataclass(frozen=True, eq=False)
 class HamiltonianRealization:
     """A sampled Hamiltonian: its params, couplings and the read-only
-    full-register matrix. Immutable, also after pickling."""
+    full-register matrix, real (float64) like every XX, Z and ZZ sum.
+    Immutable, also after pickling."""
 
     params: ReservoirParams
     couplings: CouplingSet
     h_full: np.ndarray
 
     def __post_init__(self):
+        h_full = np.asarray(self.h_full)
+        dim = self.params.dim
+        if h_full.shape != (dim, dim):
+            raise ValueError(f"h_full has shape {h_full.shape}, but the register needs {(dim, dim)}")
+        if np.iscomplexobj(h_full) and h_full.imag.any():
+            raise ValueError("h_full has a nonzero imaginary part; the reservoir Hamiltonian is real")
         # A copy, so the caller's array cannot change the realization later.
-        h_full = np.array(self.h_full, dtype=complex)
+        h_full = np.array(h_full.real, dtype=float)
+        # The engine reads H through its nonzero pattern, so an entry whose
+        # transpose is zero could be skipped without an error.
+        linalg.assert_hermitian(h_full, "h_full")
         h_full.flags.writeable = False
         object.__setattr__(self, "h_full", h_full)
 
@@ -176,7 +182,7 @@ class HamiltonianRealization:
     @classmethod
     def _adopt(cls, params: ReservoirParams, couplings: CouplingSet, h_full: np.ndarray) -> "HamiltonianRealization":
         """A realization that freezes and keeps ``h_full`` itself, not a
-        copy: for a complex array that nothing else holds."""
+        copy: for a float array that nothing else holds."""
         h_full.flags.writeable = False
         real = object.__new__(cls)
         for name, value in (("params", params), ("couplings", couplings), ("h_full", h_full)):
@@ -198,7 +204,7 @@ def build_hamiltonian(params: ReservoirParams, couplings: CouplingSet | None = N
     _check_couplings(params, couplings)
     n, n_sys = params.n_qubits, params.n_sys
     d = params.dim
-    h = np.zeros((d, d), dtype=complex)
+    h = np.zeros((d, d))
     diag = h.reshape(-1)[:: d + 1]  # a view: adding to it adds to H
     basis = np.arange(d)
     bit = [1 << (n - 1 - q) for q in range(n)]

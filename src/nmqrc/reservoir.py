@@ -32,16 +32,16 @@ Before every input the input qubit is re-prepared in the pure state
 psi_s = (sqrt(1-s), sqrt(s)), so the injected class block is P_s tau P_s^dag
 with tau = Tr_q rho, a quarter of the block, and P_s = sqrt(1-s) P_0 +
 sqrt(s) P_1 the d x r isometry (r = d/2) that puts psi_s on the input
-qubit. tau is the state carried from one input to the next. Every
-Hamiltonian ``build_hamiltonian`` makes is real (XX, Z and ZZ terms), so its
-sector eigenvectors W are real, and so are the readout factors
-G_b = W^dag P_b. At build time the engine stacks, for each input bit b,
-G_b (split by sector) and the conjugate of A_b = U P_b, the evolution by
-U = W E W^dag, E = exp(-i Lambda v dt), as evolution rows. A step mixes
-each pair by the input's amplitudes into G_s and conj(A_s), then
+qubit. tau is the state carried from one input to the next. A realization
+holds a real H (XX, Z and ZZ terms), so its sector eigenvectors W are real,
+and so are the readout factors G_b = W^T P_b. At build time the engine
+stacks, for each input bit b, G_b (split by sector) and the conjugate of
+A_b = U P_b, the evolution by U = W E W^T, E = exp(-i Lambda v dt), as
+evolution rows. A step mixes each pair by the input's amplitudes into G_s
+and conj(A_s), then
 
 * takes the readout rows Y = G_s tau;
-* forms the diagonal sector blocks of sigma = W^dag rho W, as
+* forms the diagonal sector blocks of sigma = W^T rho W, as
   sigma^dag = G_s Y^dag sector by sector: a sub-step of length dt
   multiplies sigma elementwise by the phases exp(-i (lam_p - lam_q) dt).
   sigma and each observable's blocks are Hermitian, so entry (q, p) of a
@@ -56,9 +56,7 @@ each pair by the input's amplitudes into G_s and conj(A_s), then
 The first three products are real times complex: the real factor multiplies
 the complex operand read as interleaved reals, half the work of a complex
 product, and only Y^dag is copied (to be contiguous). Only tau' takes a
-complex product. A
-complex H (a test's dense or Y-field Hamiltonian) has complex W and G_b, and
-those three products stay complex.
+complex product.
 
 Each step checks the Hermiticity the readout relies on and the trace of the
 stepped state, and writes its node operand into a block buffer; the product
@@ -185,14 +183,6 @@ class FeatureMatrix:
         # Unpickled arrays come back writable; the constructor freezes them.
         return type(self), (self.values, self.labels)
 
-    @property
-    def steps(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
 
 def _encode(s: float) -> tuple[float, float]:
     """The amplitudes (sqrt(1-s), sqrt(s)) of the pure input state
@@ -242,10 +232,9 @@ class _StepEngine:
     with one evolution row each, and ``trace_out`` takes partial traces of
     that, the register-order state included.
 
-    A real H gives real eigenvectors ``w`` and real readout factors, and
-    three of the step's four products then take a real factor times the
-    float view of a complex operand; a complex H keeps complex products.
-    ``_product`` is the one place that tells the two apart.
+    H is real, so the eigenvectors ``w`` and the readout factors are real,
+    and three of the step's four products take a real factor times the
+    float view of a complex operand (``_product``).
     """
 
     def __init__(self, real: HamiltonianRealization, cfg: ReservoirConfig, support: np.ndarray):
@@ -285,17 +274,17 @@ class _StepEngine:
         self.shape = (k, m, d)
         self.classes = c
 
-        # Eigenvectors W (real for a real H) and the step propagator
-        # U = W E W^dag, E = exp(-i Lambda v dt), as stacks of c x k blocks.
+        # Real eigenvectors W and the step propagator U = W E W^T,
+        # E = exp(-i Lambda v dt), as stacks of c x k blocks.
         lam = eig.eigenvalues
         self.w = w = eig.eigenvectors.reshape(c, k, m, m)
-        w_h = w.conj().swapaxes(-1, -2)
+        w_h = w.swapaxes(-1, -2)
         self.evolve_phase = np.exp(-1j * self.v * self.dt * lam).reshape(c, k, m, 1)
         self.u = (w * self.evolve_phase.swapaxes(-1, -2)) @ w_h
 
-        # Readout from the diagonal blocks of sigma = W^dag rho W. Each O_i is a
-        # Z string, diagonal with signs s_i, so W^dag O_i is W^dag with its
-        # columns scaled by s_i. With R_i the blocks of (W^dag O_i W)^T, the
+        # Readout from the diagonal blocks of sigma = W^T rho W. Each O_i is a
+        # Z string, diagonal with signs s_i, so W^T O_i is W^T with its
+        # columns scaled by s_i. With R_i the blocks of (W^T O_i W)^T, the
         # feature at node j is the sum over all block entries of
         # R_i sigma exp(-i (lam_p - lam_q) j dt). R_i and sigma are Hermitian,
         # so that is the sum over the upper triangles p <= q of Re(z c_ij),
@@ -324,7 +313,7 @@ class _StepEngine:
         nodes = max(1, min(self.v, _BATCH_LIMIT // (2 * self.entries * self.n_obs)))
         # conj(c_ij), (node, obs, entry), read as reals is (Re c, -Im c)
         phases = np.exp(1j * self.dt * np.outer(np.arange(1, nodes + 1), delta))
-        weighted = (rows[:, upper] * np.where(diagonal, 0.5, 1.0)).conj()
+        weighted = rows[:, upper] * np.where(diagonal, 0.5, 1.0)
         table = np.multiply(phases[:, None, :], weighted, order="C")
         self.phase_table = table.reshape(nodes * self.n_obs, -1).view(float).T
         self.phase_shift = np.exp(-1j * nodes * self.dt * delta)
@@ -333,10 +322,10 @@ class _StepEngine:
         # the input state on the input qubit: P_s = sqrt(1-s) P_0 + sqrt(s) P_1
         # and P_b maps rest a to the class basis state with rest a and input
         # bit b. Factor rows per input bit b, each (c, d, r): the conjugate of
-        # U P_b as evolution rows, then the sector blocks of G_b = W^dag P_b,
-        # real for a real W. Column a of W^dag P_b is the column of W^dag at
-        # the state (a, b), in its sector's rows; column a of U P_b is the
-        # column of U there, in that sector's evolution rows. ``gather`` takes
+        # U P_b as evolution rows, then the sector blocks of the real
+        # G_b = W^T P_b. Column a of W^T P_b is the column of W^T at the state
+        # (a, b), in its sector's rows; column a of U P_b is the column of U
+        # there, in that sector's evolution rows. ``gather`` takes
         # the rows of W (E o G_s tau), one per class basis state sector after
         # sector, into evolution order.
         r = d // 2
@@ -356,7 +345,7 @@ class _StepEngine:
         self.gather = gather.ravel()
         sector, at = np.arange(d) // m, np.arange(d) % m
         evolve = np.zeros((2, c, d, r), dtype=complex)
-        readout = np.zeros((2, c, d, r), dtype=w.dtype)
+        readout = np.zeros((2, c, d, r))
         b, g, col = bit[..., None], cls[..., None], a[..., None]
         evolve[b, g, row.reshape(c, k, m)[cls, sector], col] = self.u[cls, sector, :, at].conj()
         readout[b, g, sector[:, None] * m + np.arange(m), col] = w_h[cls, sector, :, at]
@@ -429,7 +418,7 @@ class _StepEngine:
         c, r = self.classes, d // 2
         f = np.array(_encode(s)) @ self.factors
         a_conj = f[:self.split].view(complex).reshape(c, d, r)
-        g = f[self.split:].view(self.w.dtype).reshape(c, d, r)
+        g = f[self.split:].reshape(c, d, r)
         y = _product(g, tau).reshape(c, k, m, r)  # the readout rows G_s tau
         g = g.reshape(c, k, m, r)
 
@@ -474,11 +463,8 @@ class _StepEngine:
 
 
 def _product(f: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """f @ x for a complex x, with x's last axis contiguous. A real f (that
-    of a real Hamiltonian) multiplies the float view of x: half the work of
-    a complex product."""
-    if f.dtype.kind == "c":
-        return f @ x
+    """f @ x for a real f and a complex x, with x's last axis contiguous: f
+    times the float view of x, half the work of a complex product."""
     return (f @ x.view(float)).view(complex)
 
 

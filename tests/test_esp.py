@@ -243,16 +243,16 @@ class TestWindowStats:
         stats = window_stats(recs, 2, 8)
         assert stats.mean_sqnorm == pytest.approx(0.5)
         assert stats.max_sqnorm == pytest.approx(0.5)
-        assert stats.mean_trace_distance == pytest.approx(0.5)
 
     def test_zero_records(self):
         stats = window_stats(series([0.0] * 5), 0, 5)
-        assert stats == (0.0, 0.0, 0.0)
+        assert stats == (0.0, 0.0)
 
     def test_window_selection_is_half_open(self):
         recs = series([1.0, 2.0, 3.0, 4.0])
         stats = window_stats(recs, 1, 3)
-        assert stats.mean_trace_distance == pytest.approx(2.5)
+        assert stats.mean_sqnorm == pytest.approx(2.5)
+        assert stats.max_sqnorm == pytest.approx(3.0)
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError, match="no records"):

@@ -1,6 +1,7 @@
 import json
 import pickle
 import tracemalloc
+import warnings
 from itertools import combinations
 from math import comb
 
@@ -185,6 +186,40 @@ class TestCouplingsRoundTrip:
         assert not copy.h_full.flags.writeable
 
 
+class TestRealizationContract:
+    """A realization holds a real register-size H, checked when it is made,
+    so no engine is ever built from a wrong one."""
+
+    real = build_hamiltonian(params(n_sys=2, n_env=1, seed=16))
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"h_full has shape \(4, 4\).*\(8, 8\)"):
+            HamiltonianRealization(self.real.params, self.real.couplings, np.eye(4))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-300, np.nan])
+    def test_imaginary_part_rejected(self, scale):
+        h = self.real.h_full + scale * embed_pauli("Y", 0, 3)  # Hermitian and purely imaginary
+        with pytest.raises(ValueError, match="h_full has a nonzero imaginary part"):
+            HamiltonianRealization(self.real.params, self.real.couplings, h)
+
+    @pytest.mark.parametrize("entry, match", [(0.3, "not Hermitian"), (np.nan, "non-finite")])
+    def test_asymmetric_or_non_finite_matrix_rejected(self, entry, match):
+        # |000> and |001> lie in different classes of the ground state, so the
+        # engine would drop a one-sided entry between them without an error
+        h = np.array(self.real.h_full)
+        h[0, 1] = entry
+        with pytest.raises(ValueError, match=f"h_full .*{match}"):
+            HamiltonianRealization(self.real.params, self.real.couplings, h)
+
+    def test_complex_typed_real_matrix_is_stored_as_float(self):
+        assert self.real.h_full.dtype == np.float64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            copy = HamiltonianRealization(self.real.params, self.real.couplings, self.real.h_full.astype(complex))
+        assert copy.h_full.dtype == np.float64
+        assert np.array_equal(copy.h_full, self.real.h_full)
+
+
 def traced_peak(fn) -> int:
     """Peak bytes allocated while ``fn`` runs; numpy reports its arrays to
     tracemalloc."""
@@ -201,7 +236,7 @@ def test_build_keeps_the_one_matrix_it_fills():
     # realization keeps that H. The public constructor still copies the
     # caller's array: one register-size matrix more.
     p = params(n_sys=5, n_env=4, seed=17)
-    size = 16 * p.dim ** 2
+    size = 8 * p.dim ** 2
     real = build_hamiltonian(p)  # first-call allocations stay out of the peaks below
     assert size <= traced_peak(lambda: build_hamiltonian(p)) < 1.5 * size
     h = np.array(real.h_full)

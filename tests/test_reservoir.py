@@ -244,8 +244,7 @@ class TestRunTrajectory:
     def test_empty_inputs(self):
         real = make_real()
         feats, final = run_trajectory(real, [], ReservoirConfig(tau=1.0, v=3))
-        assert feats.steps == 0
-        assert feats.width == 3 * 2 + 1
+        assert feats.values.shape == (0, 3 * 2 + 1)
         assert np.array_equal(final.matrix, DensityMatrix.ground(3).matrix)
 
     def test_default_state_is_built_without_validation(self, monkeypatch):
@@ -354,7 +353,7 @@ class TestRunTrajectory:
         # 4 system qubits, 50 nodes, single-site observables: 200 + bias
         real = make_real(n_sys=4, n_env=3, alpha=10.0, beta=0.01, seed=19)
         feats, _ = run_trajectory(real, [0.5], ReservoirConfig(tau=0.5, v=50))
-        assert feats.width == 50 * 4 + 1
+        assert feats.values.shape == (1, 50 * 4 + 1)
 
     def test_constant_input_contracts_in_markov_regime(self):
         real = make_real(n_sys=2, n_env=2, alpha=10.0, beta=0.01, seed=25)

@@ -145,9 +145,8 @@ class TestSymmetryGuard:
     def test_parity_conserving_register_has_four_sectors(self):
         self.check(build_hamiltonian(self.base), 4)
 
-    @pytest.mark.parametrize("axis", ["X", "Y"])  # Y also makes H complex
-    def test_environment_field_leaves_two_sectors(self, axis):
-        self.check(self.realization(0.3 * oracle.embed_pauli(axis, 3, 4)), 2)
+    def test_environment_field_leaves_two_sectors(self):
+        self.check(self.realization(0.3 * oracle.embed_pauli("X", 3, 4)), 2)
 
     def test_system_and_environment_fields_leave_one_sector(self):
         extra = 0.3 * oracle.embed_pauli("X", 3, 4) + 0.2 * oracle.embed_pauli("X", 0, 4)
@@ -160,34 +159,11 @@ class TestSymmetryGuard:
         self.check(self.realization(extra), 1)
 
 
-def test_complex_readout_rows_match_the_oracle():
-    # the register's Hamiltonians, also with the X symmetry-breaking terms
-    # above, give real readout rows W^dag O W; a dense complex H does not, so
-    # only here a readout row taken as its conjugate (the transpose of a
-    # Hermitian block) changes the features, and the engine takes complex
-    # products throughout
-    real = build_hamiltonian(ReservoirParams(n_sys=2, n_env=1, alpha=1.2, beta=0.8,
-                                             h_sys=0.5, h_env=1.0, seed=45))
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    h = (a + a.conj().T) / 2
-    real = HamiltonianRealization(real.params, real.couplings, h)
-    cfg = ReservoirConfig(tau=0.6, v=4, observables="z_and_zz")
-    engine = rmod._StepEngine(real, cfg, whole_register(3))
-    assert engine.shape == (1, 8, 8) and engine.w.dtype == complex
-    w = engine.w[0, 0]  # one sector: the register, in register order
-    assert np.max(np.abs(np.triu(w.conj().T @ h @ w, 1))) < 1e-12
-    z0 = np.diag(oracle.embed_pauli("Z", 0, 3))
-    assert np.max(np.abs((w.conj().T * z0 @ w).imag)) > 0.1
-    assert_matches_oracle(real, [0.3, 0.8, 0.1], cfg, random_state(3, rng))
-
-
 @pytest.mark.parametrize("n_sys, n_env, alpha, beta", [(4, 3, 1.0, 1.0), (4, 3, 0.0, 0.7), (3, 0, 0.0, 0.0),
                                                        (2, 2, 1.2, 0.0)])
 def test_real_hamiltonians_give_real_factors(n_sys, n_env, alpha, beta):
-    # every realization build_hamiltonian makes is real, so its engine's
-    # eigenvectors and readout factors G_b = W^T P_b are real: a silent fall
-    # back to complex products would keep the features, only slower
+    # a realization holds a real H, so its engine's eigenvectors and readout
+    # factors G_b = W^T P_b are real
     real = build_hamiltonian(ReservoirParams(n_sys=n_sys, n_env=n_env, alpha=alpha, beta=beta,
                                              h_sys=0.5, h_env=1.0, seed=87))
     for support in (DensityMatrix.ground(real.params.n_qubits).matrix != 0, whole_register(real.params.n_qubits)):
@@ -207,7 +183,7 @@ def test_long_horizon_keeps_the_physics_invariants():
                                              h_sys=0.5, h_env=1.0, seed=55))
     inputs = np.random.default_rng(57).uniform(0, 1, 20_000)
     feats, final = run_trajectory(real, inputs, ReservoirConfig(tau=0.5, v=4))
-    assert feats.steps == 20_000
+    assert feats.values.shape[0] == 20_000
     assert abs(final.matrix.trace().real - 1.0) < linalg.TRACE_ATOL
 
 
