@@ -29,42 +29,59 @@ parity). The Z_i / Z_i Z_j readout is diagonal, so it is block diagonal
 over any split.
 
 Before every input the input qubit is re-prepared in the pure state
-psi_s = (sqrt(1-s), sqrt(s)), so the injected class block is P_s tau P_s^dag
-with tau = Tr_q rho, a quarter of the block, and P_s = sqrt(1-s) P_0 +
-sqrt(s) P_1 the d x r isometry (r = d/2) that puts psi_s on the input
-qubit. tau is the state carried from one input to the next. A realization
-holds a real H (XX, Z and ZZ terms), so its sector eigenvectors W are real,
-and so are the readout factors G_b = W^T P_b. At build time the engine
-stacks, for each input bit b, G_b (split by sector) and the conjugate of
-A_b = U P_b, the evolution by U = W E W^T, E = exp(-i Lambda v dt), as
-evolution rows. A step mixes each pair by the input's amplitudes into G_s
-and conj(A_s), then
+psi_s = (sqrt(1-s), sqrt(s)), so the injected class block is
+rho_in = P_s tau P_s^dag with tau = Tr_q rho, a quarter of the block, and
+P_s = sqrt(1-s) P_0 + sqrt(s) P_1 the d x r isometry (r = d/2) that puts
+psi_s on the input qubit. tau is the state carried from one input to the
+next. A realization holds a real H (XX, Z and ZZ terms), so its sector
+eigenvectors W are real. At build time the engine stacks, for each input
+bit b, the conjugate of A_b = U P_b, the evolution by U = W E W^T,
+E = exp(-i Lambda v dt), as evolution rows. A step mixes the pair by the
+input's amplitudes into conj(A_s), takes the evolution rows Y = U P_s tau
+and carries tau' = Tr_q (U rho U^dag) = sum_b Y_b A_b^dag, with Y_b and
+A_b the evolution rows whose input bit is b.
 
-* takes the readout rows Y = G_s tau;
-* forms the diagonal sector blocks of sigma = W^T rho W, as
-  sigma^dag = G_s Y^dag sector by sector: a sub-step of length dt
-  multiplies sigma elementwise by the phases exp(-i (lam_p - lam_q) dt).
-  sigma and each observable's blocks are Hermitian, so entry (q, p) of a
-  block is the conjugate of entry (p, q), and every node's readout is a
-  real product of the node operand z, sigma + sigma^dag on the upper
-  triangles of the blocks, with a precomputed table that folds in the
-  observables and the phases of each node;
-* takes the evolution rows U P_s tau = W (E o Y), gathered into evolution
-  order, and carries tau' = Tr_q (U rho U^dag) = sum_b Y_b A_b^dag, with
-  Y_b and A_b the evolution rows whose input bit is b.
+The v nodes are read in one of two bases, chosen at build time:
 
-The first three products are real times complex: the real factor multiplies
-the complex operand read as interleaved reals, half the work of a complex
-product, and only Y^dag is copied (to be contiguous). Only tau' takes a
-complex product.
+* The class basis, when a table of every node and observable fits
+  _BATCH_LIMIT. Node j reads Tr(O_i(t_j) rho_in), with O_i(t) =
+  U_t^dag O_i U_t the Heisenberg-evolved observable, block diagonal over
+  the sectors. rho_in's entry at the class states (a, b), (a', b') is
+  c_b c_b' tau[a, a'] for the amplitudes c = (sqrt(1-s), sqrt(s)), so a
+  feature is a real product of tau's entries on the upper triangles of the
+  sector blocks, each run of them scaled by its coefficient, with a table
+  of O_i(t_j) on those entries. The step is Y = A_s tau and tau', two
+  complex products, and records tau; no eigenbasis operand is formed.
+* The eigenbasis otherwise, as for the echo-state pair's 50 nodes. The
+  engine also stacks the real readout factors G_b = W^T P_b, and a step
+  takes the readout rows G_s tau, forms the diagonal sector blocks of
+  sigma = W^T rho_in W, as sigma^dag = G_s (G_s tau)^dag sector by sector,
+  and the evolution rows as W (E o G_s tau), gathered into evolution order.
+  A sub-step of length dt multiplies sigma elementwise by the phases
+  exp(-i (lam_p - lam_q) dt), and every node's readout is a real product of
+  the node operand sigma + sigma^dag on the upper triangles of the blocks
+  with a table that folds in the observables and the phases of the nodes
+  it holds; later nodes reuse it after a phase shift. Three of its four
+  products are real times complex: the real factor multiplies the complex
+  operand read as interleaved reals, half the work of a complex product.
 
-Each step checks the Hermiticity the readout relies on and the trace of the
-stepped state, and writes its node operand into a block buffer; the product
-with the folded table then runs once for the whole block of inputs, so the
-table is read once per block. No d x d class block is formed on the way.
-The stepped state is Y A^dag over the evolution rows; ``run_trajectory``
-builds the final register-order state from it once, and ``dual_trajectory``
-traces the environment out of it.
+The class basis needs a table of every node: for the echo-state pair at
+v = 50 it is 3.6 times the folded table and several times slower to build,
+and at the 12-qubit cap one node of it is already over the limit. Both
+read the sector-diagonal entries of a Hermitian state against Hermitian
+observables, so in both entry (q, p) of a block is the conjugate of entry
+(p, q) and the readout runs over the upper triangles only.
+
+Each step checks the trace of the stepped state and writes its readout
+record, the node operand or tau, into a block buffer; the product with the
+table then runs once for the whole block of inputs, so the table is read
+once per block. The Hermiticity the readout relies on is checked by a bound
+on the imaginary part of every feature: in the eigenbasis step, and in the
+class basis once per block, before any row of the block is written. No
+d x d class block is formed on the way. The stepped state is Y A^dag over
+the evolution rows; ``run_trajectory`` builds the final register-order
+state from it once, and ``dual_trajectory`` traces the environment out of
+it.
 
 This is exactly unitary conjugation by exp(-i H dt), just associated
 differently. Structure that is not there joins the pieces instead of being
@@ -93,19 +110,25 @@ MULTIPLEX_MODES = ("per_node", "sub_step")
 FEATURE_IMAG_ATOL = 1e-9
 STEP_TRACE_ATOL = 1e-9
 
-# The folded phase table holds as many nodes as fit in this many reals (two
-# per upper-triangle entry of the k diagonal blocks and observable:
-# n_obs d(m+1) per class and node), and at least one node; further nodes
-# reuse it after a phase shift. About 2 MB: a 4+3 register at z_only takes
-# 8,448 reals per node and class, so one class reads v = 10 nodes in one span
-# (0.68 MB) and the two classes of the echo-state pair read v = 50 in 4 spans
-# of 14 nodes (1.9 MB).
+# The readout table takes at most this many reals, two per upper-triangle
+# entry of the k diagonal blocks (d(m+1)/2 per class), node and observable,
+# and at least one node's worth. An engine whose table of all v nodes fits
+# reads in the class basis; otherwise it reads in the eigenbasis, whose
+# folded phase table holds as many nodes as fit, and further nodes reuse it
+# after a phase shift. About 2 MB: a 4+3 register at z_only takes 8,448
+# reals per node and class, so one class at v = 10 (stm-serial) takes a
+# class-basis table of 0.68 MB, and the 5-qubit narma-readout engine (272
+# entries, 15 observables, v = 20) one of 1.3 MB; the two classes of the
+# echo-state pair at v = 50 read in the eigenbasis, in 4 spans of 14 nodes
+# (1.9 MB).
 _BATCH_LIMIT = 250_000
-# The node operands of a block of inputs, read out by one product with the
-# phase table, take at most this many reals (2 per upper-triangle entry and
-# input, a block buffer of inputs x entries complex), and a block holds at
-# least one input. About 1 MB: 66 inputs of one 4+3 class (1,056 entries),
-# 33 of the echo-state pair's two.
+# The readout of a block of inputs, one product with the table, holds at
+# most this many reals, and a block holds at least one input. In the
+# eigenbasis that is the block buffer of node operands, inputs x entries
+# complex; in the class basis the two gathers of tau, upper and lower, each
+# inputs x entries complex. About 1 MB: in the eigenbasis 66 inputs of one
+# 4+3 class (1,056 entries), 33 of the echo-state pair's two; in the class
+# basis 33 inputs of one 4+3 class and 128 of the 5-qubit engine.
 _BLOCK_LIMIT = 140_000
 
 
@@ -122,6 +145,10 @@ class ReservoirConfig:
     def __post_init__(self):
         if not (np.isfinite(self.tau) and self.tau > 0):
             raise ConfigError(f"tau must be finite and > 0, got {self.tau}")
+        for name in ("v", "input_qubit"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.v < 1:
             raise ConfigError(f"virtual-node count v must be >= 1, got {self.v}")
         if self.observables not in OBSERVABLE_KINDS:
@@ -223,18 +250,25 @@ class _StepEngine:
     re-prepared in a pure state first. Each class basis state is one
     evolution row: row 2a + b holds the state with rest a and input bit b
     (``rows`` gives its register index). ``to_state`` gathers tau from a
-    register-order matrix. ``step`` writes the input's node operand,
-    sigma + sigma^dag on the ``entries`` upper-triangle entries of the
-    sector blocks, and ``features`` reads the v nodes of a whole block of
-    those operands with one product per span of the folded phase table,
-    whose columns hold the observables of each node. ``step`` also returns
-    the stepped class blocks in factored form (Y, conj(A)), rho = Y A^dag
-    with one evolution row each, and ``trace_out`` takes partial traces of
-    that, the register-order state included.
+    register-order matrix. ``step`` writes the input's readout record into
+    a row of a block buffer (``record`` is its shape), and ``features``
+    reads the v nodes of a whole block of them with one product per span of
+    the table, whose columns hold the observables of each node. ``basis``
+    names the readout basis. In the eigenbasis the record is the node
+    operand, sigma + sigma^dag on the ``entries`` upper-triangle entries of
+    the sector blocks, and the folded ``phase_table`` holds the nodes that
+    fit. In the class basis the record is tau itself, and
+    ``observable_table`` holds the Heisenberg-evolved observables of every
+    node on the same entries in the class basis, read against the gathered
+    entries of tau. ``step`` also returns the stepped class blocks in
+    factored form (Y, conj(A)), rho = Y A^dag with one evolution row each,
+    and ``trace_out`` takes partial traces of that, the register-order
+    state included.
 
-    H is real, so the eigenvectors ``w`` and the readout factors are real,
-    and three of the step's four products take a real factor times the
-    float view of a complex operand (``_product``).
+    H is real, so the eigenvectors ``w`` are real. In the eigenbasis so are
+    the readout factors, and three of the step's four products take a real
+    factor times the float view of a complex operand (``_product``); the
+    class-basis step is two complex products.
     """
 
     def __init__(self, real: HamiltonianRealization, cfg: ReservoirConfig, support: np.ndarray):
@@ -282,6 +316,54 @@ class _StepEngine:
         self.evolve_phase = np.exp(-1j * self.v * self.dt * lam).reshape(c, k, m, 1)
         self.u = (w * self.evolve_phase.swapaxes(-1, -2)) @ w_h
 
+        # The upper triangles p <= q of the k diagonal blocks of each class,
+        # entry (block, p, q) at offset block m^2 + p m + q, which both bases
+        # read. |Im feature| <= ||K||_F / 2 * max_i ||O_i||_F for the
+        # anti-Hermitian part K of the state read and the observable blocks
+        # O_i: an upper entry off the diagonal stands for two entries of K,
+        # and each weight is repeated for its two reals.
+        p_idx, q_idx = np.triu_indices(m)
+        base = np.arange(c * k)[:, None] * (m * m)  # offset of each block
+        upper = (base + p_idx * m + q_idx).ravel()
+        self.entries = upper.size
+        diagonal = np.tile(p_idx == q_idx, c * k)
+        self.skew_weight = np.repeat(np.where(diagonal, 1.0, 2.0), 2)
+        sign = signs[:, order >> p.n_env].reshape(self.n_obs, c, k, m)
+        # A table of every node and observable in the class basis costs
+        # 2 entries v n_obs reals; within _BATCH_LIMIT the engine reads there.
+        self.basis = "class" if 2 * self.entries * self.v * self.n_obs <= _BATCH_LIMIT else "eigen"
+
+        # The injected class block is P_s tau P_s^dag, where P_s, d x r, puts
+        # the input state on the input qubit: P_s = sqrt(1-s) P_0 + sqrt(s) P_1
+        # and P_b maps rest a to the class basis state with rest a and input
+        # bit b. Column a of U P_b is the column of U at the state (a, b), in
+        # its sector's evolution rows.
+        r = d // 2
+        reg = order.reshape(c, d)  # class basis, sector after sector
+        rest = ((reg >> (shift + 1)) << shift) | (reg & ((1 << shift) - 1))
+        bit = (reg >> shift) & 1
+        rests = np.sort(rest, axis=1)[:, ::2]  # each rest of a class comes with both input bits
+        rank = np.empty(p.dim // 2, dtype=int)
+        rank[rests] = np.arange(r)
+        a = rank[rest]
+        row = 2 * a + bit  # evolution row of each class basis state
+        cls = np.arange(c)[:, None]
+        self.rows = np.empty_like(reg)
+        self.rows[cls, row] = reg
+        sector, at = np.arange(d) // m, np.arange(d) % m
+        evolve = np.zeros((2, c, d, r), dtype=complex)
+        b, g, col = bit[..., None], cls[..., None], a[..., None]
+        evolve[b, g, row.reshape(c, k, m)[cls, sector], col] = self.u[cls, sector, :, at].conj()
+        self.split = 2 * evolve[0].size
+        # The row ``step`` writes per input, and the complex values per input
+        # that a block's readout holds at once: the class basis gathers two
+        # entries from each carried tau.
+        self.record = (c, r, r) if self.basis == "class" else (self.entries,)
+        self.block_width = 2 * self.entries if self.basis == "class" else self.entries
+        if self.basis == "class":
+            self._build_class_readout(lam, w, w_h, sign, p_idx, q_idx, diagonal, a, bit, evolve)
+            return
+
         # Readout from the diagonal blocks of sigma = W^T rho W. Each O_i is a
         # Z string, diagonal with signs s_i, so W^T O_i is W^T with its
         # columns scaled by s_i. With R_i the blocks of (W^T O_i W)^T, the
@@ -296,19 +378,9 @@ class _StepEngine:
         # shift of z by its whole span. It is built in Fortran order, each
         # column contiguous, which the product with a block of operands reads
         # fastest.
-        p_idx, q_idx = np.triu_indices(m)
-        base = np.arange(c * k)[:, None] * (m * m)  # offset of each block in sigma
-        upper = (base + p_idx * m + q_idx).ravel()
         self.triangles = np.stack([upper, (base + q_idx * m + p_idx).ravel()])
-        self.entries = upper.size
-        diagonal = np.tile(p_idx == q_idx, c * k)
-        # |Im feature| <= ||sigma - sigma^dag||_F / 2 * max_i ||R_i||_F: an
-        # upper entry off the diagonal stands for two entries of
-        # sigma - sigma^dag, and each weight is repeated for its two reals
-        self.skew_weight = np.repeat(np.where(diagonal, 1.0, 2.0), 2)
         delta = (lam[:, p_idx] - lam[:, q_idx]).ravel()
-        sign = signs[:, order >> p.n_env].reshape(self.n_obs, c, k, 1, m)
-        rows = ((w_h * sign) @ w).swapaxes(-1, -2).reshape(self.n_obs, -1)
+        rows = ((w_h * sign[..., None, :]) @ w).swapaxes(-1, -2).reshape(self.n_obs, -1)
         self.row_norm = float(np.max(np.linalg.norm(rows, axis=1), initial=0.0))
         nodes = max(1, min(self.v, _BATCH_LIMIT // (2 * self.entries * self.n_obs)))
         # conj(c_ij), (node, obs, entry), read as reals is (Re c, -Im c)
@@ -318,40 +390,76 @@ class _StepEngine:
         self.phase_table = table.reshape(nodes * self.n_obs, -1).view(float).T
         self.phase_shift = np.exp(-1j * nodes * self.dt * delta)
 
-        # The injected class block is P_s tau P_s^dag, where P_s, d x r, puts
-        # the input state on the input qubit: P_s = sqrt(1-s) P_0 + sqrt(s) P_1
-        # and P_b maps rest a to the class basis state with rest a and input
-        # bit b. Factor rows per input bit b, each (c, d, r): the conjugate of
-        # U P_b as evolution rows, then the sector blocks of the real
-        # G_b = W^T P_b. Column a of W^T P_b is the column of W^T at the state
-        # (a, b), in its sector's rows; column a of U P_b is the column of U
-        # there, in that sector's evolution rows. ``gather`` takes
-        # the rows of W (E o G_s tau), one per class basis state sector after
-        # sector, into evolution order.
-        r = d // 2
-        reg = order.reshape(c, d)  # class basis, sector after sector
-        rest = ((reg >> (shift + 1)) << shift) | (reg & ((1 << shift) - 1))
-        bit = (reg >> shift) & 1
-        rests = np.sort(rest, axis=1)[:, ::2]  # each rest of a class comes with both input bits
-        rank = np.empty(p.dim // 2, dtype=int)
-        rank[rests] = np.arange(r)
-        a = rank[rest]
-        row = 2 * a + bit  # evolution row of each class basis state
-        cls = np.arange(c)[:, None]
-        self.rows = np.empty_like(reg)
-        self.rows[cls, row] = reg
+        # Factor rows per input bit b, each (c, d, r): the conjugate of U P_b
+        # as evolution rows, then the sector blocks of the real G_b = W^T P_b.
+        # Column a of W^T P_b is the column of W^T at the state (a, b), in its
+        # sector's rows. ``gather`` takes the rows of W (E o G_s tau), one per
+        # class basis state sector after sector, into evolution order.
         gather = np.empty_like(reg)
         gather[cls, row] = cls * d + np.arange(d)
         self.gather = gather.ravel()
-        sector, at = np.arange(d) // m, np.arange(d) % m
-        evolve = np.zeros((2, c, d, r), dtype=complex)
         readout = np.zeros((2, c, d, r))
-        b, g, col = bit[..., None], cls[..., None], a[..., None]
-        evolve[b, g, row.reshape(c, k, m)[cls, sector], col] = self.u[cls, sector, :, at].conj()
         readout[b, g, sector[:, None] * m + np.arange(m), col] = w_h[cls, sector, :, at]
         # (amplitudes) @ factors gives conj(A_s), then G_s, as reals
         self.factors = np.hstack([x.reshape(2, -1).view(float) for x in (evolve, readout)])
-        self.split = 2 * evolve[0].size
+
+    def _build_class_readout(self, lam, w, w_h, sign, p_idx, q_idx, diagonal, a, bit, evolve):
+        """The class-basis readout: node j reads Tr(O_i(t_j) rho_in), the
+        Heisenberg-evolved observable O_i(t) = U_t^dag O_i U_t, t_j = j dt,
+        against the injected class block rho_in = P_s tau P_s^dag.
+
+        O_i(t) is block diagonal over the sectors, and it and rho_in are
+        Hermitian, so a feature is the sum over the upper triangles x <= y of
+        the sector blocks of Re(conj(O_i(t)[x, y]) z), z = rho_in[x, y] +
+        conj(rho_in[y, x]), weighted 1/2 on the diagonal: z viewed as
+        interleaved reals (Re, Im) times a table of rows (Re O, Im O), one
+        column per (node, observable). rho_in[x, y] = c_bx c_by tau[a_x, a_y]
+        for the states x = (a_x, bx), y = (a_y, by) and the input amplitudes
+        c = (sqrt(1-s), sqrt(s)), so ``pairs`` gathers tau[a_x, a_y] and
+        tau[a_y, a_x] for each entry. The entries are sorted by bx + by, and
+        ``runs`` bounds the three runs whose coefficient is c_0^2, c_0 c_1
+        and c_1^2.
+
+        The table is built node by node. U_t = W e^{-i Lambda t} W^T comes
+        from the per-eigenvalue phasors e^{-i lam t}, and the upper entries
+        of O_i(t) = U_t^dag S_i U_t, S_i the signs of the Z string, are the
+        products conj(U_t[z, x]) U_t[z, y] of two columns of U_t summed
+        against the signs, for every observable in one real product."""
+        k, m, d = self.shape
+        c, r = self.classes, d // 2
+        n = self.n_obs
+        # ||O_i(t)||_F over the sector blocks is ||S_i||_F = sqrt(c d) for every
+        # node: the blocks of U_t are unitary and S_i is a diagonal of signs.
+        self.row_norm = math.sqrt(c * d)
+        x = (np.arange(c * k)[:, None] * m + p_idx).ravel()  # class state of each entry's row
+        y = (np.arange(c * k)[:, None] * m + q_idx).ravel()  # and of its column
+        kind = bit.ravel()[x] + bit.ravel()[y]
+        order = np.argsort(kind, kind="stable")
+        self.runs = np.searchsorted(kind[order], [0, 1, 2, 3])
+        x, y = x[order], y[order]
+        cls, a = x // d, a.ravel()
+        self.pairs = np.stack([(cls * r + a[x]) * r + a[y], (cls * r + a[y]) * r + a[x]])
+        self.skew_weight = self.skew_weight.reshape(-1, 2)[order].ravel()
+        weight = np.where(diagonal, 0.5, 1.0)[order]
+        signs = sign.transpose(1, 2, 0, 3)  # (c, k, n_obs, m)
+        table = np.empty((self.v * n, self.entries), dtype=complex)
+        # per-node buffers, reused: fresh ones would fault in every page again
+        cols_x, cols_y = np.empty((2, c, k, m, p_idx.size), dtype=complex)
+        for j in range(self.v):
+            phasor = np.exp(-1j * (j + 1) * self.dt * lam).reshape(c, k, m, 1)
+            u_t = _product(w, np.multiply(phasor, w_h, order="C"))
+            np.take(u_t, p_idx, axis=-1, out=cols_x, mode="clip")
+            np.take(u_t, q_idx, axis=-1, out=cols_y, mode="clip")
+            np.conjugate(cols_x, out=cols_x)
+            cols_x *= cols_y  # conj(U_t[z, x]) U_t[z, y], (c, k, z, entry)
+            heisenberg = _product(signs, cols_x).transpose(2, 0, 1, 3).reshape(n, -1)
+            rows = table[j * n:(j + 1) * n]
+            np.take(heisenberg, order, axis=1, out=rows, mode="clip")
+            rows *= weight
+        self.observable_table = table.view(float).T  # Fortran order, each column contiguous
+        self._buffers = None
+        # (amplitudes) @ factors gives conj(A_s), then A_s, as reals
+        self.factors = np.hstack([x.reshape(2, -1).view(float) for x in (evolve, evolve.conj())])
 
     def to_state(self, rho: np.ndarray) -> np.ndarray:
         """tau of the register-order matrix ``rho``: the Hermitian part of the
@@ -403,17 +511,20 @@ class _StepEngine:
 
     def step(self, tau: np.ndarray, s: float, z: np.ndarray,
              trace: float = 1.0) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        """One input step: inject, evolve v sub-steps, and form the readout.
+        """One input step: inject, evolve v sub-steps, and record the readout.
 
-        Writes the node operand z, sigma + sigma^dag on the ``entries``
-        upper-triangle entries of the sector blocks, from which ``features``
-        reads the v nodes, and returns the next tau and the stepped class
-        blocks as (Y, conj(A)), rho = Y A^dag, each (classes, d, r) over the
-        evolution rows. The map is linear in ``tau``, so it also steps the
-        difference of two states; ``trace`` is the trace the stepped state
-        must keep: 1 for a density matrix, 0 up to rounding for a difference
-        of two.
+        Writes the input's row z of a block buffer, from which ``features``
+        reads the v nodes: in the eigenbasis the node operand sigma +
+        sigma^dag on the ``entries`` upper-triangle entries of the sector
+        blocks, in the class basis tau itself. Returns the next tau and the
+        stepped class blocks as (Y, conj(A)), rho = Y A^dag, each
+        (classes, d, r) over the evolution rows. The map is linear in
+        ``tau``, so it also steps the difference of two states; ``trace`` is
+        the trace the stepped state must keep: 1 for a density matrix, 0 up
+        to rounding for a difference of two.
         """
+        if self.basis == "class":
+            return self._class_step(tau, s, z, trace)
         k, m, d = self.shape
         c, r = self.classes, d // 2
         f = np.array(_encode(s)) @ self.factors
@@ -429,29 +540,49 @@ class _StepEngine:
         skew = (upper - lower).view(float)  # sigma^dag - sigma on the upper triangles
         imag_bound = 0.5 * math.sqrt(self.skew_weight @ (skew * skew)) * self.row_norm
         if not imag_bound <= FEATURE_IMAG_ATOL:  # NaN included
-            raise NumericalError(
-                f"features may have an imaginary part up to {imag_bound:.3e} > {FEATURE_IMAG_ATOL:.1e}; "
-                "state is corrupted"
-            )
+            raise _ReadoutError(0, imag_bound)
         np.add(upper, lower, out=z)
 
-        # U P_s tau = W (E o Y), gathered into evolution rows. Tr_q (Y A^dag):
-        # rows 2a and 2a + 1 hold rest a, so each class's evolution rows read
-        # as r x 2r make it one product. Its trace is Tr (Y A^dag), the sum of
-        # Y times conj(A).
+        # U P_s tau = W (E o Y), gathered into evolution rows.
         y_ev = _product(self.w, y * self.evolve_phase).reshape(c * d, r).take(self.gather, axis=0)
-        y_ev = y_ev.reshape(c, d, r)
-        trace_err = abs(np.dot(y_ev.ravel(), a_conj.ravel()).real - trace)
+        return self._carry(y_ev.reshape(c, d, r), a_conj, trace)
+
+    def _class_step(self, tau, s, z, trace):
+        """``step`` in the class basis: z is tau, and the evolution rows are
+        U P_s tau = A_s tau, one complex product."""
+        z[...] = tau
+        d = self.shape[2]
+        c, r = self.classes, d // 2
+        f = np.array(_encode(s)) @ self.factors
+        a_conj = f[:self.split].view(complex).reshape(c, d, r)
+        y = f[self.split:].view(complex).reshape(c, d, r) @ tau
+        return self._carry(y, a_conj, trace)
+
+    def _carry(self, y, a_conj, trace):
+        """The next tau, Tr_q (Y A^dag), and the stepped state (Y, conj(A)),
+        after checking its trace. Rows 2a and 2a + 1 hold rest a, so each
+        class's evolution rows read as r x 2r make Tr_q one product. The
+        trace is Tr (Y A^dag), the sum of Y times conj(A)."""
+        c, d, r = y.shape
+        trace_err = abs(np.dot(y.ravel(), a_conj.ravel()).real - trace)
         if not trace_err <= STEP_TRACE_ATOL:
             raise NumericalError(f"state trace drifted by {trace_err:.3e} > {STEP_TRACE_ATOL:.1e}")
-        tau = y_ev.reshape(c, r, 2 * r) @ a_conj.reshape(c, r, 2 * r).swapaxes(-1, -2)
-        return tau, (y_ev, a_conj)
+        tau = y.reshape(c, r, d) @ a_conj.reshape(c, r, d).swapaxes(-1, -2)
+        return tau, (y, a_conj)
 
-    def features(self, z: np.ndarray) -> np.ndarray:
-        """Feature rows, (b, v x n_obs) node-major, of a block of b node
-        operands z, (b, entries): one product with the folded table per span
-        of nodes it holds. Later spans shift the phases of z in place."""
-        out = np.empty((z.shape[0], self.v * self.n_obs))
+    def features(self, z: np.ndarray, inputs: np.ndarray, out: np.ndarray) -> None:
+        """Write the feature rows, (b, v x n_obs) node-major, of a block of b
+        rows z that ``step`` wrote for ``inputs`` to ``out``.
+
+        Eigenbasis: one product of the operands with the folded table per
+        span of nodes it holds; later spans shift the phases of z in place.
+        Class basis: the Hermiticity check of every input, which raises
+        ``_ReadoutError`` naming the first failing row before ``out`` is
+        written, then the operands and one product with the table of every
+        node."""
+        if self.basis == "class":
+            self._class_features(z, inputs, out)
+            return
         z_real = z.view(float)
         span = self.phase_table.shape[1]
         for start in range(0, out.shape[1], span):
@@ -459,7 +590,51 @@ class _StepEngine:
                 z *= self.phase_shift
             stop = min(start + span, out.shape[1])
             out[:, start:stop] = z_real @ self.phase_table[:, : stop - start]
-        return out
+
+    def _class_features(self, z, inputs, out):
+        """``features`` in the class basis, from a block of carried states z.
+
+        Takes tau[a_x, a_y] + conj(tau[a_y, a_x]) on every upper entry,
+        after the same bound on the imaginary part of each input's features
+        as the eigenbasis step's, with the skew part of rho_in in place of
+        sigma's, then scales each run of entries by its coefficient c_bx c_by
+        and takes one product with the table. The gathers are taken into
+        buffers kept from block to block: a fresh array of this size costs
+        the kernel a page fault per page."""
+        b = len(z)
+        if self._buffers is None or self._buffers.shape[1] < b:
+            self._buffers = np.empty((3, b, self.entries), dtype=complex)
+        upper, lower, skew = self._buffers[:, :b]
+        flat = z.reshape(b, -1)
+        # the indices are in range; a mode other than "raise" takes straight into out
+        np.take(flat, self.pairs[0], axis=1, out=upper, mode="clip")
+        np.take(flat, self.pairs[1], axis=1, out=lower, mode="clip")
+        np.conjugate(lower, out=lower)
+        np.subtract(upper, lower, out=skew)
+        square = skew.view(float)
+        square *= square
+        upper += lower
+        c0, c1 = np.sqrt(1.0 - inputs), np.sqrt(inputs)
+        runs = list(zip((c0 * c0, c0 * c1, c1 * c1), self.runs[:-1], self.runs[1:]))
+        bound = sum(coef * coef * (square[:, 2 * lo:2 * hi] @ self.skew_weight[2 * lo:2 * hi])
+                    for coef, lo, hi in runs)
+        bound = 0.5 * np.sqrt(bound) * self.row_norm
+        failed = np.flatnonzero(~(bound <= FEATURE_IMAG_ATOL))  # NaN included
+        if failed.size:
+            raise _ReadoutError(int(failed[0]), bound[failed[0]])
+        for coef, lo, hi in runs:
+            upper[:, lo:hi] *= coef[:, None]
+        np.matmul(upper.view(float), self.observable_table, out=out)
+
+
+class _ReadoutError(NumericalError):
+    """Features that may have an imaginary part; ``row`` is the failing
+    input's row in its block."""
+
+    def __init__(self, row: int, bound: float):
+        super().__init__(f"features may have an imaginary part up to {bound:.3e} > {FEATURE_IMAG_ATOL:.1e}; "
+                         "state is corrupted")
+        self.row = row
 
 
 def _product(f: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -469,8 +644,8 @@ def _product(f: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _block_inputs(entries: int) -> int:
-    """Inputs per block: as many node operands, ``entries`` complex each, as
-    fit under _BLOCK_LIMIT reals, and at least one."""
+    """Inputs per block: as many inputs, ``entries`` complex each, as fit
+    under _BLOCK_LIMIT reals, and at least one."""
     return max(1, _BLOCK_LIMIT // (2 * entries))
 
 
@@ -481,12 +656,24 @@ def _step_inputs(engine: _StepEngine, tau: np.ndarray, inputs: np.ndarray, rows:
 
     ``visit(tau, stepped)``, when given, sees every input's carried state
     before its step and the stepped state after it. Returns the last stepped
-    state. Every step runs its checks at once, and an error of a step or of
-    ``visit`` is raised with its step index.
+    state. Every step checks its trace at once. The Hermiticity check of the
+    readout runs in the eigenbasis step, and in the class basis once per
+    block, for every input of the block before its row is written; when a
+    step or ``visit`` fails, the check first runs for the inputs of the
+    block so far, so the error raised is the first in step order either
+    way, with its step index.
     """
-    block = _block_inputs(engine.entries)
-    z = np.empty((min(block, inputs.size), engine.entries), dtype=complex)
+    block = _block_inputs(engine.block_width)
+    z = np.empty((min(block, inputs.size), *engine.record), dtype=complex)
     stepped = None
+
+    def read(start, chunk):
+        """Write the features of ``chunk``, the inputs from step ``start`` on."""
+        try:
+            engine.features(z[:chunk.size], chunk, rows[start:start + chunk.size])
+        except _ReadoutError as exc:
+            raise NumericalError(f"{what} failed at step {start + exc.row}: {exc}") from exc
+
     for start in range(0, inputs.size, block):
         chunk = inputs[start:start + block]
         for i, s in enumerate(chunk):
@@ -495,9 +682,11 @@ def _step_inputs(engine: _StepEngine, tau: np.ndarray, inputs: np.ndarray, rows:
                 if visit is not None:
                     visit(tau, stepped)
             except (NumericalError, ValueError) as exc:
+                if engine.basis == "class":
+                    read(start, chunk[:i + 1])
                 raise NumericalError(f"{what} failed at step {start + i}: {exc}") from exc
             tau = carried
-        rows[start:start + chunk.size] = engine.features(z[:chunk.size])
+        read(start, chunk)
     return stepped
 
 

@@ -1,15 +1,16 @@
 import csv
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from nmqrc import esp, linalg
+from nmqrc import esp, linalg, reservoir
 from nmqrc.errors import NumericalError
 from nmqrc.esp import EspRecord, backflow_count, dual_trajectory, records_to_csv, window_stats
 from nmqrc.hamiltonian import ReservoirParams, build_hamiltonian
 from nmqrc.linalg import DensityMatrix
-from nmqrc.reservoir import ReservoirConfig, _StepEngine
+from nmqrc.reservoir import MULTIPLEX_MODES, ReservoirConfig, _StepEngine
 
 
 def make_real(n_sys=2, n_env=1, alpha=1.0, beta=1.0, seed=0):
@@ -225,13 +226,48 @@ class TestClassSplit:
         assert np.all(gap <= 2 * 4 * linalg.EIGENVALUE_ATOL)
 
 
+@pytest.mark.parametrize("alpha", [0.9, 0.0])
+@pytest.mark.parametrize("multiplex", MULTIPLEX_MODES)
+@pytest.mark.parametrize("basis", ["eigen", "class"])
+def test_full_distance_keeps_the_class_floor(alpha, multiplex, basis):
+    # Each class block of Delta = rho1 - rho2 evolves under its own
+    # trace-preserving map, so Tr Delta_c is conserved and the full-register
+    # distance never falls below sum_c |Tr Delta_c|. The classes are the
+    # environment parities for alpha > 0 and the environment Z configurations
+    # for alpha = 0, found here from the register index alone; for the default
+    # pair (I/d, |0><0|) the floor is 1 and 2 (1 - 2^-n_env). A block one state
+    # holds alone is semidefinite only to EIGENVALUE_ATOL, hence the tolerance
+    # of 2 d_c EIGENVALUE_ATOL per class.
+    n_sys, n_env = 3, 2
+    n = n_sys + n_env
+    real = make_real(n_sys, n_env, alpha=alpha, beta=0.8, seed=5)
+    cfg = ReservoirConfig(tau=0.6, v=4, multiplex=multiplex)
+    rho1, rho2 = DensityMatrix.maximally_mixed(n).matrix, DensityMatrix.ground(n).matrix
+    env = np.arange(2 ** n) & ((1 << n_env) - 1)  # the environment is the low bits
+    label = env if alpha == 0 else np.array([bin(e).count("1") % 2 for e in env])
+    diagonal = np.diag(rho1 - rho2).real
+    classes = np.unique(label)
+    floor = sum(abs(diagonal[label == c].sum()) for c in classes)
+    assert floor == pytest.approx(1.0 if alpha else 2 * (1 - 2.0 ** -n_env), abs=1e-12)
+    tolerance = sum(2 * np.count_nonzero(label == c) * linalg.EIGENVALUE_ATOL for c in classes)
+    inputs = np.random.default_rng(17).uniform(0, 1, 60)
+    with mock.patch.object(reservoir, "_BATCH_LIMIT", 0 if basis == "eigen" else reservoir._BATCH_LIMIT):
+        engine = _StepEngine(real, replace(cfg, observables="z_only"), (rho1 != 0) | (rho2 != 0))
+        records = dual_trajectory(real, inputs, cfg)
+    assert engine.basis == basis
+    assert engine.classes == classes.size
+    assert len(records) == inputs.size + 1
+    for r in records:
+        assert r.trace_distance >= floor - tolerance
+
+
 def test_step_checks_the_trace_it_is_given():
     # a difference of two states keeps trace 0; a density matrix stepped as
     # one is caught
     real = make_real()
     engine = _StepEngine(real, ReservoirConfig(tau=0.5, v=2), np.ones((8, 8), dtype=bool))
     state = engine.to_state(DensityMatrix.ground(3).matrix)
-    z = np.empty(engine.entries, dtype=complex)
+    z = np.empty(engine.record, dtype=complex)
     engine.step(state, 0.3, z)
     with pytest.raises(NumericalError, match="trace"):
         engine.step(state, 0.3, z, trace=0.0)

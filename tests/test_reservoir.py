@@ -13,6 +13,7 @@ from nmqrc.reservoir import (
     ReservoirConfig,
     _encode,
     _observables,
+    _step_inputs,
     _StepEngine,
     feature_labels,
     run_trajectory,
@@ -63,6 +64,22 @@ class TestEncodeInput:
             _encode(1.2)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             _encode(-0.1)
+
+
+class TestReservoirConfig:
+    @pytest.mark.parametrize("field, value", [("v", 2.5), ("v", 2.0), ("v", True), ("v", "3"),
+                                              ("input_qubit", 1.5), ("input_qubit", False),
+                                              ("input_qubit", np.float64(1.0))])
+    def test_non_integer_counts_rejected(self, field, value):
+        # a float v used to fail later in run_trajectory, a float input qubit
+        # in a shift, and v = True ran as one node
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            ReservoirConfig(tau=0.5, **{"v": 2, field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = ReservoirConfig(tau=0.5, v=np.int64(3), input_qubit=np.int32(1))
+        feats, _ = run_trajectory(make_real(), [0.2, 0.6], cfg)
+        assert feats.values.shape == (2, 3 * 2 + 1)
 
 
 class TestInjectInput:
@@ -161,8 +178,8 @@ class TestMeasure:
         engine = _StepEngine(make_real(), ReservoirConfig(tau=1.0, v=2), rho0 != 0)
         tau = engine.to_state(rho0)
         tau[0, 0, 0] += 1e-3j  # Tr_q rho at the register's first rest
-        with pytest.raises(NumericalError, match="imaginary"):
-            engine.step(tau, 0.5, np.empty(engine.entries, dtype=complex))
+        with pytest.raises(NumericalError, match="^trajectory failed at step 0: .*imaginary"):
+            _step_inputs(engine, tau, np.array([0.5]), np.empty((1, 2 * engine.n_obs)))
 
 
 class TestEvolveStep:
@@ -288,10 +305,12 @@ class TestRunTrajectory:
         rho0 = DensityMatrix.ground(3).matrix
         engine = _StepEngine(real, cfg, rho0 != 0)
         tau = engine.to_state(rho0)
-        z = np.empty((inputs.size, engine.entries), dtype=complex)
+        z = np.empty((inputs.size, *engine.record), dtype=complex)
         for k, s in enumerate(inputs):
             tau, stepped = engine.step(tau, s, z[k])
-        assert np.array_equal(feats.values[:, :-1], engine.features(z))
+        rows = np.empty((inputs.size, cfg.v * engine.n_obs))
+        engine.features(z, inputs, rows)
+        assert np.array_equal(feats.values[:, :-1], rows)
         assert np.array_equal(final.matrix, engine.trace_out(stepped, engine.trace_index(())))
 
     def test_determinism(self):

@@ -66,9 +66,30 @@ def oracle_tau(rho, input_qubit):
 def step_once(engine, tau, s, trace=1.0):
     """One engine step read out on its own: (next tau, feature slice,
     stepped state)."""
-    z = np.empty((1, engine.entries), dtype=complex)
+    z = np.empty((1, *engine.record), dtype=complex)
     tau, stepped = engine.step(tau, s, z[0], trace)
-    return tau, engine.features(z)[0], stepped
+    out = np.empty((1, engine.v * engine.n_obs))
+    engine.features(z, np.array([s]), out)
+    return tau, out[0], stepped
+
+
+BASES = {"eigen": 0, "class": rmod._BATCH_LIMIT}  # a _BATCH_LIMIT that builds each basis here
+
+
+def expected_basis(engine, batch_limit):
+    """The basis an engine built under ``batch_limit`` reads in: the class
+    basis when its table of every node and observable fits, 2 reals per
+    upper-triangle entry, node and observable."""
+    fits = 2 * engine.entries * engine.v * engine.n_obs <= batch_limit
+    return "class" if fits else "eigen"
+
+
+def assert_basis(real, cfg, rho0, batch_limit):
+    """The engine ``run_trajectory`` builds from ``rho0`` under
+    ``batch_limit`` reads in the expected basis; a limit of 0 forces the
+    eigenbasis."""
+    engine = rmod._StepEngine(real, cfg, rho0.matrix != 0)
+    assert engine.basis == expected_basis(engine, batch_limit)
 
 
 def register_tau(engine, tau, input_qubit):
@@ -116,6 +137,7 @@ def test_engine_matches_propagator_oracle(case):
     real = build_hamiltonian(params)
     rho0 = random_state(params.n_qubits, np.random.default_rng(state_seed))
     with mock.patch.object(rmod, "_BATCH_LIMIT", batch_limit):
+        assert_basis(real, cfg, rho0, batch_limit)
         assert_matches_oracle(real, inputs, cfg, rho0)
 
 
@@ -162,18 +184,22 @@ class TestSymmetryGuard:
 @pytest.mark.parametrize("n_sys, n_env, alpha, beta", [(4, 3, 1.0, 1.0), (4, 3, 0.0, 0.7), (3, 0, 0.0, 0.0),
                                                        (2, 2, 1.2, 0.0)])
 def test_real_hamiltonians_give_real_factors(n_sys, n_env, alpha, beta):
-    # a realization holds a real H, so its engine's eigenvectors and readout
-    # factors G_b = W^T P_b are real
+    # a realization holds a real H, so its engine's eigenvectors and
+    # eigenbasis readout factors G_b = W^T P_b are real
     real = build_hamiltonian(ReservoirParams(n_sys=n_sys, n_env=n_env, alpha=alpha, beta=beta,
                                              h_sys=0.5, h_env=1.0, seed=87))
     for support in (DensityMatrix.ground(real.params.n_qubits).matrix != 0, whole_register(real.params.n_qubits)):
-        engine = rmod._StepEngine(real, ReservoirConfig(tau=0.5, v=3), support)
-        d = engine.shape[2]
-        assert engine.w.dtype == np.float64
-        assert engine.factors.dtype == np.float64
-        # conj(A_b) takes two reals per entry, G_b one
-        assert engine.factors.shape == (2, 3 * engine.classes * d * (d // 2))
-        assert engine.split == 2 * engine.classes * d * (d // 2)
+        for basis, batch_limit in BASES.items():
+            with mock.patch.object(rmod, "_BATCH_LIMIT", batch_limit):
+                engine = rmod._StepEngine(real, ReservoirConfig(tau=0.5, v=3), support)
+            assert engine.basis == basis
+            d = engine.shape[2]
+            assert engine.w.dtype == np.float64
+            assert engine.factors.dtype == np.float64
+            # conj(A_b) takes two reals per entry, and then G_b one, or A_b two
+            width = 3 if basis == "eigen" else 4
+            assert engine.factors.shape == (2, width * engine.classes * d * (d // 2))
+            assert engine.split == 2 * engine.classes * d * (d // 2)
 
 
 def test_long_horizon_keeps_the_physics_invariants():
@@ -187,33 +213,48 @@ def test_long_horizon_keeps_the_physics_invariants():
     assert abs(final.matrix.trace().real - 1.0) < linalg.TRACE_ATOL
 
 
+def step_from(engine, tau, inputs, trace=1.0):
+    """``inputs`` stepped from ``tau`` through ``_step_inputs``, one block."""
+    inputs = np.asarray(inputs, dtype=float)
+    rmod._step_inputs(engine, tau, inputs, np.empty((inputs.size, engine.v * engine.n_obs)), trace)
+
+
 def test_non_hermitian_state_trips_the_imaginary_part_guard():
     # i * 1e-6 on a diagonal entry of the carried Tr_q rho gives the features
-    # imaginary parts far above FEATURE_IMAG_ATOL
+    # imaginary parts far above FEATURE_IMAG_ATOL; the eigenbasis step and
+    # the class basis's check of the block name the same step
     real = build_hamiltonian(ReservoirParams(n_sys=4, n_env=3, alpha=1.0, beta=1.0,
                                              h_sys=0.5, h_env=1.0, seed=59))
     rho0 = DensityMatrix.ground(7)
-    engine = rmod._StepEngine(real, ReservoirConfig(tau=0.5, v=3), rho0.matrix != 0)
-    tau, _, _ = step_once(engine, engine.to_state(rho0.matrix), 0.3)
-    tau[0, 0, 0] += 1e-6j  # Tr_q rho at the register's first rest
-    with pytest.raises(NumericalError, match="imaginary"):
-        step_once(engine, tau, 0.6)
+    for basis, batch_limit in BASES.items():
+        with mock.patch.object(rmod, "_BATCH_LIMIT", batch_limit):
+            engine = rmod._StepEngine(real, ReservoirConfig(tau=0.5, v=3), rho0.matrix != 0)
+        assert engine.basis == basis
+        tau, _, _ = step_once(engine, engine.to_state(rho0.matrix), 0.3)
+        tau[0, 0, 0] += 1e-6j  # Tr_q rho at the register's first rest
+        with pytest.raises(NumericalError, match="^trajectory failed at step 0: features may have an imaginary"):
+            step_from(engine, tau, [0.6, 0.2, 0.9])
 
 
 @pytest.mark.parametrize("corrupt, trace, match", [(True, 1.0, "imaginary"), (False, np.nan, "trace")])
 def test_nan_trips_the_step_checks(corrupt, trace, match):
     # a comparison with NaN is False, so each check must fail on NaN rather
     # than pass: a NaN entry of the carried tau reaches the imaginary-part
-    # bound, and a NaN trace the trace check
+    # bound, and a NaN trace the trace check, in either basis. In the class
+    # basis the trace check of step 0 trips first, and the readout check of
+    # the block so far then runs before its error is raised.
     real = build_hamiltonian(ReservoirParams(n_sys=2, n_env=1, alpha=1.0, beta=1.0,
                                              h_sys=0.5, h_env=1.0, seed=61))
     rho0 = DensityMatrix.ground(3)
-    engine = rmod._StepEngine(real, ReservoirConfig(tau=0.5, v=2), rho0.matrix != 0)
-    tau = engine.to_state(rho0.matrix)
-    if corrupt:
-        tau[0, 1, 0] = np.nan
-    with pytest.raises(NumericalError, match=match):
-        step_once(engine, tau, 0.4, trace)
+    for basis, batch_limit in BASES.items():
+        with mock.patch.object(rmod, "_BATCH_LIMIT", batch_limit):
+            engine = rmod._StepEngine(real, ReservoirConfig(tau=0.5, v=2), rho0.matrix != 0)
+        assert engine.basis == basis
+        tau = engine.to_state(rho0.matrix)
+        if corrupt:
+            tau[0, 1, 0] = np.nan
+        with pytest.raises(NumericalError, match=f"^trajectory failed at step 0: .*{match}"):
+            step_from(engine, tau, [0.4, 0.7], trace)
 
 
 def test_state_hermitian_to_the_density_matrix_tolerance_is_stepped():
@@ -352,6 +393,7 @@ def test_engine_on_class_structured_states_matches_propagator_oracle(case, kind)
     real = build_hamiltonian(params)
     rho0 = class_structured_state(kind, params.n_sys, params.n_env, np.random.default_rng(state_seed))
     with mock.patch.object(rmod, "_BATCH_LIMIT", batch_limit):
+        assert_basis(real, cfg, rho0, batch_limit)
         assert_matches_oracle(real, inputs, cfg, rho0)
 
 
@@ -526,6 +568,7 @@ def test_blocks_match_the_propagator_oracle(case):
     pair = (random_state(params.n_qubits, rng), random_state(params.n_qubits, rng))
     with mock.patch.object(rmod, "_BATCH_LIMIT", batch_limit), \
             mock.patch.object(rmod, "_block_inputs", block_of(block)):
+        assert_basis(real, cfg, pair[0], batch_limit)
         assert_matches_oracle(real, inputs, cfg, pair[0])
         got = dual_trajectory(real, inputs, cfg, initial_states=pair)
     want = oracle_dual_records(real, inputs, cfg, pair[0].matrix, pair[1].matrix)
@@ -540,7 +583,11 @@ def test_blocks_match_the_propagator_oracle(case):
 @pytest.mark.parametrize("driver, what", [(run_trajectory, "trajectory"), (dual_trajectory, "trajectory pair")])
 def test_error_inside_a_block_names_its_step(driver, what, monkeypatch):
     # blocks of 4 inputs; the carried state is corrupted before step 5, the
-    # second input of the second block, and the step's own check trips
+    # second input of the second block. The eigenbasis step's own check
+    # trips at once. The class basis checks the readout of the block after
+    # its last step, unless a step fails first: the echo-state record's gate
+    # on the carried state trips at step 5, and the readout check of the
+    # block so far then names step 5 as well.
     real = build_hamiltonian(ReservoirParams(n_sys=2, n_env=1, alpha=1.0, beta=1.0,
                                              h_sys=0.5, h_env=1.0, seed=83))
     original = rmod._StepEngine.step
@@ -555,9 +602,12 @@ def test_error_inside_a_block_names_its_step(driver, what, monkeypatch):
 
     monkeypatch.setattr(rmod, "_block_inputs", block_of(4))
     monkeypatch.setattr(rmod._StepEngine, "step", corrupting)
-    with pytest.raises(NumericalError, match=f"^{what} failed at step 5: features may have an imaginary part"):
-        driver(real, np.linspace(0.1, 0.9, 10), ReservoirConfig(tau=0.5, v=3))
-    assert len(stepped) == 6
+    for basis, batch_limit in BASES.items():
+        stepped.clear()
+        monkeypatch.setattr(rmod, "_BATCH_LIMIT", batch_limit)
+        with pytest.raises(NumericalError, match=f"^{what} failed at step 5: features may have an imaginary part"):
+            driver(real, np.linspace(0.1, 0.9, 10), ReservoirConfig(tau=0.5, v=3))
+        assert len(stepped) == (8 if basis == "class" and driver is run_trajectory else 6)
 
 
 def workload_engine(name):
@@ -575,23 +625,59 @@ def workload_engine(name):
 
 def test_block_buffer_stays_within_its_budget():
     # The three benchmark workloads' engines hold a block buffer of several
-    # inputs, each of ``entries`` complex values, and a folded phase table
-    # of at most _BATCH_LIMIT reals; esp-divergence's 50 nodes take 4 spans
-    # of it. One environment-parity class of a 12-qubit register (8+4,
-    # k = 2 sectors of 1024 states) has a single node operand already over
-    # the budget.
-    spans = {"stm-serial": 1, "narma-readout": 1, "esp-divergence": 4}
+    # inputs and a table of at most _BATCH_LIMIT reals. stm-serial and
+    # narma-readout read in the class basis: their tables of every node
+    # and observable fit, and a block's two gathers, ``entries`` complex
+    # values each per input, fit _BLOCK_LIMIT. esp-divergence's 50 nodes
+    # do not fit: it reads in the eigenbasis, its node operands of
+    # ``entries`` complex values fit _BLOCK_LIMIT, and its nodes take 4
+    # spans of the folded phase table. One environment-parity class of a
+    # 12-qubit register (8+4, k = 2 sectors of 1024 states) has a single
+    # node operand already over the budget.
+    spans = {"stm-serial": None, "narma-readout": None, "esp-divergence": 4}
     for name, count in spans.items():
         engine = workload_engine(name)
-        block = rmod._block_inputs(engine.entries)
+        assert engine.basis == ("class" if count is None else "eigen")
+        width = 2 * engine.entries if engine.basis == "class" else engine.entries
+        assert engine.block_width == width
+        block = rmod._block_inputs(width)
         assert block > 1
-        assert block * engine.entries * 16 <= 8 * rmod._BLOCK_LIMIT
-        assert engine.phase_table.dtype == np.float64
-        assert engine.phase_table.nbytes <= 8 * rmod._BATCH_LIMIT <= 2_100_000
-        assert -(-engine.v * engine.n_obs // engine.phase_table.shape[1]) == count
+        assert block * width * 16 <= 8 * rmod._BLOCK_LIMIT
+        table = engine.observable_table if count is None else engine.phase_table
+        assert table.dtype == np.float64
+        assert table.nbytes <= 8 * rmod._BATCH_LIMIT <= 2_100_000
+        assert table.shape[0] == 2 * engine.entries
+        if count is None:
+            assert table.shape[1] == engine.v * engine.n_obs
+        else:
+            assert -(-engine.v * engine.n_obs // table.shape[1]) == count
     big = 2 * (1024 * 1025 // 2)  # upper-triangle entries of two 1024-state sectors
     assert 2 * big > rmod._BLOCK_LIMIT
     assert rmod._block_inputs(big) == 1
+
+
+def test_class_basis_matches_the_eigenbasis_on_the_workloads():
+    # each benchmark workload's engine, forced into each basis: the
+    # eigenbasis by a _BATCH_LIMIT of 0, the class basis by one its table
+    # fits. The features and the last stepped state agree.
+    inputs = np.random.default_rng(93).uniform(0, 1, 40)
+    for name in ("stm-serial", "narma-readout", "esp-divergence"):
+        runs = {}
+        for basis, batch_limit in (("eigen", 0), ("class", 10 ** 8)):
+            with mock.patch.object(rmod, "_BATCH_LIMIT", batch_limit):
+                engine = workload_engine(name)
+            assert engine.basis == basis
+            n = engine.n_qubits
+            rho0 = DensityMatrix.ground(n).matrix
+            if name == "esp-divergence":  # the echo-state difference I/d - |0><0|
+                rho0 = DensityMatrix.maximally_mixed(n).matrix - rho0
+            tau, trace = engine.to_state(rho0), float(rho0.trace().real)
+            rows = np.empty((inputs.size, engine.v * engine.n_obs))
+            stepped = rmod._step_inputs(engine, tau, inputs, rows, trace)
+            runs[basis] = rows, engine.trace_out(stepped, engine.trace_index(()))
+        (rows, final), (want_rows, want_final) = runs["class"], runs["eigen"]
+        assert np.max(np.abs(rows - want_rows)) < 1e-12
+        assert np.max(np.abs(final - want_final)) < 1e-12
 
 
 def test_folded_table_spans_match_the_one_node_table():
