@@ -438,8 +438,9 @@ def aggregate(scores) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std())
 
 
-def _readout(x_train, y_train) -> np.ndarray:
-    """Readout weights X^+ Y for every target column at once.
+def _readout(design: np.ndarray, n: int) -> np.ndarray:
+    """Readout weights X^+ Y for every target column at once, from the
+    training block ``design`` = [X | Y] whose first ``n`` columns are X.
 
     One QR of [X | Y] serves all targets: X = QR gives X^+ = R^+ Q^T, the
     last columns of R hold Q^T Y, and R has the singular values of X, so
@@ -447,8 +448,7 @@ def _readout(x_train, y_train) -> np.ndarray:
     first n rows also covers a training split shorter than the design, where
     R is trapezoidal.
     """
-    n = x_train.shape[1]
-    r = np.linalg.qr(np.hstack([x_train, y_train]), mode="r")
+    r = np.linalg.qr(design, mode="r")
     return pseudoinverse(r[:n, :n]) @ r[:n, n:]
 
 
@@ -467,7 +467,7 @@ def _job(job):
             records = tuple(dual_trajectory(real, inputs, reservoir_config(cfg)))
         else:
             u = input_stream(seed, cfg.split.total, 0.0, NARMA_INPUT_MAX if narma else 1.0)
-            feats, _ = run_trajectory(real, scale_inputs(u) if narma else u, reservoir_config(cfg))
+            feats = run_trajectory(real, scale_inputs(u) if narma else u, reservoir_config(cfg))[0]
     except (NumericalError, ValueError) as exc:
         raise NumericalError(f"{cfg.task} run failed ({where}): {exc}") from exc
     if cfg.task == "esp":
@@ -475,24 +475,32 @@ def _job(job):
         return EspRunResult(regime.label, seed, records, stats, backflow), export_couplings(real)
 
     spec = _TASKS[cfg.task]
-    train, val = cfg.split.train_slice, cfg.split.val_slice
+    split, train, val = cfg.split, cfg.split.train_slice, cfg.split.val_slice
     points = tuple(spec.axis(cfg))
-    # Filled in place: a list of target arrays and its stacked copy raised
-    # the peak resident set of the paper-length narma sweep by about 10 MB.
-    y = np.empty((u.size, len(points)))
+    # The fit needs only the training block [X | Y] and the validation rows of
+    # X and Y. They are copied out and the whole feature matrix is dropped
+    # before the targets and the QR: kept alive beside the QR's copies of the
+    # block, it set the peak resident set of the paper-length narma sweep.
+    n = len(feats.labels)
+    design = np.empty((split.train, n + len(points)))
+    design[:, :n] = feats.values[train]
+    x_val = feats.values[val].copy()
+    del feats
+    y_val = np.empty((split.val, len(points)))
     for j, point in enumerate(points):
         try:
-            y[:, j] = narma_series(u, point) if narma else stm_targets(u, point)
+            series = narma_series(u, point) if narma else stm_targets(u, point)
         except (NumericalError, ValueError) as exc:
             kind = DivergenceError if isinstance(exc, DivergenceError) else NumericalError
             raise kind(f"{cfg.task} scoring failed ({where}, {spec.header[0]}={point}): {exc}") from exc
-    x = feats.values
+        design[:, n + j] = series[train]
+        y_val[:, j] = series[val]
     try:
-        w = _readout(x[train], y[train])
+        w = _readout(design, n)
     except (NumericalError, ValueError) as exc:
         raise NumericalError(f"{cfg.task} readout failed ({where}): {exc}") from exc
-    predictions = x[val] @ w
-    scores = {point: squared_correlation(y[val, j], predictions[:, j]) for j, point in enumerate(points)}
+    predictions = x_val @ w
+    scores = {point: squared_correlation(y_val[:, j], predictions[:, j]) for j, point in enumerate(points)}
     return scores, export_couplings(real)
 
 

@@ -35,11 +35,12 @@ P_s = sqrt(1-s) P_0 + sqrt(s) P_1 the d x r isometry (r = d/2) that puts
 psi_s on the input qubit. tau is the state carried from one input to the
 next. A realization holds a real H (XX, Z and ZZ terms), so its sector
 eigenvectors W are real. At build time the engine stacks, for each input
-bit b, the conjugate of A_b = U P_b, the evolution by U = W E W^T,
-E = exp(-i Lambda v dt), as evolution rows. A step mixes the pair by the
-input's amplitudes into conj(A_s), takes the evolution rows Y = U P_s tau
-and carries tau' = Tr_q (U rho U^dag) = sum_b Y_b A_b^dag, with Y_b and
-A_b the evolution rows whose input bit is b.
+bit b, A_b = U P_b, the evolution by U = W E W^T, E = exp(-i Lambda v dt),
+as evolution rows (their conjugates, in the eigenbasis). A step mixes the
+stored pair by the input's amplitudes into A_s or its conjugate, takes the
+evolution rows Y = U P_s tau and carries
+tau' = Tr_q (U rho U^dag) = sum_b Y_b A_b^dag, with Y_b and A_b the
+evolution rows whose input bit is b.
 
 The v nodes are read in one of two bases, chosen at build time:
 
@@ -50,7 +51,8 @@ The v nodes are read in one of two bases, chosen at build time:
   c_b c_b' tau[a, a'] for the amplitudes c = (sqrt(1-s), sqrt(s)), so a
   feature is a real product of tau's entries on the upper triangles of the
   sector blocks, each run of them scaled by its coefficient, with a table
-  of O_i(t_j) on those entries. The step is Y = A_s tau and tau', two
+  of O_i(t_j) on those entries. The engine stores A_b itself, not its
+  conjugate; the step mixes A_s from it, takes Y = A_s tau and tau', two
   complex products, and records tau; no eigenbasis operand is formed.
 * The eigenbasis otherwise, as for the echo-state pair's 50 nodes. The
   engine also stacks the real readout factors G_b = W^T P_b, and a step
@@ -143,6 +145,8 @@ class ReservoirConfig:
     multiplex: str = "per_node"
 
     def __post_init__(self):
+        if isinstance(self.tau, bool) or not isinstance(self.tau, (int, float, np.integer, np.floating)):
+            raise ConfigError(f"tau must be a real number, got {self.tau!r}")
         if not (np.isfinite(self.tau) and self.tau > 0):
             raise ConfigError(f"tau must be finite and > 0, got {self.tau}")
         for name in ("v", "input_qubit"):
@@ -197,7 +201,9 @@ class FeatureMatrix:
         if not np.all(np.isfinite(vals)):
             raise ValueError("feature matrix contains non-finite entries")
         if vals.shape[0]:
-            if np.max(np.abs(vals[:, :-1]), initial=0.0) > 1.0 + 1e-9:
+            # max and min, not max(|x|): no full-size temporary of |x|
+            body, bound = vals[:, :-1], 1.0 + 1e-9
+            if np.max(body, initial=0.0) > bound or np.min(body, initial=0.0) < -bound:
                 raise ValueError("non-bias feature outside [-1, 1] tolerance band")
             if not np.all(vals[:, -1] == 1.0):
                 raise ValueError("bias column must be identically 1")
@@ -458,8 +464,10 @@ class _StepEngine:
             rows *= weight
         self.observable_table = table.view(float).T  # Fortran order, each column contiguous
         self._buffers = None
-        # (amplitudes) @ factors gives conj(A_s), then A_s, as reals
-        self.factors = np.hstack([x.reshape(2, -1).view(float) for x in (evolve, evolve.conj())])
+        # (amplitudes) @ factors gives A_s as reals, mixed into a buffer kept
+        # from step to step
+        self.factors = evolve.conj().reshape(2, -1).view(float)
+        self._mix = np.empty(self.factors.shape[1])
 
     def to_state(self, rho: np.ndarray) -> np.ndarray:
         """tau of the register-order matrix ``rho``: the Hermitian part of the
@@ -545,26 +553,27 @@ class _StepEngine:
 
         # U P_s tau = W (E o Y), gathered into evolution rows.
         y_ev = _product(self.w, y * self.evolve_phase).reshape(c * d, r).take(self.gather, axis=0)
-        return self._carry(y_ev.reshape(c, d, r), a_conj, trace)
+        return self._carry(y_ev.reshape(c, d, r), a_conj, trace, np.dot(y_ev.ravel(), a_conj.ravel()))
 
     def _class_step(self, tau, s, z, trace):
         """``step`` in the class basis: z is tau, and the evolution rows are
-        U P_s tau = A_s tau, one complex product."""
+        U P_s tau = A_s tau, one complex product. A_s is mixed from the
+        stored A_b and conjugated once."""
         z[...] = tau
         d = self.shape[2]
         c, r = self.classes, d // 2
-        f = np.array(_encode(s)) @ self.factors
-        a_conj = f[:self.split].view(complex).reshape(c, d, r)
-        y = f[self.split:].view(complex).reshape(c, d, r) @ tau
-        return self._carry(y, a_conj, trace)
+        a = np.matmul(_encode(s), self.factors, out=self._mix).view(complex).reshape(c, d, r)
+        y = a @ tau
+        return self._carry(y, np.conjugate(a), trace, np.vdot(a, y))
 
-    def _carry(self, y, a_conj, trace):
+    def _carry(self, y, a_conj, trace, stepped_trace):
         """The next tau, Tr_q (Y A^dag), and the stepped state (Y, conj(A)),
-        after checking its trace. Rows 2a and 2a + 1 hold rest a, so each
-        class's evolution rows read as r x 2r make Tr_q one product. The
-        trace is Tr (Y A^dag), the sum of Y times conj(A)."""
+        after checking that its trace ``stepped_trace``, Tr (Y A^dag), the
+        sum of Y times conj(A), is ``trace``. Rows 2a and 2a + 1 hold rest a,
+        so each class's evolution rows read as r x 2r make Tr_q one
+        product."""
         c, d, r = y.shape
-        trace_err = abs(np.dot(y.ravel(), a_conj.ravel()).real - trace)
+        trace_err = abs(stepped_trace.real - trace)
         if not trace_err <= STEP_TRACE_ATOL:
             raise NumericalError(f"state trace drifted by {trace_err:.3e} > {STEP_TRACE_ATOL:.1e}")
         tau = y.reshape(c, r, d) @ a_conj.reshape(c, r, d).swapaxes(-1, -2)

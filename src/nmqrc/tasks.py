@@ -64,6 +64,14 @@ def gen_uniform_inputs(length: int, lo: float = 0.0, hi: float = 1.0, seed=None)
     return rng.uniform(lo, hi, size=length)
 
 
+def _count(name: str, value) -> int:
+    """``value`` as an int; a bool or a non-integer (2.5, 2.0, "2") raises
+    rather than being truncated. numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def stm_targets(s, tau_d: int) -> np.ndarray:
     """Delayed-reproduction targets y[k] = s[k - tau_d]; undefined history is 0.
 
@@ -71,7 +79,7 @@ def stm_targets(s, tau_d: int) -> np.ndarray:
     callers must keep them inside the washout so they never reach a fit.
     """
     s = np.asarray(s, dtype=float).ravel()
-    tau_d = int(tau_d)
+    tau_d = _count("delay", tau_d)
     if tau_d < 0:
         raise ValueError(f"delay must be >= 0, got {tau_d}")
     if tau_d > s.size:
@@ -93,7 +101,7 @@ def narma_series(u, order: int) -> np.ndarray:
     the guard and its value.
     """
     u = np.asarray(u, dtype=float).ravel()
-    n = int(order)
+    n = _count("order", order)
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     if not np.all((u >= 0.0) & (u <= NARMA_INPUT_MAX)):

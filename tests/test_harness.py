@@ -1,9 +1,11 @@
 import csv
 import dataclasses
+import gc
 import json
 import os
 import platform
 import re
+import weakref
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -506,6 +508,30 @@ class TestJob:
             y = narma_series(u, r.axis) if narma else np.concatenate([np.zeros(r.axis), u[:u.size - r.axis]])
             assert abs(r.scores[0] - squared_correlation(y[val], x[val] @ (pinv @ y[train]))) <= 1e-12
 
+    @pytest.mark.parametrize("task", ["stm", "narma"])
+    def test_features_released_before_the_qr(self, task, monkeypatch):
+        # the job copies out the rows the fit needs, so no feature matrix is
+        # alive beside the QR's copies of the training block
+        values, alive = [], []
+        trajectory, qr = harness.run_trajectory, np.linalg.qr
+
+        def keep_ref(*args, **kwargs):
+            feats, final = trajectory(*args, **kwargs)
+            values.append(weakref.ref(feats.values))
+            return feats, final
+
+        def checked_qr(*args, **kwargs):
+            gc.collect()
+            alive.append([ref() is not None for ref in values])
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_trajectory", keep_ref)
+        monkeypatch.setattr(np.linalg, "qr", checked_qr)
+        narma = task == "narma"
+        make = tiny_narma_config if narma else tiny_stm_config
+        (run_narma if narma else run_stm)(make(seeds=(0, 1), regimes=(parse_regime("non_markov", task),)))
+        assert alive == [[False], [False, False]]
+
     def test_diverging_target_keeps_its_type_and_context(self, monkeypatch):
         def diverge(u, order):
             raise DivergenceError("synthetic")
@@ -549,7 +575,7 @@ class TestReadout:
     @staticmethod
     def check(x, y, tol):
         want = np.linalg.pinv(x, rcond=DEFAULT_RCOND) @ y
-        assert np.max(np.abs(harness._readout(x, y) - want)) <= tol * np.max(np.abs(want))
+        assert np.max(np.abs(harness._readout(np.hstack([x, y]), x.shape[1]) - want)) <= tol * np.max(np.abs(want))
 
     def test_duplicated_feature_column(self):
         rng = np.random.default_rng(0)

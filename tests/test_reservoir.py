@@ -76,6 +76,16 @@ class TestReservoirConfig:
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             ReservoirConfig(tau=0.5, **{"v": 2, field: value})
 
+    @pytest.mark.parametrize("value", [True, False, "0.5", None, 0.5j])
+    def test_non_real_tau_rejected(self, value):
+        # tau = True ran as tau = 1, and a string escaped as numpy's TypeError
+        with pytest.raises(ConfigError, match="tau must be a real number"):
+            ReservoirConfig(tau=value, v=2)
+
+    def test_numpy_tau_accepted(self):
+        assert ReservoirConfig(tau=np.float32(0.5), v=2).tau == 0.5
+        assert ReservoirConfig(tau=np.int64(2), v=2).tau == 2
+
     def test_numpy_integers_accepted(self):
         cfg = ReservoirConfig(tau=0.5, v=np.int64(3), input_qubit=np.int32(1))
         feats, _ = run_trajectory(make_real(), [0.2, 0.6], cfg)

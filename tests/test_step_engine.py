@@ -196,8 +196,9 @@ def test_real_hamiltonians_give_real_factors(n_sys, n_env, alpha, beta):
             d = engine.shape[2]
             assert engine.w.dtype == np.float64
             assert engine.factors.dtype == np.float64
-            # conj(A_b) takes two reals per entry, and then G_b one, or A_b two
-            width = 3 if basis == "eigen" else 4
+            # conj(A_b) takes two reals per entry and then G_b one; the class
+            # basis stores A_b alone
+            width = 3 if basis == "eigen" else 2
             assert engine.factors.shape == (2, width * engine.classes * d * (d // 2))
             assert engine.split == 2 * engine.classes * d * (d // 2)
 

@@ -54,6 +54,15 @@ class TestStmTargets:
         with pytest.raises(ValueError, match="delay"):
             stm_targets(np.ones(3), -1)
 
+    @pytest.mark.parametrize("delay", [2.7, 2.0, True, "2", None])
+    def test_non_integer_delay_rejected(self, delay):
+        # int() ran a delay of 2.7 as 2 and True as 1
+        with pytest.raises(ValueError, match="delay must be an integer"):
+            stm_targets(np.ones(5), delay)
+
+    def test_numpy_integer_delay_accepted(self):
+        assert np.array_equal(stm_targets(np.arange(1.0, 5.0), np.int64(2)), [0.0, 0.0, 1.0, 2.0])
+
 
 def stepwise_narma(u, n):
     """The recurrence one step at a time, with the guard checked at each
@@ -153,6 +162,16 @@ class TestNarmaSeries:
     def test_non_finite_input_rejected(self, bad):
         with pytest.raises(ValueError, match="raw inputs"):
             narma_series(np.array([0.1, bad, 0.2, 0.3]), 1)
+
+    @pytest.mark.parametrize("order", [2.5, 2.0, True, "2", None])
+    def test_non_integer_order_rejected(self, order):
+        # int() ran order 2.5 as order 2 and True as order 1
+        with pytest.raises(ValueError, match="order must be an integer"):
+            narma_series(np.zeros(10), order)
+
+    def test_numpy_integer_order_accepted(self):
+        u = gen_uniform_inputs(40, 0.0, 0.5, seed=6)
+        assert np.array_equal(narma_series(u, np.int32(3)), narma_series(u, 3))
 
 
 class TestScaleInputs:
