@@ -4,7 +4,6 @@ from .errors import ConfigError, DivergenceError, NumericalError
 from .linalg import (
     MAX_QUBITS,
     DensityMatrix,
-    HermitianEigen,
     hermitian_eig,
     partial_trace,
     pseudoinverse,
@@ -49,7 +48,6 @@ __all__ = [
     "NumericalError",
     "MAX_QUBITS",
     "DensityMatrix",
-    "HermitianEigen",
     "hermitian_eig",
     "partial_trace",
     "pseudoinverse",

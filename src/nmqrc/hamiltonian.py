@@ -25,8 +25,8 @@ from math import comb
 import numpy as np
 
 from . import linalg
-from .errors import ConfigError
-from .linalg import HermitianEigen, hermitian_eig
+from .errors import ConfigError, check_int
+from .linalg import hermitian_eig
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,10 @@ class ReservoirParams:
     j0: float = 1.0
 
     def __post_init__(self):
+        for name in ("n_sys", "n_env", "seed"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name)))
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_sys < 1:
             raise ConfigError(f"n_sys must be >= 1, got {self.n_sys}")
         if self.n_env < 0:
@@ -120,20 +124,21 @@ def _components(pattern: np.ndarray) -> np.ndarray:
         label = new
 
 
-def _sector_eig(h: np.ndarray, pattern: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, HermitianEigen]:
+def _sector_eig(h: np.ndarray, pattern: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split H on the basis states ``members`` into the connected components
     of the nonzero ``pattern`` (that of H, plus whatever else must stay
     within one sector) and eigendecompose each block.
 
     Returns ``order``, the members listed sector after sector (in their
-    given order within a sector), and the eigendecompositions of the k
-    blocks of m states that H has in that order, stacked: eigenvalues
-    (k, m), eigenvectors (k, m, m). Every term of this module's Hamiltonian
-    keeps the Z-parity of the system block and of the environment block, so
-    the components are parity sectors (more of them when alpha = 0 or
-    n_env <= 1). Components of unequal size are treated as one sector, so a
-    term that breaks the symmetry gets the plain eigendecomposition of all
-    the members. H is real, so its eigenvectors are real.
+    given order within a sector), then the eigendecompositions of the k
+    blocks of m states that H has in that order, stacked: ``lam``, the
+    eigenvalues (k, m), and ``vecs``, the eigenvectors (k, m, m). Every
+    term of this module's Hamiltonian keeps the Z-parity of the system
+    block and of the environment block, so the components are parity
+    sectors (more of them when alpha = 0 or n_env <= 1). Components of
+    unequal size are treated as one sector, so a term that breaks the
+    symmetry gets the plain eigendecomposition of all the members. H is
+    real, so its eigenvectors are real.
     """
     label = _components(pattern[np.ix_(members, members)])
     sizes = np.unique(label, return_counts=True)[1]
@@ -143,11 +148,8 @@ def _sector_eig(h: np.ndarray, pattern: np.ndarray, members: np.ndarray) -> tupl
     else:
         order = members
         k = 1
-    eigs = [hermitian_eig(h[np.ix_(idx, idx)]) for idx in order.reshape(k, -1)]
-    return order, HermitianEigen(
-        eigenvalues=np.stack([e.eigenvalues for e in eigs]),
-        eigenvectors=np.stack([e.eigenvectors for e in eigs]),
-    )
+    lam, vecs = zip(*(hermitian_eig(h[np.ix_(idx, idx)]) for idx in order.reshape(k, -1)))
+    return order, np.stack(lam), np.stack(vecs)
 
 
 @dataclass(frozen=True, eq=False)

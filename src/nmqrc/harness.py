@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, NumericalError
+from .errors import ConfigError, DivergenceError, NumericalError, check_int
 from .esp import EspRecord, WindowStats, backflow_count, dual_trajectory, records_to_csv, window_stats
 from .hamiltonian import ReservoirParams, build_hamiltonian, export_couplings
 from .linalg import pseudoinverse
@@ -116,8 +116,13 @@ class ExperimentConfig:
         _check_task(self.task)
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
+        # integers checked, and numpy ones made plain ints for the JSON echo
+        for name in ("n_sys", "n_env", "v", "tau_d_max", "esp_steps", "workers"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name)))
+        for name in ("seeds", "orders", "window"):
+            object.__setattr__(self, name, tuple(check_int(name, x) for x in getattr(self, name)))
         for s in self.seeds:
-            if not isinstance(s, int) or isinstance(s, bool) or s < 0:
+            if s < 0:
                 raise ConfigError(f"seeds must be non-negative integers, got {s!r}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
@@ -150,7 +155,7 @@ class ExperimentConfig:
             if not self.orders:
                 raise ConfigError("orders must be non-empty")
             for n in self.orders:
-                if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+                if n < 1:
                     raise ConfigError(f"orders must be integers >= 1, got {n!r}")
             if max(self.orders) > self.split.washout:
                 raise ConfigError(
@@ -245,9 +250,7 @@ _TASK_KEYS = {key for spec in _TASKS.values() for key in spec.keys}
 
 
 def _want_int(key, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key}: expected an integer, got {value!r}")
-    return value
+    return check_int(f"{key}:", value)
 
 
 def _want_num(key, value) -> float:
@@ -365,7 +368,7 @@ def load_config(
         if scale == "quick":
             doc.update(spec.quick)
     if seeds_override is not None:
-        if seeds_override < 1:
+        if check_int("seed count override", seeds_override) < 1:
             raise ConfigError(f"seed count override must be >= 1, got {seeds_override}")
         doc["seeds"] = range(seeds_override)
     if output_override is not None:

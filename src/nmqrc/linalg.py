@@ -1,10 +1,12 @@
-"""Dense complex linear algebra for small qubit registers.
+"""Dense linear algebra for small qubit registers.
 
 Conventions shared by the whole package:
 
 * Qubit 0 is the most significant bit of a basis index, so a register of
   ``n`` qubits lives on C^(2^n) with product basis |b0 b1 ... b_{n-1}>.
-* Operators and states are dense ``complex128`` ndarrays.
+* Operators and states are dense ndarrays: states ``complex128``, the
+  real Hamiltonian, its sector eigenvectors and the readout design (with
+  its pseudoinverse) ``float64``.
 * Registers are capped at ``MAX_QUBITS`` qubits. Everything here targets
   exact desk-scale simulation with dense storage, nothing larger.
 """
@@ -68,18 +70,10 @@ def assert_hermitian(a: np.ndarray, what: str = "matrix") -> None:
     _hermitian_skew(a, what)
 
 
-@dataclass(frozen=True)
-class HermitianEigen:
-    """Eigendecomposition H = V diag(w) V^dag with ``w`` ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eig(h) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending. A
-    real (symmetric) ``h`` gets real eigenvectors, a complex one complex
-    eigenvectors."""
+def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of a Hermitian matrix, as ``np.linalg.eigh``
+    returns them: H = V diag(w) V^dag, w ascending. A real (symmetric) ``h``
+    gets real eigenvectors, a complex one complex eigenvectors."""
     h = _as_matrix(h, "eigendecomposition input", complex if np.iscomplexobj(h) else float)
     if h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
@@ -88,7 +82,7 @@ def hermitian_eig(h) -> HermitianEigen:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Hermitian eigendecomposition failed to converge: {exc}") from exc
-    return HermitianEigen(eigenvalues=w, eigenvectors=v)
+    return w, v
 
 
 def partial_trace(rho, traced: Iterable[int], n_qubits: int | None = None) -> np.ndarray:
@@ -189,20 +183,10 @@ class DensityMatrix:
     def qubit_count(self) -> int:
         return qubit_count(self.dim)
 
-    @classmethod
-    def ground(cls, n_qubits: int) -> "DensityMatrix":
-        """|0...0><0...0| on ``n_qubits`` qubits."""
-        return cls(_ground_matrix(n_qubits))
 
-    @classmethod
-    def maximally_mixed(cls, n_qubits: int) -> "DensityMatrix":
-        """I / 2^n on ``n_qubits`` qubits."""
-        return cls(_mixed_matrix(n_qubits))
-
-
-# The matrices of the two known states, which need no validation. The
-# trajectories start from them by default without the eigenvalue check of a
-# DensityMatrix, a full-register eigvalsh.
+# The matrices of the two known states, |0...0><0...0| and I / 2^n, which
+# need no validation. The trajectories start from them by default without
+# the eigenvalue check of a DensityMatrix, a full-register eigvalsh.
 def _ground_matrix(n_qubits: int) -> np.ndarray:
     d = 2 ** int(n_qubits)
     m = np.zeros((d, d), dtype=complex)

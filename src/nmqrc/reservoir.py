@@ -1,9 +1,9 @@
 """Input-driven reservoir evolution and time-multiplexed feature extraction.
 
-Each input step replaces the state of the input qubit (system site 0 by
-default) with a pure state encoding the scalar input, then evolves the full
-register unitarily through ``v`` equal sub-steps, reading out system
-observables after each one. Two multiplexing conventions are supported:
+Each input step replaces the state of the input qubit (system site 0, the
+most significant bit of a basis index) with a pure state encoding the
+scalar input, then evolves the full register unitarily through ``v`` equal
+sub-steps, reading out system observables after each one. Two multiplexing conventions are supported:
 
 * ``per_node`` (default): every virtual node evolves a full ``tau``, so one
   input step spans ``v * tau`` of physical time,
@@ -102,7 +102,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, check_int
 from .hamiltonian import HamiltonianRealization, _components, _sector_eig
 from .linalg import DensityMatrix, _ground_matrix
 
@@ -141,7 +141,6 @@ class ReservoirConfig:
     tau: float
     v: int
     observables: str = "z_only"
-    input_qubit: int = 0
     multiplex: str = "per_node"
 
     def __post_init__(self):
@@ -149,18 +148,13 @@ class ReservoirConfig:
             raise ConfigError(f"tau must be a real number, got {self.tau!r}")
         if not (np.isfinite(self.tau) and self.tau > 0):
             raise ConfigError(f"tau must be finite and > 0, got {self.tau}")
-        for name in ("v", "input_qubit"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(self, "v", check_int("v", self.v))
         if self.v < 1:
             raise ConfigError(f"virtual-node count v must be >= 1, got {self.v}")
         if self.observables not in OBSERVABLE_KINDS:
             raise ConfigError(f"observables must be one of {OBSERVABLE_KINDS}, got {self.observables!r}")
         if self.multiplex not in MULTIPLEX_MODES:
             raise ConfigError(f"multiplex must be one of {MULTIPLEX_MODES}, got {self.multiplex!r}")
-        if self.input_qubit < 0:
-            raise ConfigError(f"input_qubit must be >= 0, got {self.input_qubit}")
 
     @property
     def sub_dt_factor(self) -> float:
@@ -279,14 +273,12 @@ class _StepEngine:
 
     def __init__(self, real: HamiltonianRealization, cfg: ReservoirConfig, support: np.ndarray):
         p = real.params
-        if cfg.input_qubit >= p.n_sys:
-            raise ConfigError(f"input qubit {cfg.input_qubit} is not a system qubit (n_sys={p.n_sys})")
         self.labels, signs = _observables(p.n_sys, cfg.observables)
         self.n_qubits = n = p.n_qubits
         self.v = cfg.v
         self.n_obs = len(self.labels)
         self.dt = cfg.tau * cfg.sub_dt_factor
-        shift = n - 1 - cfg.input_qubit
+        half = p.dim // 2  # the input qubit, 0, is the most significant bit
 
         # Sectors are split on the pattern of H; the Z-string readout is
         # diagonal, so it joins none. Classes join sectors that the input-qubit
@@ -295,7 +287,7 @@ class _StepEngine:
         pattern = real.h_full != 0
         basis = np.arange(p.dim)
         linked = pattern | support
-        linked[basis, basis ^ (1 << shift)] = True
+        linked[basis, basis ^ half] = True
         label = _components(linked)  # each class is labeled by a basis index
         touched = np.zeros(p.dim, dtype=bool)
         touched[label[np.any(support, axis=1)]] = True
@@ -305,8 +297,8 @@ class _StepEngine:
             label = np.zeros_like(label)
         label = np.where(occupied, label, -1)
         members = np.argsort(label, kind="stable")[np.count_nonzero(label < 0):]  # class after class
-        order, eig = _sector_eig(real.h_full, pattern, members)
-        n_sectors, m = eig.eigenvalues.shape
+        order, lam, w = _sector_eig(real.h_full, pattern, members)
+        n_sectors, m = lam.shape
         # Sectors of unequal size come back as one, which may span classes.
         # Members are sorted by class, so each change of label starts one.
         c = int(np.count_nonzero(np.diff(label[members]))) + 1 if n_sectors > 1 else 1
@@ -316,8 +308,7 @@ class _StepEngine:
 
         # Real eigenvectors W and the step propagator U = W E W^T,
         # E = exp(-i Lambda v dt), as stacks of c x k blocks.
-        lam = eig.eigenvalues
-        self.w = w = eig.eigenvectors.reshape(c, k, m, m)
+        self.w = w = w.reshape(c, k, m, m)
         w_h = w.swapaxes(-1, -2)
         self.evolve_phase = np.exp(-1j * self.v * self.dt * lam).reshape(c, k, m, 1)
         self.u = (w * self.evolve_phase.swapaxes(-1, -2)) @ w_h
@@ -346,10 +337,9 @@ class _StepEngine:
         # its sector's evolution rows.
         r = d // 2
         reg = order.reshape(c, d)  # class basis, sector after sector
-        rest = ((reg >> (shift + 1)) << shift) | (reg & ((1 << shift) - 1))
-        bit = (reg >> shift) & 1
+        rest, bit = reg & (half - 1), reg >> (n - 1)
         rests = np.sort(rest, axis=1)[:, ::2]  # each rest of a class comes with both input bits
-        rank = np.empty(p.dim // 2, dtype=int)
+        rank = np.empty(half, dtype=int)
         rank[rests] = np.arange(r)
         a = rank[rest]
         row = 2 * a + bit  # evolution row of each class basis state

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, check_int
 
 NARMA_CONSTANTS = (0.3, 0.05, 1.5, 0.1)
 NARMA_DEFAULT_ORDERS = (1, 5, 10, 20, 30, 40, 50)
@@ -34,6 +34,8 @@ class SplitSpec:
     val: int
 
     def __post_init__(self):
+        for name in ("washout", "train", "val"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), ValueError))
         if self.washout < 0:
             raise ValueError(f"washout must be >= 0, got {self.washout}")
         if self.train < 1:
@@ -64,14 +66,6 @@ def gen_uniform_inputs(length: int, lo: float = 0.0, hi: float = 1.0, seed=None)
     return rng.uniform(lo, hi, size=length)
 
 
-def _count(name: str, value) -> int:
-    """``value`` as an int; a bool or a non-integer (2.5, 2.0, "2") raises
-    rather than being truncated. numpy integers pass."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def stm_targets(s, tau_d: int) -> np.ndarray:
     """Delayed-reproduction targets y[k] = s[k - tau_d]; undefined history is 0.
 
@@ -79,7 +73,7 @@ def stm_targets(s, tau_d: int) -> np.ndarray:
     callers must keep them inside the washout so they never reach a fit.
     """
     s = np.asarray(s, dtype=float).ravel()
-    tau_d = _count("delay", tau_d)
+    tau_d = check_int("delay", tau_d, ValueError)
     if tau_d < 0:
         raise ValueError(f"delay must be >= 0, got {tau_d}")
     if tau_d > s.size:
@@ -101,7 +95,7 @@ def narma_series(u, order: int) -> np.ndarray:
     the guard and its value.
     """
     u = np.asarray(u, dtype=float).ravel()
-    n = _count("order", order)
+    n = check_int("order", order, ValueError)
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     if not np.all((u >= 0.0) & (u <= NARMA_INPUT_MAX)):

@@ -36,6 +36,18 @@ def propagator(h, t):
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
+def ground(n):
+    """|0...0><0...0| on n qubits."""
+    rho = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    rho[0, 0] = 1.0
+    return rho
+
+
+def mixed(n):
+    """I / 2^n on n qubits."""
+    return np.eye(2 ** n, dtype=complex) / 2 ** n
+
+
 def encode(s):
     """The input state sqrt(1-s)|0> + sqrt(s)|1> as a density matrix."""
     off = np.sqrt(s * (1.0 - s))
@@ -65,7 +77,7 @@ def observables(kind, n_sys, n):
 
 def run(real, inputs, cfg, rho):
     """Feature rows (one per input, bias column left out) and the final
-    state: inject each input, then conjugate by U = exp(-i H dt) once per
+    state: inject each input at qubit 0, then conjugate by U = exp(-i H dt) once per
     virtual node and read Tr[O rho] after each, for the observables
     ``cfg.observables`` names."""
     p = real.params
@@ -73,7 +85,7 @@ def run(real, inputs, cfg, rho):
     ops = observables(cfg.observables, p.n_sys, p.n_qubits)
     rows = []
     for s in inputs:
-        rho = inject(rho, s, cfg.input_qubit, p.n_qubits)
+        rho = inject(rho, s, 0, p.n_qubits)
         feats = []
         for _ in range(cfg.v):
             rho = u @ rho @ u.conj().T

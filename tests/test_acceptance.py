@@ -343,8 +343,8 @@ def test_10_injection_contractivity():
     still = still_realization(params)  # its one input step is the injection alone
     one_node = ReservoirConfig(tau=tau, v=1)
     rng = np.random.default_rng(23)
-    rho1 = DensityMatrix.maximally_mixed(5)
-    rho2 = DensityMatrix.ground(5)
+    rho1 = DensityMatrix(oracle.mixed(5))
+    rho2 = DensityMatrix(oracle.ground(5))
     worst_inject = 0.0
     worst_unitary = 0.0
     for _ in range(50):

@@ -1,5 +1,6 @@
 import csv
 from dataclasses import replace
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -8,9 +9,11 @@ import pytest
 from nmqrc import esp, linalg, reservoir
 from nmqrc.errors import NumericalError
 from nmqrc.esp import EspRecord, backflow_count, dual_trajectory, records_to_csv, window_stats
-from nmqrc.hamiltonian import ReservoirParams, build_hamiltonian
+from nmqrc.hamiltonian import CouplingSet, HamiltonianRealization, ReservoirParams, build_hamiltonian
 from nmqrc.linalg import DensityMatrix
-from nmqrc.reservoir import MULTIPLEX_MODES, ReservoirConfig, _StepEngine
+from nmqrc.reservoir import MULTIPLEX_MODES, ReservoirConfig, _StepEngine, run_trajectory
+
+import oracle
 
 
 def make_real(n_sys=2, n_env=1, alpha=1.0, beta=1.0, seed=0):
@@ -37,13 +40,13 @@ class TestDualTrajectory:
         # I/d and |0><0| are known: no DensityMatrix is built, and the
         # records are those of the validated pair
         for n in (1, 3, 6):
-            assert np.array_equal(linalg._mixed_matrix(n), DensityMatrix.maximally_mixed(n).matrix)
-            assert np.array_equal(linalg._ground_matrix(n), DensityMatrix.ground(n).matrix)
+            assert np.array_equal(linalg._mixed_matrix(n), oracle.mixed(n))
+            assert np.array_equal(linalg._ground_matrix(n), oracle.ground(n))
         real = make_real()
         cfg = ReservoirConfig(tau=0.5, v=3)
         inputs = [0.2, 0.8, 0.5]
         want = dual_trajectory(real, inputs, cfg,
-                               initial_states=(DensityMatrix.maximally_mixed(3), DensityMatrix.ground(3)))
+                               initial_states=(DensityMatrix(oracle.mixed(3)), DensityMatrix(oracle.ground(3))))
 
         def no_validation(self):
             raise AssertionError("validated a default state")
@@ -54,7 +57,7 @@ class TestDualTrajectory:
     def test_identical_initial_states(self):
         real = make_real()
         inputs = np.random.default_rng(0).uniform(0, 1, 10)
-        g = DensityMatrix.ground(3)
+        g = DensityMatrix(oracle.ground(3))
         records = dual_trajectory(real, inputs, ReservoirConfig(tau=0.7, v=3),
                                   initial_states=(g, g))
         assert len(records) == 11
@@ -75,7 +78,7 @@ class TestDualTrajectory:
         real = make_real(seed=2)
         inputs = np.random.default_rng(3).uniform(0, 1, 8)
         cfg = ReservoirConfig(tau=0.6, v=2)
-        pair = (DensityMatrix.maximally_mixed(3), DensityMatrix.ground(3))
+        pair = (DensityMatrix(oracle.mixed(3)), DensityMatrix(oracle.ground(3)))
         fwd = dual_trajectory(real, inputs, cfg, initial_states=pair)
         rev = dual_trajectory(real, inputs, cfg, initial_states=pair[::-1])
         for a, b in zip(fwd, rev):
@@ -150,8 +153,8 @@ class TestClassSplit:
     whole carried stack (at step 0, of the whole register's Delta)."""
 
     STATES = {
-        "mixed": DensityMatrix.maximally_mixed(4),
-        "ground": DensityMatrix.ground(4),
+        "mixed": DensityMatrix(oracle.mixed(4)),
+        "ground": DensityMatrix(oracle.ground(4)),
         "flipped": DensityMatrix(np.diag(np.eye(16)[1]).astype(complex)),  # last environment qubit set
     }
 
@@ -215,7 +218,7 @@ class TestClassSplit:
         diag[0] = 0.5
         diag[[1, 3, 5]] = neg  # the class of |001>: register indices 1, 3, 5 and 7
         diag[7] = 0.5 - 3 * neg
-        pair = (DensityMatrix.ground(3), DensityMatrix(np.diag(diag).astype(complex)))
+        pair = (DensityMatrix(oracle.ground(3)), DensityMatrix(np.diag(diag).astype(complex)))
         seen = record_carried(monkeypatch)
         records = dual_trajectory(real, np.random.default_rng(13).uniform(0, 1, 20),
                                   ReservoirConfig(tau=0.5, v=2), initial_states=pair)
@@ -242,7 +245,7 @@ def test_full_distance_keeps_the_class_floor(alpha, multiplex, basis):
     n = n_sys + n_env
     real = make_real(n_sys, n_env, alpha=alpha, beta=0.8, seed=5)
     cfg = ReservoirConfig(tau=0.6, v=4, multiplex=multiplex)
-    rho1, rho2 = DensityMatrix.maximally_mixed(n).matrix, DensityMatrix.ground(n).matrix
+    rho1, rho2 = oracle.mixed(n), oracle.ground(n)
     env = np.arange(2 ** n) & ((1 << n_env) - 1)  # the environment is the low bits
     label = env if alpha == 0 else np.array([bin(e).count("1") % 2 for e in env])
     diagonal = np.diag(rho1 - rho2).real
@@ -261,12 +264,47 @@ def test_full_distance_keeps_the_class_floor(alpha, multiplex, basis):
         assert r.trace_distance >= floor - tolerance
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_alpha_zero_pair_is_the_class_sum_of_system_runs(seed):
+    # At alpha = 0 every environment Z is conserved, so environment
+    # configuration e is a class, on which the system sees the static field
+    # sum_k g_ik z_k on qubit i. I/128 is the uniform mixture of I/16 over the
+    # 8 configurations, and |0><0| sits in configuration 0, so at every step
+    # the pair's feature difference is sum_e 2^-3 f_e(I/16) - f_0(|0000>),
+    # with f_e the features of a 4-qubit run under
+    # H_sys + sum_i (sum_k g_ik z_k) Z_i. Measured on these inputs: gaps of
+    # 3.9e-12 and 5.4e-12 at seeds 0 and 1, at most 2.5e-10 over seeds 0-11,
+    # on a scale of 1.3e2-1.5e2; the ground state put in configuration 1
+    # instead of 0 misses by 25 or more.
+    real = make_real(4, 3, alpha=0.0, beta=10.0, seed=seed)
+    cfg = ReservoirConfig(tau=0.5, v=50, multiplex="sub_step")
+    inputs = np.random.default_rng(seed).uniform(0, 1, 2500)
+    got = np.array([r.sqnorm_diff for r in dual_trajectory(real, inputs, cfg)])
+
+    params = ReservoirParams(n_sys=4, n_env=0, alpha=0.0, beta=0.0, h_sys=0.5, h_env=0.0, seed=seed)
+    couplings = CouplingSet(j_sys=real.couplings.j_sys, j_env=[], g=np.zeros((4, 0)))
+    h_sys = build_hamiltonian(params, couplings).h_full
+    z = np.array([oracle.embed_pauli("Z", i, 4).real for i in range(4)])
+
+    def features(config, rho0):
+        field = real.couplings.g @ (1.0 - 2.0 * np.array(config))
+        h = h_sys + np.tensordot(field, z, axes=1)
+        run = run_trajectory(HamiltonianRealization(params, couplings, h), inputs, cfg,
+                             initial_state=DensityMatrix(rho0))
+        return run[0].values[:, :-1]
+
+    mixed = sum(features(config, oracle.mixed(4)) for config in product((0, 1), repeat=3)) / 8
+    want = ((mixed - features((0, 0, 0), oracle.ground(4))) ** 2).sum(axis=1)
+    assert got[0] == 0.0
+    assert np.max(np.abs(got[1:] - want)) <= 1e-11 * np.max(want)
+
+
 def test_step_checks_the_trace_it_is_given():
     # a difference of two states keeps trace 0; a density matrix stepped as
     # one is caught
     real = make_real()
     engine = _StepEngine(real, ReservoirConfig(tau=0.5, v=2), np.ones((8, 8), dtype=bool))
-    state = engine.to_state(DensityMatrix.ground(3).matrix)
+    state = engine.to_state(oracle.ground(3))
     z = np.empty(engine.record, dtype=complex)
     engine.step(state, 0.3, z)
     with pytest.raises(NumericalError, match="trace"):

@@ -45,6 +45,23 @@ class TestParams:
         with pytest.raises(ConfigError, match="j0"):
             params(j0=0.0)
 
+    @pytest.mark.parametrize("field, value", [("n_sys", 2.5), ("n_env", 1.0), ("seed", True), ("seed", 0.0)])
+    def test_non_integer_counts_rejected(self, field, value):
+        # n_sys = 2.5 used to fail in build_hamiltonian, and seed = True built seed 1
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            params(**{field: value})
+
+    def test_negative_seed_rejected(self):
+        # it used to fail inside numpy's default_rng
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            params(seed=-1)
+
+    def test_numpy_integers_stored_as_ints(self):
+        p = params(n_sys=np.int64(2), n_env=np.int32(1), seed=np.uint8(4))
+        assert (p.n_sys, p.n_env, p.seed) == (2, 1, 4)
+        assert all(type(x) is int for x in (p.n_sys, p.n_env, p.seed))
+        assert p == params(n_sys=2, n_env=1, seed=4)
+
 
 class TestEmbedPauli:
     """The oracle's Pauli embedding, which the test Hamiltonians are built from."""

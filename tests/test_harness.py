@@ -109,6 +109,27 @@ class TestExperimentConfig:
                              esp_steps=10, window=(8, 20),
                              regimes=(parse_regime("markov", "esp"),))
 
+    @pytest.mark.parametrize("task, field, value", [
+        ("esp", "esp_steps", 2.5), ("esp", "esp_steps", True), ("stm", "tau_d_max", 2.5),
+        ("stm", "workers", 1.5), ("stm", "n_sys", 2.0), ("narma", "n_env", 1.0), ("stm", "v", True),
+        ("esp", "window", (0.5, 2.5)), ("stm", "seeds", (0, True)), ("narma", "orders", (1, 2.0)),
+    ])
+    def test_non_integer_fields_rejected(self, task, field, value):
+        # esp_steps = 2.5 and tau_d_max = 2.5 used to construct and then raise a
+        # bare TypeError mid-sweep; workers = 1.5 and esp_steps = True constructed
+        base = load_config(task=task, scale="quick")
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            dataclasses.replace(base, **{field: value})
+
+    def test_numpy_integers_stored_as_ints(self):
+        cfg = tiny_stm_config(workers=np.int64(2), seeds=(np.int32(0), np.int64(1)), tau_d_max=np.int16(3))
+        assert cfg == tiny_stm_config(workers=2, seeds=(0, 1), tau_d_max=3)
+        json.dumps(config_to_dict(cfg))  # the run_meta.json echo
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="non-negative"):
+            tiny_stm_config(seeds=(0, -1))
+
     def test_orders_must_fit_washout(self):
         with pytest.raises(ConfigError, match="washout"):
             ExperimentConfig(task="narma", n_sys=2, n_env=1, v=2, seeds=(0,),

@@ -6,6 +6,8 @@ import pytest
 from nmqrc.errors import ConfigError
 from nmqrc.linalg import (
     DensityMatrix,
+    _ground_matrix,
+    _mixed_matrix,
     assert_hermitian,
     hermitian_eig,
     partial_trace,
@@ -128,19 +130,18 @@ class TestAssertHermitian:
 
 class TestHermitianEig:
     def test_diagonal(self):
-        eig = hermitian_eig(np.diag([3.0, -1.0]).astype(complex))
-        assert np.allclose(eig.eigenvalues, [-1.0, 3.0])
+        w, _ = hermitian_eig(np.diag([3.0, -1.0]).astype(complex))
+        assert np.allclose(w, [-1.0, 3.0])
 
     def test_pauli_x_spectrum(self):
-        eig = hermitian_eig(X)
-        assert np.allclose(eig.eigenvalues, [-1.0, 1.0])
+        w, _ = hermitian_eig(X)
+        assert np.allclose(w, [-1.0, 1.0])
 
     def test_reconstruction_and_unitarity(self):
         rng = np.random.default_rng(3)
         h = random_hermitian(rng, 8)
-        eig = hermitian_eig(h)
-        v = eig.eigenvectors
-        recon = (v * eig.eigenvalues) @ v.conj().T
+        w, v = hermitian_eig(h)
+        recon = (v * w) @ v.conj().T
         rel = np.linalg.norm(recon - h) / np.linalg.norm(h)
         assert rel < 1e-9
         assert np.max(np.abs(v.conj().T @ v - np.eye(8))) < 1e-10
@@ -333,10 +334,11 @@ class TestPseudoinverse:
 
 class TestDensityMatrix:
     def test_ground_and_mixed(self):
-        g = DensityMatrix.ground(3)
+        # the package's two default states are valid density matrices
+        g = DensityMatrix(_ground_matrix(3))
         assert g.qubit_count == 3
         assert g.matrix[0, 0] == 1.0
-        m = DensityMatrix.maximally_mixed(2)
+        m = DensityMatrix(_mixed_matrix(2))
         assert np.allclose(m.matrix, np.eye(4) / 4)
 
     def test_rejects_bad_trace(self):
@@ -353,7 +355,7 @@ class TestDensityMatrix:
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
 
     def test_immutable(self):
-        g = DensityMatrix.ground(1)
+        g = DensityMatrix(oracle.ground(1))
         with pytest.raises(ValueError):
             g.matrix[0, 0] = 0.0
 

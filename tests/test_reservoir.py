@@ -40,10 +40,9 @@ def step(real, rho, s, cfg):
     return final, feats.values[0, :-1]
 
 
-def inject(rho, s, input_qubit=0):
+def inject(rho, s):
     """The state after injecting ``s`` into ``rho``: one step at U = I."""
-    cfg = ReservoirConfig(tau=1.0, v=1, input_qubit=input_qubit)
-    return step(still(rho.qubit_count), rho, s, cfg)[0].matrix
+    return step(still(rho.qubit_count), rho, s, ReservoirConfig(tau=1.0, v=1))[0].matrix
 
 
 class TestEncodeInput:
@@ -68,11 +67,10 @@ class TestEncodeInput:
 
 class TestReservoirConfig:
     @pytest.mark.parametrize("field, value", [("v", 2.5), ("v", 2.0), ("v", True), ("v", "3"),
-                                              ("input_qubit", 1.5), ("input_qubit", False),
-                                              ("input_qubit", np.float64(1.0))])
+                                              ("v", 1.5), ("v", False), ("v", np.float64(1.0))])
     def test_non_integer_counts_rejected(self, field, value):
-        # a float v used to fail later in run_trajectory, a float input qubit
-        # in a shift, and v = True ran as one node
+        # a float v used to fail later in run_trajectory, and v = True ran as
+        # one node
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             ReservoirConfig(tau=0.5, **{"v": 2, field: value})
 
@@ -87,7 +85,7 @@ class TestReservoirConfig:
         assert ReservoirConfig(tau=np.int64(2), v=2).tau == 2
 
     def test_numpy_integers_accepted(self):
-        cfg = ReservoirConfig(tau=0.5, v=np.int64(3), input_qubit=np.int32(1))
+        cfg = ReservoirConfig(tau=0.5, v=np.int64(3))
         feats, _ = run_trajectory(make_real(), [0.2, 0.6], cfg)
         assert feats.values.shape == (2, 3 * 2 + 1)
 
@@ -103,7 +101,7 @@ class TestInjectInput:
         assert np.max(np.abs(out - np.kron(oracle.encode(0.3), rest))) < 1e-12
 
     def test_maximally_mixed(self):
-        out = inject(DensityMatrix.maximally_mixed(3), 0.7)
+        out = inject(DensityMatrix(oracle.mixed(3)), 0.7)
         want = np.kron(oracle.encode(0.7), np.eye(4) / 4)
         assert np.max(np.abs(out - want)) < 1e-12
 
@@ -123,23 +121,9 @@ class TestInjectInput:
         out = inject(DensityMatrix(rho), 0.9)
         assert abs(out.trace() - 1.0) < 1e-12
 
-    def test_nonzero_position(self):
-        rng = np.random.default_rng(2)
-        parts = []
-        for _ in range(3):
-            a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            p = a @ a.conj().T
-            parts.append(p / p.trace())
-        joint = DensityMatrix(np.kron(np.kron(parts[0], parts[1]), parts[2]))
-        out = inject(joint, 0.25, input_qubit=1)
-        want = np.kron(np.kron(parts[0], oracle.encode(0.25)), parts[2])
-        assert np.max(np.abs(out - want)) < 1e-12
-
     def test_guards(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            inject(DensityMatrix.ground(2), 1.5)
-        with pytest.raises(ConfigError, match="not a system qubit"):
-            inject(DensityMatrix.ground(2), 0.5, input_qubit=2)
+            inject(DensityMatrix(oracle.ground(2)), 1.5)
 
 
 class TestObservableSet:
@@ -171,20 +155,20 @@ class TestMeasure:
     alone sets the state that is read."""
 
     def test_ground_state(self):
-        _, vals = step(still(2), DensityMatrix.ground(2), 0.0, ReservoirConfig(tau=1.0, v=1))
+        _, vals = step(still(2), DensityMatrix(oracle.ground(2)), 0.0, ReservoirConfig(tau=1.0, v=1))
         assert np.allclose(vals, [1.0, 1.0])
 
     def test_maximally_mixed(self):
         cfg = ReservoirConfig(tau=1.0, v=1, observables="z_and_zz")
-        _, vals = step(still(2), DensityMatrix.maximally_mixed(2), 0.5, cfg)
+        _, vals = step(still(2), DensityMatrix(oracle.mixed(2)), 0.5, cfg)
         assert np.allclose(vals, 0.0)
 
     def test_plus_state(self):
-        _, vals = step(still(1), DensityMatrix.ground(1), 0.5, ReservoirConfig(tau=1.0, v=1))
+        _, vals = step(still(1), DensityMatrix(oracle.ground(1)), 0.5, ReservoirConfig(tau=1.0, v=1))
         assert abs(vals[0]) < 1e-12
 
     def test_imaginary_part_guard(self):
-        rho0 = DensityMatrix.ground(3).matrix
+        rho0 = oracle.ground(3)
         engine = _StepEngine(make_real(), ReservoirConfig(tau=1.0, v=2), rho0 != 0)
         tau = engine.to_state(rho0)
         tau[0, 0, 0] += 1e-3j  # Tr_q rho at the register's first rest
@@ -206,7 +190,7 @@ class TestEvolveStep:
             kind = "z_and_zz" if case % 2 else "z_only"
             cfg = ReservoirConfig(tau=float(rng.uniform(0.2, 2.0)), v=int(rng.integers(1, 5)),
                                   observables=kind, multiplex=multiplex)
-            rho = DensityMatrix.ground(n_sys + n_env)
+            rho = DensityMatrix(oracle.ground(n_sys + n_env))
             for s in rng.uniform(0, 1, size=3):
                 want_f, want_rho = oracle.run(real, [s], cfg, rho.matrix)
                 rho, got_f = step(real, rho, s, cfg)
@@ -216,13 +200,13 @@ class TestEvolveStep:
     def test_v1_single_readout(self):
         real = make_real()
         cfg = ReservoirConfig(tau=0.8, v=1)
-        _, feats = step(real, DensityMatrix.ground(3), 0.4, cfg)
+        _, feats = step(real, DensityMatrix(oracle.ground(3)), 0.4, cfg)
         assert feats.shape == (2,)  # n_obs for z_only on 2 system qubits
 
     def test_per_node_equals_stretched_sub_step(self):
         # per_node with tau t is the same schedule as sub_step with tau v*t
         real = make_real(seed=5)
-        rho0 = DensityMatrix.ground(3)
+        rho0 = DensityMatrix(oracle.ground(3))
         a_cfg = ReservoirConfig(tau=0.5, v=4, multiplex="per_node")
         b_cfg = ReservoirConfig(tau=2.0, v=4, multiplex="sub_step")
         _, fa = step(real, rho0, 0.3, a_cfg)
@@ -232,19 +216,13 @@ class TestEvolveStep:
     def test_register_mismatch(self):
         real = make_real()
         with pytest.raises(ValueError, match="qubits"):
-            step(real, DensityMatrix.ground(2), 0.5, ReservoirConfig(tau=1.0, v=2))
+            step(real, DensityMatrix(oracle.ground(2)), 0.5, ReservoirConfig(tau=1.0, v=2))
 
-    def test_input_qubit_must_be_system(self):
-        real = make_real(n_sys=1, n_env=2)
-        cfg = ReservoirConfig(tau=1.0, v=2, input_qubit=1)
-        with pytest.raises(ConfigError, match="system"):
-            step(real, DensityMatrix.ground(3), 0.5, cfg)
-
-    def test_nonzero_input_qubit_matches_manual_step(self):
-        # inject at system site 1 of a 3-qubit register and cross-check one
-        # step against explicit insertion + propagator conjugation
+    def test_product_state_matches_manual_step(self):
+        # inject at system site 0 of a 3-qubit product state and cross-check
+        # one step against explicit insertion + propagator conjugation
         real = make_real(n_sys=2, n_env=1, seed=35)
-        cfg = ReservoirConfig(tau=0.6, v=2, input_qubit=1)
+        cfg = ReservoirConfig(tau=0.6, v=2)
         rng = np.random.default_rng(37)
         parts = []
         for _ in range(3):
@@ -255,7 +233,7 @@ class TestEvolveStep:
         s = 0.35
         got_rho, got_f = step(real, rho0, s, cfg)
 
-        injected = np.kron(np.kron(parts[0], oracle.encode(s)), parts[2])
+        injected = np.kron(np.kron(oracle.encode(s), parts[1]), parts[2])
         u = oracle.propagator(real.h_full, cfg.tau)
         z_ops = [oracle.embed_pauli("Z", i, 3) for i in range(2)]
         want_f = []
@@ -272,16 +250,16 @@ class TestRunTrajectory:
         real = make_real()
         feats, final = run_trajectory(real, [], ReservoirConfig(tau=1.0, v=3))
         assert feats.values.shape == (0, 3 * 2 + 1)
-        assert np.array_equal(final.matrix, DensityMatrix.ground(3).matrix)
+        assert np.array_equal(final.matrix, oracle.ground(3))
 
     def test_default_state_is_built_without_validation(self, monkeypatch):
         # the ground state is known: only the returned final state is
-        # validated, and the trajectory is that of DensityMatrix.ground
+        # validated, and the trajectory is that of the validated ground state
         for n in (1, 3, 6):
-            assert np.array_equal(linalg._ground_matrix(n), DensityMatrix.ground(n).matrix)
+            assert np.array_equal(linalg._ground_matrix(n), oracle.ground(n))
         real = make_real()
         cfg = ReservoirConfig(tau=0.5, v=3)
-        want = run_trajectory(real, [0.2, 0.8], cfg, initial_state=DensityMatrix.ground(3))
+        want = run_trajectory(real, [0.2, 0.8], cfg, initial_state=DensityMatrix(oracle.ground(3)))
         validated = []
         check = DensityMatrix.__post_init__
 
@@ -312,7 +290,7 @@ class TestRunTrajectory:
         cfg = ReservoirConfig(tau=0.7, v=4)
         inputs = np.random.default_rng(11).uniform(0, 1, 6)
         feats, final = run_trajectory(real, inputs, cfg)
-        rho0 = DensityMatrix.ground(3).matrix
+        rho0 = oracle.ground(3)
         engine = _StepEngine(real, cfg, rho0 != 0)
         tau = engine.to_state(rho0)
         z = np.empty((inputs.size, *engine.record), dtype=complex)
@@ -359,7 +337,7 @@ class TestRunTrajectory:
         real = make_real()
         with pytest.raises(ValueError, match="initial state"):
             run_trajectory(real, [0.5], ReservoirConfig(tau=1.0, v=2),
-                           initial_state=DensityMatrix.ground(2))
+                           initial_state=DensityMatrix(oracle.ground(2)))
 
     def test_step_errors_carry_the_step_index(self, monkeypatch):
         from nmqrc import reservoir as rmod

@@ -57,10 +57,11 @@ def assert_matches_oracle(real, inputs, cfg, rho0):
     assert np.max(np.abs(final.matrix - want_rho)) < ORACLE_ATOL
 
 
-def oracle_tau(rho, input_qubit):
-    """Tr_q of a register-order state as a matrix over the remaining qubits."""
+def oracle_tau(rho):
+    """Tr_q over the input qubit 0 of a register-order state, as a matrix
+    over the remaining qubits."""
     n = int(np.log2(rho.shape[0]))
-    return oracle.trace_qubit(rho, input_qubit, n).reshape(2 ** (n - 1), 2 ** (n - 1))
+    return oracle.trace_qubit(rho, 0, n).reshape(2 ** (n - 1), 2 ** (n - 1))
 
 
 def step_once(engine, tau, s, trace=1.0):
@@ -92,13 +93,11 @@ def assert_basis(real, cfg, rho0, batch_limit):
     assert engine.basis == expected_basis(engine, batch_limit)
 
 
-def register_tau(engine, tau, input_qubit):
+def register_tau(engine, tau):
     """The engine's carried tau blocks placed in the register-order Tr_q
     matrix, zero outside the kept classes."""
     n = engine.n_qubits
-    shift = n - 1 - input_qubit
-    reg = engine.rows[:, ::2]  # rows 2a hold rest a with input bit 0
-    rest = ((reg >> (shift + 1)) << shift) | (reg & ((1 << shift) - 1))
+    rest = engine.rows[:, ::2]  # rows 2a hold rest a with input bit 0, the top bit
     out = np.zeros((2 ** (n - 1),) * 2, dtype=complex)
     out[rest[:, :, None], rest[:, None, :]] = tau
     return out
@@ -122,7 +121,6 @@ def engine_cases(draw):
         tau=draw(st.floats(0.05, 2.0)),
         v=draw(st.integers(1, 6)),
         observables=draw(st.sampled_from(OBSERVABLE_KINDS)),
-        input_qubit=draw(st.integers(0, n_sys - 1)),
         multiplex=draw(st.sampled_from(MULTIPLEX_MODES)),
     )
     inputs = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
@@ -144,7 +142,7 @@ def test_engine_matches_propagator_oracle(case):
 def test_alpha_zero_splits_into_more_sectors():
     real = build_hamiltonian(ReservoirParams(n_sys=4, n_env=3, alpha=0.0, beta=0.7,
                                              h_sys=0.5, h_env=1.0, seed=41))
-    cfg = ReservoirConfig(tau=0.4, v=3, observables="z_and_zz", input_qubit=2)
+    cfg = ReservoirConfig(tau=0.4, v=3, observables="z_and_zz")
     assert rmod._StepEngine(real, cfg, whole_register(7)).shape[:2] == (16, 8)
     assert_matches_oracle(real, [0.1, 0.9, 0.4], cfg, random_state(7, np.random.default_rng(43)))
 
@@ -188,7 +186,7 @@ def test_real_hamiltonians_give_real_factors(n_sys, n_env, alpha, beta):
     # eigenbasis readout factors G_b = W^T P_b are real
     real = build_hamiltonian(ReservoirParams(n_sys=n_sys, n_env=n_env, alpha=alpha, beta=beta,
                                              h_sys=0.5, h_env=1.0, seed=87))
-    for support in (DensityMatrix.ground(real.params.n_qubits).matrix != 0, whole_register(real.params.n_qubits)):
+    for support in (oracle.ground(real.params.n_qubits) != 0, whole_register(real.params.n_qubits)):
         for basis, batch_limit in BASES.items():
             with mock.patch.object(rmod, "_BATCH_LIMIT", batch_limit):
                 engine = rmod._StepEngine(real, ReservoirConfig(tau=0.5, v=3), support)
@@ -226,7 +224,7 @@ def test_non_hermitian_state_trips_the_imaginary_part_guard():
     # the class basis's check of the block name the same step
     real = build_hamiltonian(ReservoirParams(n_sys=4, n_env=3, alpha=1.0, beta=1.0,
                                              h_sys=0.5, h_env=1.0, seed=59))
-    rho0 = DensityMatrix.ground(7)
+    rho0 = DensityMatrix(oracle.ground(7))
     for basis, batch_limit in BASES.items():
         with mock.patch.object(rmod, "_BATCH_LIMIT", batch_limit):
             engine = rmod._StepEngine(real, ReservoirConfig(tau=0.5, v=3), rho0.matrix != 0)
@@ -246,7 +244,7 @@ def test_nan_trips_the_step_checks(corrupt, trace, match):
     # the block so far then runs before its error is raised.
     real = build_hamiltonian(ReservoirParams(n_sys=2, n_env=1, alpha=1.0, beta=1.0,
                                              h_sys=0.5, h_env=1.0, seed=61))
-    rho0 = DensityMatrix.ground(3)
+    rho0 = DensityMatrix(oracle.ground(3))
     for basis, batch_limit in BASES.items():
         with mock.patch.object(rmod, "_BATCH_LIMIT", batch_limit):
             engine = rmod._StepEngine(real, ReservoirConfig(tau=0.5, v=2), rho0.matrix != 0)
@@ -273,8 +271,8 @@ def test_state_hermitian_to_the_density_matrix_tolerance_is_stepped():
     got = run_trajectory(real, inputs, cfg, initial_state=rho0)[0].values
     want = run_trajectory(real, inputs, cfg, initial_state=herm)[0].values
     assert np.max(np.abs(got - want)) < 1e-12
-    got = dual_trajectory(real, inputs, cfg, initial_states=(rho0, DensityMatrix.ground(7)))
-    want = dual_trajectory(real, inputs, cfg, initial_states=(herm, DensityMatrix.ground(7)))
+    got = dual_trajectory(real, inputs, cfg, initial_states=(rho0, DensityMatrix(oracle.ground(7))))
+    want = dual_trajectory(real, inputs, cfg, initial_states=(herm, DensityMatrix(oracle.ground(7))))
     for r, w in zip(got, want):
         assert abs(r.sqnorm_diff - w.sqnorm_diff) < 1e-12
         assert abs(r.trace_distance - w.trace_distance) < 1e-9
@@ -341,7 +339,6 @@ def dual_cases(draw):
         tau=draw(st.floats(0.05, 2.0)),
         v=draw(st.integers(1, 5)),
         observables=draw(st.sampled_from(OBSERVABLE_KINDS)),
-        input_qubit=draw(st.integers(0, n_sys - 1)),
         multiplex=draw(st.sampled_from(MULTIPLEX_MODES)),
     )
     inputs = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
@@ -373,9 +370,9 @@ def class_structured_state(kind, n_sys, n_env, rng):
     the even class alone."""
     n = n_sys + n_env
     if kind == "ground":
-        return DensityMatrix.ground(n)
+        return DensityMatrix(oracle.ground(n))
     if kind == "mixed":
-        return DensityMatrix.maximally_mixed(n)
+        return DensityMatrix(oracle.mixed(n))
     parity = np.array([bin(i & ((1 << n_env) - 1)).count("1") % 2 for i in range(2 ** n)])
     keep = parity[:, None] == parity[None, :]
     if kind == "even_block":
@@ -424,8 +421,8 @@ def test_alpha_zero_keeps_one_environment_configuration():
     # system register with the environment at |000> is stepped
     real = build_hamiltonian(ReservoirParams(n_sys=4, n_env=3, alpha=0.0, beta=0.7,
                                              h_sys=0.5, h_env=0.0, seed=63))
-    cfg = ReservoirConfig(tau=0.4, v=3, observables="z_and_zz", input_qubit=1)
-    rho0 = DensityMatrix.ground(7)
+    cfg = ReservoirConfig(tau=0.4, v=3, observables="z_and_zz")
+    rho0 = DensityMatrix(oracle.ground(7))
     engine = engine_for(real, cfg, rho0)
     assert (engine.classes, engine.shape) == (1, (2, 8, 16))
     assert_matches_oracle(real, [0.1, 0.9, 0.4], cfg, rho0)
@@ -436,7 +433,7 @@ def test_long_horizon_register_takes_the_class_path():
     # ground state only the environment's |0> class is stepped
     real = build_hamiltonian(ReservoirParams(n_sys=2, n_env=1, alpha=1.5, beta=1.0,
                                              h_sys=0.5, h_env=1.0, seed=55))
-    engine = engine_for(real, ReservoirConfig(tau=0.5, v=4), DensityMatrix.ground(3))
+    engine = engine_for(real, ReservoirConfig(tau=0.5, v=4), DensityMatrix(oracle.ground(3)))
     assert (engine.classes, engine.shape) == (1, (2, 2, 4))
 
 
@@ -447,7 +444,7 @@ def test_environment_flip_joins_the_classes():
     plain = build_hamiltonian(base)
     real = HamiltonianRealization(base, plain.couplings, plain.h_full + 0.3 * oracle.embed_pauli("X", 3, 4))
     cfg = ReservoirConfig(tau=0.6, v=4, observables="z_and_zz")
-    rho0 = DensityMatrix.ground(4)
+    rho0 = DensityMatrix(oracle.ground(4))
     assert engine_for(plain, cfg, rho0).shape == (2, 4, 8)
     engine = engine_for(real, cfg, rho0)
     assert (engine.classes, engine.shape) == (1, (2, 8, 16))
@@ -488,7 +485,6 @@ def carry_cases(draw):
         tau=draw(st.floats(0.05, 2.0)),
         v=draw(st.integers(1, 4)),
         observables=draw(st.sampled_from(OBSERVABLE_KINDS)),
-        input_qubit=draw(st.integers(0, n_sys - 1)),
         multiplex=draw(st.sampled_from(MULTIPLEX_MODES)),
     )
     # every case injects the endpoint inputs 0 and 1, where one amplitude is 0
@@ -497,18 +493,18 @@ def carry_cases(draw):
     return params, cfg, inputs, kind, draw(st.integers(0, 2 ** 16))
 
 
-def carry_case(n_sys, n_env, alpha, input_qubit, kind):
+def carry_case(n_sys, n_env, alpha, kind):
     params = ReservoirParams(n_sys=n_sys, n_env=n_env, alpha=alpha, beta=0.9 if n_env else 0.0,
                              h_sys=0.5, h_env=0.7, seed=73)
-    cfg = ReservoirConfig(tau=0.6, v=3, observables="z_and_zz", input_qubit=input_qubit)
+    cfg = ReservoirConfig(tau=0.6, v=3, observables="z_and_zz")
     return params, cfg, [1.0, 0.3, 0.0, 0.8], kind, 75
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(carry_cases())
-@example(carry_case(3, 2, 0.0, 2, "mixed"))  # alpha = 0: one class per environment configuration
-@example(carry_case(3, 0, 0.0, 1, "ground"))  # no environment
-@example(carry_case(2, 2, 1.1, 1, "dense"))  # coherence between the classes joins them
+@example(carry_case(3, 2, 0.0, "mixed"))  # alpha = 0: one class per environment configuration
+@example(carry_case(3, 0, 0.0, "ground"))  # no environment
+@example(carry_case(2, 2, 1.1, "dense"))  # coherence between the classes joins them
 def test_carried_tau_is_the_oracle_partial_trace(case):
     params, cfg, inputs, kind, state_seed = case
     real = build_hamiltonian(params)
@@ -523,9 +519,9 @@ def test_carried_tau_is_the_oracle_partial_trace(case):
         tau, feats, _ = step_once(engine, tau, s)
         want, rho = oracle.run(real, [s], cfg, rho)
         assert np.max(np.abs(feats - want[0])) < ORACLE_ATOL
-        assert np.max(np.abs(register_tau(engine, tau, cfg.input_qubit) - oracle_tau(rho, cfg.input_qubit))) < ORACLE_ATOL
+        assert np.max(np.abs(register_tau(engine, tau) - oracle_tau(rho))) < ORACLE_ATOL
     assert_matches_oracle(real, inputs, cfg, rho0)
-    pair = (rho0, DensityMatrix.ground(n))
+    pair = (rho0, DensityMatrix(oracle.ground(n)))
     got = dual_trajectory(real, inputs, cfg, initial_states=pair)
     for r, (sq, td, td_sys) in zip(got, oracle_dual_records(real, inputs, cfg, *(x.matrix for x in pair))):
         big = max(r.sqnorm_diff, sq)
@@ -617,9 +613,9 @@ def workload_engine(name):
     cfg = load_config(WORKLOADS / f"{name}.json")
     real = build_hamiltonian(make_params(cfg, cfg.regimes[0], cfg.seeds[0]))
     n = real.params.n_qubits
-    support = DensityMatrix.ground(n).matrix != 0
+    support = oracle.ground(n) != 0
     if cfg.task == "esp":
-        support |= DensityMatrix.maximally_mixed(n).matrix != 0
+        support |= oracle.mixed(n) != 0
         cfg = dataclasses.replace(cfg, observables="z_only")
     return rmod._StepEngine(real, reservoir_config(cfg), support)
 
@@ -669,9 +665,9 @@ def test_class_basis_matches_the_eigenbasis_on_the_workloads():
                 engine = workload_engine(name)
             assert engine.basis == basis
             n = engine.n_qubits
-            rho0 = DensityMatrix.ground(n).matrix
+            rho0 = oracle.ground(n)
             if name == "esp-divergence":  # the echo-state difference I/d - |0><0|
-                rho0 = DensityMatrix.maximally_mixed(n).matrix - rho0
+                rho0 = oracle.mixed(n) - rho0
             tau, trace = engine.to_state(rho0), float(rho0.trace().real)
             rows = np.empty((inputs.size, engine.v * engine.n_obs))
             stepped = rmod._step_inputs(engine, tau, inputs, rows, trace)
@@ -688,7 +684,7 @@ def test_folded_table_spans_match_the_one_node_table():
     real = build_hamiltonian(ReservoirParams(n_sys=4, n_env=3, alpha=1.0, beta=1.0,
                                              h_sys=0.5, h_env=1.0, seed=89))
     cfg = ReservoirConfig(tau=0.5, v=50, multiplex="sub_step")
-    rho0 = DensityMatrix.maximally_mixed(7).matrix
+    rho0 = oracle.mixed(7)
     inputs = np.random.default_rng(91).uniform(0, 1, 20)
 
     def features():

@@ -222,3 +222,10 @@ class TestSplits:
             SplitSpec(5, 1, 0)
         with pytest.raises(ValueError, match="washout"):
             SplitSpec(-1, 1, 1)
+
+    @pytest.mark.parametrize("counts, name", [((True, 2, 1), "washout"), ((0, 2.5, 1), "train"),
+                                              ((0, 2, 1.0), "val")])
+    def test_non_integer_counts_rejected(self, counts, name):
+        # these used to construct and fail later, at slicing
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SplitSpec(*counts)
