@@ -48,11 +48,6 @@ def main(argv=None) -> int:
         if cfg.output_dir is None:
             # CLI runs exist to produce files; default next to the cwd.
             cfg = dataclasses.replace(cfg, output_dir="runs")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         if cfg.task == "stm":
             results = run_stm(cfg)
             _print_sweep(results, axis_name="tau_d")
@@ -67,6 +62,9 @@ def main(argv=None) -> int:
                     f"window_mean_sqnorm={r.stats.mean_sqnorm:.3e} "
                     f"backflow_count_sys={r.backflow_sys[0]}"
                 )
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConfigError, check_int
-from .linalg import hermitian_eig
+from .linalg import _components, hermitian_eig
 
 
 @dataclass(frozen=True)
@@ -108,20 +108,6 @@ def sample_couplings(params: ReservoirParams) -> CouplingSet:
     j_env = rng.uniform(-params.alpha * j0, params.alpha * j0, size=comb(params.n_env, 2))
     g = rng.uniform(-params.beta * j0, params.beta * j0, size=(params.n_sys, params.n_env))
     return CouplingSet(j_sys=j_sys, j_env=j_env, g=g)
-
-
-def _components(pattern: np.ndarray) -> np.ndarray:
-    """Label each basis state with the smallest index in its connected
-    component of the (symmetric) nonzero ``pattern``."""
-    rows, cols = np.nonzero(pattern)
-    label = np.arange(pattern.shape[0])
-    while True:
-        new = label.copy()
-        np.minimum.at(new, rows, label[cols])
-        new = new[new]
-        if np.array_equal(new, label):
-            return label
-        label = new
 
 
 def _sector_eig(h: np.ndarray, pattern: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

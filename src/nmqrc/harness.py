@@ -19,7 +19,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields as dc_fields
 from datetime import datetime, timezone
@@ -570,6 +569,9 @@ def _run_jobs(cfg: ExperimentConfig, jobs: list) -> tuple[list, bool]:
         if not _pooled(cfg, jobs):
             outs = [_job(job) for job in jobs]
         else:
+            # imported here: it loads multiprocessing, which a serial run never needs
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=min(cfg.workers, len(jobs)), initializer=_pin_blas) as pool:
                 outs = list(pool.map(_job, jobs))
     finally:
@@ -582,6 +584,8 @@ def _run_jobs(cfg: ExperimentConfig, jobs: list) -> tuple[list, bool]:
 def _run(cfg: ExperimentConfig, task: str) -> list:
     if cfg.task != task:
         raise ConfigError(f"config task is {cfg.task!r} but run_{task} was called")
+    if cfg.output_dir is not None:
+        _output_root(cfg)
     started, t0 = datetime.now(timezone.utc), time.perf_counter()
     jobs = [(cfg, regime, seed) for regime in cfg.regimes for seed in cfg.seeds]
     outs, pinned = _run_jobs(cfg, jobs)
@@ -640,6 +644,19 @@ def _environment() -> dict:
     }
 
 
+def _output_root(cfg: ExperimentConfig) -> Path:
+    """``<output_dir>/<task>``, created if need be. A directory that cannot
+    be created or written is a ConfigError, raised before the first job."""
+    root = Path(cfg.output_dir) / cfg.task
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {root}: {exc}") from exc
+    if not os.access(root, os.W_OK | os.X_OK):
+        raise ConfigError(f"output directory {root} is not writable")
+    return root
+
+
 def _write_outputs(cfg: ExperimentConfig, results: list, couplings: dict, pinned: dict, timing: dict) -> None:
     """run_meta.json, then per regime its couplings, summary.csv and (esp)
     record streams. ``pinned`` says whether pool workers, and whether all
@@ -647,8 +664,7 @@ def _write_outputs(cfg: ExperimentConfig, results: list, couplings: dict, pinned
     and finish and its wall time in seconds, from before the first job to
     after the last."""
     spec = _TASKS[cfg.task]
-    root = Path(cfg.output_dir) / cfg.task
-    root.mkdir(parents=True, exist_ok=True)
+    root = _output_root(cfg)
     meta = {
         "config": config_to_dict(cfg),
         "input_stream_policy": (

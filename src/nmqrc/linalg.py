@@ -9,6 +9,10 @@ Conventions shared by the whole package:
   its pseudoinverse) ``float64``.
 * Registers are capped at ``MAX_QUBITS`` qubits. Everything here targets
   exact desk-scale simulation with dense storage, nothing larger.
+* ``DensityMatrix`` checks positivity per connected block of the matrix's
+  nonzero pattern: the smallest eigenvalue over the blocks is that of the
+  whole matrix, and a state confined to one class of a register takes an
+  eigenvalue call on that class alone.
 """
 
 from __future__ import annotations
@@ -85,6 +89,38 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def _components(pattern: np.ndarray) -> np.ndarray:
+    """Label each basis state with the smallest index in its connected
+    component of the (symmetric) nonzero ``pattern``."""
+    rows, cols = np.nonzero(pattern)
+    label = np.arange(pattern.shape[0])
+    while True:
+        new = label.copy()
+        np.minimum.at(new, rows, label[cols])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _min_eigenvalue(m: np.ndarray) -> float:
+    """The smallest eigenvalue of the Hermitian ``m``: the least over the
+    blocks of the connected components of its nonzero pattern, over which
+    ``m`` is block diagonal. A state that no entry links to another is a
+    block of its own, and blocks of one size are stacked for one
+    ``eigvalsh``. Each block keeps the states' order, so ``eigvalsh`` reads
+    the same lower triangle as on the whole matrix."""
+    nonzero = m != 0
+    label = _components(nonzero | nonzero.T)
+    size = np.bincount(label, minlength=label.size)[label]
+    w_min = math.inf
+    for s in np.unique(size):
+        states = np.flatnonzero(size == s)
+        blocks = states[np.argsort(label[states], kind="stable")].reshape(-1, s)
+        w_min = min(w_min, float(np.linalg.eigvalsh(m[blocks[:, :, None], blocks[:, None, :]]).min()))
+    return w_min
+
+
 def partial_trace(rho, traced: Iterable[int], n_qubits: int | None = None) -> np.ndarray:
     """Trace out ``traced`` qubits, preserving the register order of the rest."""
     rho = _as_matrix(rho, "partial trace input")
@@ -150,7 +186,8 @@ class DensityMatrix:
     """Validated density operator on a qubit register.
 
     Construction checks Hermiticity (1e-10), unit trace (1e-9) and
-    positivity (min eigenvalue >= -1e-9); the stored array is frozen.
+    positivity (min eigenvalue >= -1e-9), the last per connected block of
+    the nonzero pattern; the stored array is frozen.
     """
 
     matrix: np.ndarray
@@ -164,7 +201,7 @@ class DensityMatrix:
         tr = float(m.trace().real)
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"density matrix trace {tr!r} deviates from 1 by more than {TRACE_ATOL:.1e}")
-        w_min = float(np.linalg.eigvalsh(m)[0])
+        w_min = _min_eigenvalue(m)
         if w_min < -EIGENVALUE_ATOL:
             raise ValueError(f"density matrix has eigenvalue {w_min:.3e} < -{EIGENVALUE_ATOL:.1e}")
         m = m.copy()

@@ -49,11 +49,17 @@ The v nodes are read in one of two bases, chosen at build time:
   U_t^dag O_i U_t the Heisenberg-evolved observable, block diagonal over
   the sectors. rho_in's entry at the class states (a, b), (a', b') is
   c_b c_b' tau[a, a'] for the amplitudes c = (sqrt(1-s), sqrt(s)), so a
-  feature is a real product of tau's entries on the upper triangles of the
-  sector blocks, each run of them scaled by its coefficient, with a table
-  of O_i(t_j) on those entries. The engine stores A_b itself, not its
-  conjugate; the step mixes A_s from it, takes Y = A_s tau and tau', two
-  complex products, and records tau; no eigenbasis operand is formed.
+  feature is a real product of T = tau + tau^dag on the rest pairs
+  a <= a', each scaled by the coefficient of its kind b + b', with a
+  table of O_i(t_j) on the upper triangles of the sector blocks. Every
+  rest pair occurs in an entry of each parity sector, so the table folds
+  the rows of the entries that share a rest pair and a kind into one, and
+  a block's readout gathers each rest pair of tau once: a 4+3 class has
+  1,056 entries, 528 rest pairs and 800 folded rows. The engine stores A_b
+  itself, not its conjugate; the step mixes A_s from it, takes Y = A_s tau
+  and tau', two complex products, checks the stepped trace on the diagonal
+  of tau', as Tr (Y A^dag) = Tr tau', and records tau; no eigenbasis
+  operand is formed.
 * The eigenbasis otherwise, as for the echo-state pair's 50 nodes. The
   engine also stacks the real readout factors G_b = W^T P_b, and a step
   takes the readout rows G_s tau, forms the diagonal sector blocks of
@@ -75,8 +81,8 @@ observables, so in both entry (q, p) of a block is the conjugate of entry
 (p, q) and the readout runs over the upper triangles only.
 
 Each step checks the trace of the stepped state and writes its readout
-record, the node operand or tau, into a block buffer; the product with the
-table then runs once for the whole block of inputs, so the table is read
+record, the node operand or tau, into a block buffer; the products with the
+table then run once for the whole block of inputs, so the table is read
 once per block. The Hermiticity the readout relies on is checked by a bound
 on the imaginary part of every feature: in the eigenbasis step, and in the
 class basis once per block, before any row of the block is written. No
@@ -103,8 +109,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConfigError, NumericalError, check_int
-from .hamiltonian import HamiltonianRealization, _components, _sector_eig
-from .linalg import DensityMatrix, _ground_matrix
+from .hamiltonian import HamiltonianRealization, _sector_eig
+from .linalg import DensityMatrix, _components, _ground_matrix
 
 OBSERVABLE_KINDS = ("z_only", "z_and_zz")
 MULTIPLEX_MODES = ("per_node", "sub_step")
@@ -127,10 +133,11 @@ _BATCH_LIMIT = 250_000
 # The readout of a block of inputs, one product with the table, holds at
 # most this many reals, and a block holds at least one input. In the
 # eigenbasis that is the block buffer of node operands, inputs x entries
-# complex; in the class basis the two gathers of tau, upper and lower, each
-# inputs x entries complex. About 1 MB: in the eigenbasis 66 inputs of one
-# 4+3 class (1,056 entries), 33 of the echo-state pair's two; in the class
-# basis 33 inputs of one 4+3 class and 128 of the 5-qubit engine.
+# complex; in the class basis it is budgeted at inputs x 2 entries complex,
+# and its gathers of tau take two values per rest pair, no more. About
+# 1 MB: in the eigenbasis 66 inputs of one 4+3 class (1,056 entries), 33 of
+# the echo-state pair's two; in the class basis 33 inputs of one 4+3 class
+# and 128 of the 5-qubit engine.
 _BLOCK_LIMIT = 140_000
 
 
@@ -253,14 +260,16 @@ class _StepEngine:
     register-order matrix. ``step`` writes the input's readout record into
     a row of a block buffer (``record`` is its shape), and ``features``
     reads the v nodes of a whole block of them with one product per span of
-    the table, whose columns hold the observables of each node. ``basis``
+    the table (of nodes in the eigenbasis, of pairs and a coefficient kind
+    in the class basis), whose columns hold the observables of each node. ``basis``
     names the readout basis. In the eigenbasis the record is the node
     operand, sigma + sigma^dag on the ``entries`` upper-triangle entries of
     the sector blocks, and the folded ``phase_table`` holds the nodes that
     fit. In the class basis the record is tau itself, and
     ``observable_table`` holds the Heisenberg-evolved observables of every
-    node on the same entries in the class basis, read against the gathered
-    entries of tau. ``step`` also returns the stepped class blocks in
+    node on the same entries in the class basis, folded into a row per rest
+    pair and kind, read against the rest pairs gathered from tau. ``step``
+    also returns the stepped class blocks in
     factored form (Y, conj(A)), rho = Y A^dag with one evolution row each,
     and ``trace_out`` takes partial traces of that, the register-order
     state included.
@@ -352,12 +361,12 @@ class _StepEngine:
         evolve[b, g, row.reshape(c, k, m)[cls, sector], col] = self.u[cls, sector, :, at].conj()
         self.split = 2 * evolve[0].size
         # The row ``step`` writes per input, and the complex values per input
-        # that a block's readout holds at once: the class basis gathers two
-        # entries from each carried tau.
+        # that a block's readout is budgeted: the class basis gathers two
+        # values per rest pair from each carried tau, at most two per entry.
         self.record = (c, r, r) if self.basis == "class" else (self.entries,)
         self.block_width = 2 * self.entries if self.basis == "class" else self.entries
         if self.basis == "class":
-            self._build_class_readout(lam, w, w_h, sign, p_idx, q_idx, diagonal, a, bit, evolve)
+            self._build_class_readout(lam, w, w_h, sign, p_idx, q_idx, a, bit, evolve)
             return
 
         # Readout from the diagonal blocks of sigma = W^T rho W. Each O_i is a
@@ -399,7 +408,7 @@ class _StepEngine:
         # (amplitudes) @ factors gives conj(A_s), then G_s, as reals
         self.factors = np.hstack([x.reshape(2, -1).view(float) for x in (evolve, readout)])
 
-    def _build_class_readout(self, lam, w, w_h, sign, p_idx, q_idx, diagonal, a, bit, evolve):
+    def _build_class_readout(self, lam, w, w_h, sign, p_idx, q_idx, a, bit, evolve):
         """The class-basis readout: node j reads Tr(O_i(t_j) rho_in), the
         Heisenberg-evolved observable O_i(t) = U_t^dag O_i U_t, t_j = j dt,
         against the injected class block rho_in = P_s tau P_s^dag.
@@ -407,57 +416,128 @@ class _StepEngine:
         O_i(t) is block diagonal over the sectors, and it and rho_in are
         Hermitian, so a feature is the sum over the upper triangles x <= y of
         the sector blocks of Re(conj(O_i(t)[x, y]) z), z = rho_in[x, y] +
-        conj(rho_in[y, x]), weighted 1/2 on the diagonal: z viewed as
-        interleaved reals (Re, Im) times a table of rows (Re O, Im O), one
-        column per (node, observable). rho_in[x, y] = c_bx c_by tau[a_x, a_y]
-        for the states x = (a_x, bx), y = (a_y, by) and the input amplitudes
-        c = (sqrt(1-s), sqrt(s)), so ``pairs`` gathers tau[a_x, a_y] and
-        tau[a_y, a_x] for each entry. The entries are sorted by bx + by, and
-        ``runs`` bounds the three runs whose coefficient is c_0^2, c_0 c_1
-        and c_1^2.
+        conj(rho_in[y, x]), weighted 1/2 on the diagonal. rho_in[x, y] =
+        c_bx c_by tau[a_x, a_y] for the states x = (a_x, bx), y = (a_y, by)
+        and the input amplitudes c = (sqrt(1-s), sqrt(s)), so z = c_bx c_by
+        T[a_x, a_y], T = tau + tau^dag. An entry with a_x > a_y is read as
+        (y, x): conj(O) against conj(z) has the same real product, so every
+        entry reads T on a rest pair a <= a'. Each rest pair occurs in
+        several sector entries, at least one per parity sector, so the table
+        folds the rows of the entries that share a rest pair and a
+        coefficient kind bx + by (c_0^2, c_0 c_1 or c_1^2) into one, and
+        ``features`` gathers each pair once: ``pairs`` holds the flat indices
+        of tau[a, a'] and tau[a', a]. The pairs are sorted by the set of
+        kinds of their entries, so that every kind of a run of pairs with
+        one set is a block of table rows; ``spans`` holds, per run and kind,
+        the run's reals in the operand, the kind and those table rows.
 
         The table is built node by node. U_t = W e^{-i Lambda t} W^T comes
         from the per-eigenvalue phasors e^{-i lam t}, and the upper entries
         of O_i(t) = U_t^dag S_i U_t, S_i the signs of the Z string, are the
         products conj(U_t[z, x]) U_t[z, y] of two columns of U_t summed
-        against the signs, for every observable in one real product."""
+        against the signs, for every observable in one real product. W is
+        real, so U_t is symmetric and its columns are read as rows."""
         k, m, d = self.shape
         c, r = self.classes, d // 2
         n = self.n_obs
         # ||O_i(t)||_F over the sector blocks is ||S_i||_F = sqrt(c d) for every
         # node: the blocks of U_t are unitary and S_i is a diagonal of signs.
         self.row_norm = math.sqrt(c * d)
-        x = (np.arange(c * k)[:, None] * m + p_idx).ravel()  # class state of each entry's row
-        y = (np.arange(c * k)[:, None] * m + q_idx).ravel()  # and of its column
-        kind = bit.ravel()[x] + bit.ravel()[y]
-        order = np.argsort(kind, kind="stable")
-        self.runs = np.searchsorted(kind[order], [0, 1, 2, 3])
-        x, y = x[order], y[order]
-        cls, a = x // d, a.ravel()
-        self.pairs = np.stack([(cls * r + a[x]) * r + a[y], (cls * r + a[y]) * r + a[x]])
-        self.skew_weight = self.skew_weight.reshape(-1, 2)[order].ravel()
-        weight = np.where(diagonal, 0.5, 1.0)[order]
-        signs = sign.transpose(1, 2, 0, 3)  # (c, k, n_obs, m)
-        table = np.empty((self.v * n, self.entries), dtype=complex)
-        # per-node buffers, reused: fresh ones would fault in every page again
-        cols_x, cols_y = np.empty((2, c, k, m, p_idx.size), dtype=complex)
+        # Each upper entry (x, y), x and y class states counted over all the
+        # classes, turned so that a_x <= a_y, and its rest pair, named by the
+        # flat index of tau[a_x, a_y] in a carried state.
+        block = np.arange(c * k)[:, None] * m
+        x, y = (block + p_idx).ravel(), (block + q_idx).ravel()
+        rest, bit = (np.arange(c)[:, None] * r + a).ravel(), bit.ravel()  # rest counted over the classes
+        turned = rest[x] > rest[y]
+        x, y = np.where(turned, y, x), np.where(turned, x, y)
+        kind = bit[x] + bit[y]
+        key = rest[x] * r + a.ravel()[y]
+        # The pairs, sorted by the set of kinds of their entries and, within
+        # a run of one set, those with two entries of kind 1, (a, 0), (a', 1)
+        # and (a, 1), (a', 0), first and those with a = a' last.
+        has = np.zeros((c * r * r, 3), dtype=bool)
+        has[key, kind] = True
+        kinds = has @ np.array([1, 2, 4])
+        twice = np.bincount(key, weights=kind == 1, minlength=kinds.size) == 2
+        keys = np.flatnonzero(kinds)
+        kinds, twice, diagonal = kinds[keys], twice[keys], keys // r % r == keys % r
+        order = np.argsort(3 * kinds + 1 - twice + diagonal, kind="stable")
+        keys, kinds, twice, diagonal = keys[order], kinds[order], twice[order], diagonal[order]
+        rank = np.empty(c * r * r, dtype=int)
+        rank[keys] = np.arange(keys.size)
+        pair = rank[key]
+        self.pairs = np.stack([keys, keys + (keys % r - keys // r % r) * (r - 1)])  # tau[a, a'], tau[a', a]
+        # The bound on the imaginary part weighs each pair's skew tau[a, a'] -
+        # conj(tau[a', a]) per kind by the entries that read it, 1 on the
+        # diagonal and 2 off it, each weight repeated for the pair's two reals.
+        skew = np.bincount(3 * pair + kind, weights=np.where(x == y, 1.0, 2.0), minlength=3 * keys.size)
+        self.skew_weight = np.repeat(skew.reshape(-1, 3), 2, axis=0)
+
+        # Table columns: run after run, each kind of the run in turn, the
+        # run's pairs in order. Then a column for the second entry of kind 1,
+        # (a, 1), (a', 0), of each pair with two, folded into the first once
+        # every node is in. Within a run these pairs lead and the pairs with
+        # a = a', whose entries of kinds 0 and 2 lie on the diagonal and are
+        # weighted 1/2, trail, so each is a slice of columns.
+        runs = np.flatnonzero(np.diff(kinds)) + 1
+        spans, folds, halves, width = [], [], [], 0
+        for lo, hi in zip([0, *runs], [*runs, keys.size]):
+            for coef in range(3):
+                if kinds[lo] >> coef & 1:
+                    spans.append((lo, hi, coef, width))
+                    width += hi - lo
+        done = width
+        for lo, hi, coef, col in spans:
+            if coef != 1:
+                halves.append(slice(col + hi - lo - np.count_nonzero(diagonal[lo:hi]), col + hi - lo))
+            elif twice[lo]:
+                count = np.count_nonzero(twice[lo:hi])
+                folds.append((slice(col, col + count), slice(done, done + count)))
+                done += count
+        # The entries in column order: by (second entry, run, kind, pair).
+        later = (kind == 1) & twice[pair] & (bit[x] == 1)
+        run = np.searchsorted(runs, pair, side="right")
+        entry = np.argsort(((later * (runs.size + 1) + run) * 3 + kind) * keys.size + pair)
+        entry = entry * n + np.arange(n)[:, None]  # into the products, entry after entry
+        # The real product of (entry, z) with the signs of each block, as
+        # interleaved reals: S (z, obs) with each sign on the (Re, Im)
+        # diagonal.
+        signs = np.zeros((c * k, m, 2, n, 2))
+        signs[:, :, 0, :, 0] = signs[:, :, 1, :, 1] = sign.reshape(n, c * k, m).transpose(1, 2, 0)
+        signs = signs.reshape(c * k, 2 * m, 2 * n)
+        # conj(U_t) and U_t per node, from the phasors of -t and t
+        phasors = np.exp(-1j * self.dt * np.arange(1, self.v + 1)[:, None] * lam.ravel())
+        phasors = np.stack([phasors.conj(), phasors], axis=1).reshape(self.v, 2, c, k, m, 1)
+        gather = np.stack([x, y + c * k * m])
+
+        table = np.empty((self.v * n, x.size), dtype=complex)
+        # per-node buffer, reused: a fresh one would fault in every page again
+        rows = np.empty((2, x.size, m), dtype=complex)
         for j in range(self.v):
-            phasor = np.exp(-1j * (j + 1) * self.dt * lam).reshape(c, k, m, 1)
-            u_t = _product(w, np.multiply(phasor, w_h, order="C"))
-            np.take(u_t, p_idx, axis=-1, out=cols_x, mode="clip")
-            np.take(u_t, q_idx, axis=-1, out=cols_y, mode="clip")
-            np.conjugate(cols_x, out=cols_x)
-            cols_x *= cols_y  # conj(U_t[z, x]) U_t[z, y], (c, k, z, entry)
-            heisenberg = _product(signs, cols_x).transpose(2, 0, 1, 3).reshape(n, -1)
-            rows = table[j * n:(j + 1) * n]
-            np.take(heisenberg, order, axis=1, out=rows, mode="clip")
-            rows *= weight
-        self.observable_table = table.view(float).T  # Fortran order, each column contiguous
+            u_t = _product(w, np.multiply(phasors[j], w_h, order="C"))
+            np.take(u_t.reshape(-1, m), gather, axis=0, out=rows, mode="clip")
+            rows[0] *= rows[1]  # conj(U_t[z, x]) U_t[z, y], (entry, z)
+            # O_i(t)[x, y] of each entry and observable
+            heisenberg = (rows[0].view(float).reshape(c * k, -1, 2 * m) @ signs).ravel().view(complex)
+            np.take(heisenberg, entry, out=table[j * n:(j + 1) * n], mode="clip")
+        for first, second in folds:
+            table[:, first] += table[:, second]
+        for half in halves:
+            table[:, half] *= 0.5
+        # The folded table keeps the columns of the second entries: a compact
+        # copy would hold both at once.
+        self.observable_table = table[:, :width].view(float).T  # each column contiguous
+        self.spans = [(slice(2 * lo, 2 * hi), coef, self.observable_table[2 * col:2 * (col + hi - lo)])
+                      for lo, hi, coef, col in spans]
         self._buffers = None
         # (amplitudes) @ factors gives A_s as reals, mixed into a buffer kept
         # from step to step
         self.factors = evolve.conj().reshape(2, -1).view(float)
         self._mix = np.empty(self.factors.shape[1])
+        # Tr tau' as one dot product, with the identity blocks
+        self._identity = np.zeros((c, r, r), dtype=complex)
+        self._identity[:, np.arange(r), np.arange(r)] = 1.0
 
     def to_state(self, rho: np.ndarray) -> np.ndarray:
         """tau of the register-order matrix ``rho``: the Hermitian part of the
@@ -543,30 +623,25 @@ class _StepEngine:
 
         # U P_s tau = W (E o Y), gathered into evolution rows.
         y_ev = _product(self.w, y * self.evolve_phase).reshape(c * d, r).take(self.gather, axis=0)
-        return self._carry(y_ev.reshape(c, d, r), a_conj, trace, np.dot(y_ev.ravel(), a_conj.ravel()))
+        _check_trace(np.dot(y_ev.ravel(), a_conj.ravel()), trace)
+        # Tr_q (Y A^dag): rows 2a and 2a + 1 hold rest a, so each class's
+        # evolution rows read as r x 2r make it one product
+        tau = y_ev.reshape(c, r, d) @ a_conj.reshape(c, r, d).swapaxes(-1, -2)
+        return tau, (y_ev.reshape(c, d, r), a_conj)
 
     def _class_step(self, tau, s, z, trace):
         """``step`` in the class basis: z is tau, and the evolution rows are
         U P_s tau = A_s tau, one complex product. A_s is mixed from the
-        stored A_b and conjugated once."""
+        stored A_b and conjugated once. The trace check reads the diagonal
+        of the next tau, as Tr (Y A^dag) = Tr tau'."""
         z[...] = tau
         d = self.shape[2]
         c, r = self.classes, d // 2
         a = np.matmul(_encode(s), self.factors, out=self._mix).view(complex).reshape(c, d, r)
         y = a @ tau
-        return self._carry(y, np.conjugate(a), trace, np.vdot(a, y))
-
-    def _carry(self, y, a_conj, trace, stepped_trace):
-        """The next tau, Tr_q (Y A^dag), and the stepped state (Y, conj(A)),
-        after checking that its trace ``stepped_trace``, Tr (Y A^dag), the
-        sum of Y times conj(A), is ``trace``. Rows 2a and 2a + 1 hold rest a,
-        so each class's evolution rows read as r x 2r make Tr_q one
-        product."""
-        c, d, r = y.shape
-        trace_err = abs(stepped_trace.real - trace)
-        if not trace_err <= STEP_TRACE_ATOL:
-            raise NumericalError(f"state trace drifted by {trace_err:.3e} > {STEP_TRACE_ATOL:.1e}")
+        a_conj = np.conjugate(a)
         tau = y.reshape(c, r, d) @ a_conj.reshape(c, r, d).swapaxes(-1, -2)
+        _check_trace(np.vdot(self._identity, tau), trace)
         return tau, (y, a_conj)
 
     def features(self, z: np.ndarray, inputs: np.ndarray, out: np.ndarray) -> None:
@@ -578,7 +653,7 @@ class _StepEngine:
         Class basis: the Hermiticity check of every input, which raises
         ``_ReadoutError`` naming the first failing row before ``out`` is
         written, then the operands and one product with the table of every
-        node."""
+        node per run of rest pairs and coefficient kind."""
         if self.basis == "class":
             self._class_features(z, inputs, out)
             return
@@ -593,37 +668,39 @@ class _StepEngine:
     def _class_features(self, z, inputs, out):
         """``features`` in the class basis, from a block of carried states z.
 
-        Takes tau[a_x, a_y] + conj(tau[a_y, a_x]) on every upper entry,
-        after the same bound on the imaginary part of each input's features
-        as the eigenbasis step's, with the skew part of rho_in in place of
-        sigma's, then scales each run of entries by its coefficient c_bx c_by
-        and takes one product with the table. The gathers are taken into
+        Takes T = tau[a, a'] + conj(tau[a', a]) on every rest pair, after the
+        same bound on the imaginary part of each input's features as the
+        eigenbasis step's, with the skew part of rho_in in place of sigma's,
+        then one product with the table per run and kind, scaled by the
+        kind's coefficient. The gathers and the products are taken into
         buffers kept from block to block: a fresh array of this size costs
         the kernel a page fault per page."""
         b = len(z)
-        if self._buffers is None or self._buffers.shape[1] < b:
-            self._buffers = np.empty((3, b, self.entries), dtype=complex)
-        upper, lower, skew = self._buffers[:, :b]
+        if self._buffers is None or len(self._buffers[1]) < b:
+            self._buffers = np.empty((2, b, self.pairs.shape[1]), dtype=complex), np.empty((b, out.shape[1]))
+        (upper, lower), part = self._buffers[0][:, :b], self._buffers[1][:b]
         flat = z.reshape(b, -1)
         # the indices are in range; a mode other than "raise" takes straight into out
         np.take(flat, self.pairs[0], axis=1, out=upper, mode="clip")
         np.take(flat, self.pairs[1], axis=1, out=lower, mode="clip")
         np.conjugate(lower, out=lower)
-        np.subtract(upper, lower, out=skew)
-        square = skew.view(float)
+        upper += lower  # T
+        lower *= -2.0
+        lower += upper  # the skew part, tau[a, a'] - conj(tau[a', a]), from T and conj(tau[a', a])
+        square = lower.view(float)
         square *= square
-        upper += lower
         c0, c1 = np.sqrt(1.0 - inputs), np.sqrt(inputs)
-        runs = list(zip((c0 * c0, c0 * c1, c1 * c1), self.runs[:-1], self.runs[1:]))
-        bound = sum(coef * coef * (square[:, 2 * lo:2 * hi] @ self.skew_weight[2 * lo:2 * hi])
-                    for coef, lo, hi in runs)
-        bound = 0.5 * np.sqrt(bound) * self.row_norm
+        coefs = np.stack([c0 * c0, c0 * c1, c1 * c1], axis=1)
+        bound = 0.5 * np.sqrt(np.sum((square @ self.skew_weight) * (coefs * coefs), axis=1)) * self.row_norm
         failed = np.flatnonzero(~(bound <= FEATURE_IMAG_ATOL))  # NaN included
         if failed.size:
             raise _ReadoutError(int(failed[0]), bound[failed[0]])
-        for coef, lo, hi in runs:
-            upper[:, lo:hi] *= coef[:, None]
-        np.matmul(upper.view(float), self.observable_table, out=out)
+        operand = upper.view(float)
+        out[...] = 0.0
+        for reals, coef, table in self.spans:
+            np.matmul(operand[:, reals], table, out=part)
+            part *= coefs[:, coef, None]
+            out += part
 
 
 class _ReadoutError(NumericalError):
@@ -634,6 +711,13 @@ class _ReadoutError(NumericalError):
         super().__init__(f"features may have an imaginary part up to {bound:.3e} > {FEATURE_IMAG_ATOL:.1e}; "
                          "state is corrupted")
         self.row = row
+
+
+def _check_trace(stepped_trace: complex, trace: float) -> None:
+    """Raise unless the real part of a stepped state's trace is ``trace``."""
+    trace_err = abs(stepped_trace.real - trace)
+    if not trace_err <= STEP_TRACE_ATOL:
+        raise NumericalError(f"state trace drifted by {trace_err:.3e} > {STEP_TRACE_ATOL:.1e}")
 
 
 def _product(f: np.ndarray, x: np.ndarray) -> np.ndarray:

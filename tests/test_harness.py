@@ -5,8 +5,11 @@ import json
 import os
 import platform
 import re
+import subprocess
+import sys
 import weakref
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,6 +318,15 @@ class TestRunStm:
     def test_task_guard(self):
         with pytest.raises(ConfigError, match="run_stm"):
             run_stm(load_config(task="esp", scale="quick"))
+
+
+def test_import_leaves_the_process_pool_out():
+    # a serial run never starts a pool, so importing the package must not
+    # load multiprocessing
+    code = "import sys, nmqrc; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(nmqrc.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def worker_blas_threads(job):
@@ -638,6 +650,16 @@ class TestCli:
         code = cli.main(["stm", "--scale", "quick"])
         assert code == 3
         assert "seed=0" in capsys.readouterr().err
+
+    def test_unwritable_output_exits_two_before_any_job(self, tmp_path, capsys, monkeypatch):
+        jobs = []
+        monkeypatch.setattr(harness, "_job", jobs.append)
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        code = cli.main(["stm", "--scale", "quick", "--seeds", "1", "--out", str(blocker / "sub")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: cannot create output directory")
+        assert jobs == []
 
     def test_unknown_task_rejected(self):
         with pytest.raises(SystemExit):

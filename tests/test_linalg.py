@@ -3,6 +3,7 @@ import pickle
 import numpy as np
 import pytest
 
+from nmqrc import linalg
 from nmqrc.errors import ConfigError
 from nmqrc.linalg import (
     DensityMatrix,
@@ -353,6 +354,32 @@ class TestDensityMatrix:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
+
+    @staticmethod
+    def scattered_blocks(rng, low):
+        """A 4-qubit state block diagonal over two blocks of 5 scattered
+        states, with the eigenvalues 0.2, 0.1 - ``low``, 0, 0 and ``low`` in
+        the second; the other 6 states are zero and linked to none."""
+        m = np.zeros((16, 16), dtype=complex)
+        states = rng.permutation(16)
+        for block, w in ((states[:5], [0.3, 0.2, 0.1, 0.05, 0.05]), (states[5:10], [0.2, 0.1 - low, 0.0, 0.0, low])):
+            q = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
+            m[np.ix_(block, block)] = (q * w) @ q.conj().T
+        return (m + m.conj().T) / 2
+
+    def test_rejects_a_negative_eigenvalue_inside_one_block(self):
+        m = self.scattered_blocks(np.random.default_rng(45), -1e-6)
+        with pytest.raises(ValueError, match=r"^density matrix has eigenvalue -1\.000e-06 < -1\.0e-09$"):
+            DensityMatrix(m)
+
+    def test_accepts_isolated_zero_states(self):
+        # positivity is checked per block of the nonzero pattern, the six
+        # zero states each a block of its own; the least block eigenvalue is
+        # that of the whole matrix
+        m = self.scattered_blocks(np.random.default_rng(47), 0.0)
+        assert np.count_nonzero(np.abs(m).sum(axis=0) == 0) == 6
+        assert np.allclose(DensityMatrix(m).matrix, m)
+        assert abs(linalg._min_eigenvalue(m) - np.linalg.eigvalsh(m)[0]) < 1e-15
 
     def test_immutable(self):
         g = DensityMatrix(oracle.ground(1))

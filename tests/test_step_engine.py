@@ -384,8 +384,15 @@ def class_structured_state(kind, n_sys, n_env, rng):
 STATE_KINDS = ("ground", "mixed", "parity_blocks", "even_block")
 
 
+def engine_case(n_sys, n_env, alpha, batch_limit):
+    params = ReservoirParams(n_sys=n_sys, n_env=n_env, alpha=alpha, beta=0.8, h_sys=0.5, h_env=0.7, seed=95)
+    cfg = ReservoirConfig(tau=0.6, v=3, observables="z_and_zz")
+    return params, cfg, [0.2, 0.9, 0.0, 0.6], 97, batch_limit
+
+
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(engine_cases(), st.sampled_from(STATE_KINDS))
+@example(engine_case(3, 3, 0.0, rmod._BATCH_LIMIT), "mixed")  # alpha = 0: a class per environment configuration
 def test_engine_on_class_structured_states_matches_propagator_oracle(case, kind):
     params, cfg, inputs, state_seed, batch_limit = case
     real = build_hamiltonian(params)
@@ -490,14 +497,14 @@ def carry_cases(draw):
     # every case injects the endpoint inputs 0 and 1, where one amplitude is 0
     inputs = draw(st.permutations([0.0, 1.0] + draw(st.lists(st.floats(0.0, 1.0), max_size=3))))
     kind = draw(st.sampled_from(STATE_KINDS + ("dense",)))
-    return params, cfg, inputs, kind, draw(st.integers(0, 2 ** 16))
+    return params, cfg, inputs, kind, draw(st.integers(0, 2 ** 16)), False
 
 
-def carry_case(n_sys, n_env, alpha, kind):
+def carry_case(n_sys, n_env, alpha, kind, one_sector=False):
     params = ReservoirParams(n_sys=n_sys, n_env=n_env, alpha=alpha, beta=0.9 if n_env else 0.0,
                              h_sys=0.5, h_env=0.7, seed=73)
     cfg = ReservoirConfig(tau=0.6, v=3, observables="z_and_zz")
-    return params, cfg, [1.0, 0.3, 0.0, 0.8], kind, 75
+    return params, cfg, [1.0, 0.3, 0.0, 0.8], kind, 75, one_sector
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -505,15 +512,23 @@ def carry_case(n_sys, n_env, alpha, kind):
 @example(carry_case(3, 2, 0.0, "mixed"))  # alpha = 0: one class per environment configuration
 @example(carry_case(3, 0, 0.0, "ground"))  # no environment
 @example(carry_case(2, 2, 1.1, "dense"))  # coherence between the classes joins them
+# one class of one sector: every rest pair has entries of kinds 0, 1, 1 and 2
+@example(carry_case(2, 2, 1.1, "dense", one_sector=True))
 def test_carried_tau_is_the_oracle_partial_trace(case):
-    params, cfg, inputs, kind, state_seed = case
+    params, cfg, inputs, kind, state_seed, one_sector = case
     real = build_hamiltonian(params)
-    rng = np.random.default_rng(state_seed)
     n = params.n_qubits
+    if one_sector:
+        # X fields on the input qubit and an environment qubit break both parities
+        fields = 0.2 * oracle.embed_pauli("X", 0, n) + 0.3 * oracle.embed_pauli("X", n - 1, n)
+        real = HamiltonianRealization(params, real.couplings, real.h_full + fields)
+    rng = np.random.default_rng(state_seed)
     rho0 = random_state(n, rng) if kind == "dense" else class_structured_state(kind, params.n_sys, params.n_env, rng)
     engine = rmod._StepEngine(real, cfg, rho0.matrix != 0)
     if kind == "dense" and params.n_env:
         assert engine.classes == 1
+    if one_sector:
+        assert engine.shape[0] == 1 and engine.basis == "class"
     tau, rho = engine.to_state(rho0.matrix), rho0.matrix
     for s in inputs:
         tau, feats, _ = step_once(engine, tau, s)
@@ -607,6 +622,32 @@ def test_error_inside_a_block_names_its_step(driver, what, monkeypatch):
         assert len(stepped) == (8 if basis == "class" and driver is run_trajectory else 6)
 
 
+def test_trace_drift_names_its_step(monkeypatch):
+    # blocks of 4 inputs; the carried state's trace drifts by 2e-9 before
+    # step 5, the second input of the second block. The class basis reads
+    # the stepped trace on the next tau, the eigenbasis as the sum of Y
+    # times conj(A); both name step 5.
+    real = build_hamiltonian(ReservoirParams(n_sys=2, n_env=1, alpha=1.0, beta=1.0,
+                                             h_sys=0.5, h_env=1.0, seed=83))
+    original = rmod._StepEngine.step
+    stepped = []
+
+    def drifting(self, tau, s, *args):
+        if len(stepped) == 5:
+            tau = tau * (1 + 2e-9)
+        stepped.append(s)
+        return original(self, tau, s, *args)
+
+    monkeypatch.setattr(rmod, "_block_inputs", block_of(4))
+    monkeypatch.setattr(rmod._StepEngine, "step", drifting)
+    for batch_limit in BASES.values():
+        stepped.clear()
+        monkeypatch.setattr(rmod, "_BATCH_LIMIT", batch_limit)
+        with pytest.raises(NumericalError, match=r"^trajectory failed at step 5: state trace drifted by 2\.00\de-09 "):
+            run_trajectory(real, np.linspace(0.1, 0.9, 10), ReservoirConfig(tau=0.5, v=3))
+        assert len(stepped) == 6
+
+
 def workload_engine(name):
     """The step engine of the first job of a benchmark workload (its config
     read from ``bench/workloads``), with the support its task steps."""
@@ -624,14 +665,19 @@ def test_block_buffer_stays_within_its_budget():
     # The three benchmark workloads' engines hold a block buffer of several
     # inputs and a table of at most _BATCH_LIMIT reals. stm-serial and
     # narma-readout read in the class basis: their tables of every node
-    # and observable fit, and a block's two gathers, ``entries`` complex
-    # values each per input, fit _BLOCK_LIMIT. esp-divergence's 50 nodes
-    # do not fit: it reads in the eigenbasis, its node operands of
-    # ``entries`` complex values fit _BLOCK_LIMIT, and its nodes take 4
-    # spans of the folded phase table. One environment-parity class of a
-    # 12-qubit register (8+4, k = 2 sectors of 1024 states) has a single
-    # node operand already over the budget.
+    # and observable fit, and a block's readout is budgeted at two complex
+    # values per upper-triangle entry and input, within _BLOCK_LIMIT. The
+    # class table folds the entries into rows per rest pair and kind: the
+    # readout gathers two values per rest pair, 528 pairs and 800 table
+    # rows for stm-serial's 1,056 entries, 136 and 208 for narma-readout's
+    # 272. esp-divergence's 50 nodes do not fit: it reads in the
+    # eigenbasis, its node operands of ``entries`` complex values fit
+    # _BLOCK_LIMIT, and its nodes take 4 spans of the folded phase table.
+    # One environment-parity class of a 12-qubit register (8+4, k = 2
+    # sectors of 1024 states) has a single node operand already over the
+    # budget.
     spans = {"stm-serial": None, "narma-readout": None, "esp-divergence": 4}
+    folded = {"stm-serial": (1056, 528, 800), "narma-readout": (272, 136, 208)}
     for name, count in spans.items():
         engine = workload_engine(name)
         assert engine.basis == ("class" if count is None else "eigen")
@@ -643,10 +689,11 @@ def test_block_buffer_stays_within_its_budget():
         table = engine.observable_table if count is None else engine.phase_table
         assert table.dtype == np.float64
         assert table.nbytes <= 8 * rmod._BATCH_LIMIT <= 2_100_000
-        assert table.shape[0] == 2 * engine.entries
         if count is None:
+            assert (engine.entries, engine.pairs.shape[1], table.shape[0] // 2) == folded[name]
             assert table.shape[1] == engine.v * engine.n_obs
         else:
+            assert table.shape[0] == 2 * engine.entries
             assert -(-engine.v * engine.n_obs // table.shape[1]) == count
     big = 2 * (1024 * 1025 // 2)  # upper-triangle entries of two 1024-state sectors
     assert 2 * big > rmod._BLOCK_LIMIT
