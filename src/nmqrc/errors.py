@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the integer check that
-raises them."""
+"""Exception types shared across the package, and the integer and real
+number checks that raise them."""
 
-from numbers import Integral
+import math
+from numbers import Integral, Real
 
 
 class ConfigError(ValueError):
@@ -22,3 +23,18 @@ def check_int(name: str, value, error: type[Exception] = ConfigError) -> int:
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise error(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def check_real(name: str, value, error: type[Exception] = ConfigError) -> float:
+    """``value`` as a float. A bool, a value that is not a real number
+    ("1", 1j, None) or one that is not finite raises ``error``; numpy
+    scalars pass."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int too large for a float
+        number = math.inf
+    if not math.isfinite(number):
+        raise error(f"{name} must be finite, got {value!r}")
+    return number

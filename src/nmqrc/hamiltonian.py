@@ -18,14 +18,14 @@ g row-major over (i, k)) so a seed maps to a stable realization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from itertools import combinations
 from math import comb
 
 import numpy as np
 
 from . import linalg
-from .errors import ConfigError, check_int
+from .errors import ConfigError, check_int, check_real
 from .linalg import _components, hermitian_eig
 
 
@@ -45,6 +45,8 @@ class ReservoirParams:
     def __post_init__(self):
         for name in ("n_sys", "n_env", "seed"):
             object.__setattr__(self, name, check_int(name, getattr(self, name)))
+        for name in ("j0", "alpha", "beta", "h_sys", "h_env"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_sys < 1:
@@ -56,15 +58,11 @@ class ReservoirParams:
                 f"register n_sys + n_env = {self.n_sys + self.n_env} exceeds "
                 f"the {linalg.MAX_QUBITS}-qubit cap"
             )
-        if not (np.isfinite(self.j0) and self.j0 > 0):
-            raise ConfigError(f"j0 must be finite and > 0, got {self.j0}")
+        if self.j0 <= 0:
+            raise ConfigError(f"j0 must be > 0, got {self.j0}")
         for name in ("alpha", "beta"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
-                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
-        for name in ("h_sys", "h_env"):
-            if not np.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     @property
     def n_qubits(self) -> int:
@@ -218,12 +216,13 @@ def _check_couplings(params: ReservoirParams, couplings: CouplingSet) -> None:
         got = (got[0], got[1], expect[2])
     if got != expect:
         raise ConfigError(f"coupling counts {got} do not match params {expect}")
+    # every coupling within its bound, which a NaN is not
     slack = 1e-12
-    if couplings.j_sys.size and np.max(np.abs(couplings.j_sys)) > params.j0 + slack:
+    if not np.all(np.abs(couplings.j_sys) <= params.j0 + slack):
         raise ConfigError("j_sys exceeds the |J| <= j0 bound")
-    if couplings.j_env.size and np.max(np.abs(couplings.j_env)) > params.alpha * params.j0 + slack:
+    if not np.all(np.abs(couplings.j_env) <= params.alpha * params.j0 + slack):
         raise ConfigError("j_env exceeds the |J| <= alpha*j0 bound")
-    if couplings.g.size and np.max(np.abs(couplings.g)) > params.beta * params.j0 + slack:
+    if not np.all(np.abs(couplings.g) <= params.beta * params.j0 + slack):
         raise ConfigError("g exceeds the |g| <= beta*j0 bound")
 
 
@@ -249,7 +248,22 @@ def export_couplings(realization: HamiltonianRealization) -> dict:
 
 
 def import_couplings(doc: dict) -> HamiltonianRealization:
-    """Rebuild a realization from an exported couplings document."""
+    """Rebuild a realization from an exported couplings document. A document
+    or a ``params`` that is not an object, a missing key, or a param that is
+    missing or that ReservoirParams does not take raises ConfigError naming
+    it."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"couplings document must be an object, got {doc!r}")
+    for key in ("params", "j_sys", "j_env", "g"):
+        if key not in doc:
+            raise ConfigError(f"couplings document has no {key!r}")
+    if not isinstance(doc["params"], dict):
+        raise ConfigError(f"couplings 'params' must be an object, got {doc['params']!r}")
+    given = doc["params"].keys()
+    unknown = given - {f.name for f in fields(ReservoirParams)}
+    missing = {f.name for f in fields(ReservoirParams) if f.default is MISSING} - given
+    if unknown or missing:
+        raise ConfigError(f"couplings 'params': unknown {sorted(unknown)}, missing {sorted(missing)}")
     params = ReservoirParams(**doc["params"])
     g = np.asarray(doc["g"], dtype=float).reshape(params.n_sys, params.n_env if params.n_env else 0)
     couplings = CouplingSet(j_sys=np.asarray(doc["j_sys"]), j_env=np.asarray(doc["j_env"]), g=g)

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, NumericalError, check_int
+from .errors import ConfigError, DivergenceError, NumericalError, check_int, check_real
 from .esp import EspRecord, WindowStats, backflow_count, dual_trajectory, records_to_csv, window_stats
 from .hamiltonian import ReservoirParams, build_hamiltonian, export_couplings
 from .linalg import pseudoinverse
@@ -60,9 +60,10 @@ class RegimeSpec:
                 "contain '/' or '\\' or be '.' or '..'"
             )
         for name in ("alpha", "beta"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
-                raise ConfigError(f"regime {self.label!r}: {name} must be finite and >= 0, got {value}")
+            value = check_real(f"regime {self.label!r}: {name}", getattr(self, name))
+            if value < 0:
+                raise ConfigError(f"regime {self.label!r}: {name} must be >= 0, got {value}")
+            object.__setattr__(self, name, value)
 
 
 def parse_regime(text: str, task: str) -> RegimeSpec:
@@ -120,6 +121,8 @@ class ExperimentConfig:
             object.__setattr__(self, name, check_int(name, getattr(self, name)))
         for name in ("seeds", "orders", "window"):
             object.__setattr__(self, name, tuple(check_int(name, x) for x in getattr(self, name)))
+        for name in ("j0", "h_sys", "tau") if self.h_env is None else ("j0", "h_sys", "tau", "h_env"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
         for s in self.seeds:
             if s < 0:
                 raise ConfigError(f"seeds must be non-negative integers, got {s!r}")
@@ -132,8 +135,6 @@ class ExperimentConfig:
             raise ConfigError("regime labels must be distinct")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.h_env is not None and not np.isfinite(self.h_env):
-            raise ConfigError("h_env must be finite when given")
         # Probe the module-level constructors so any invalid field fails here,
         # before a run starts, with the module's own message.
         try:
@@ -253,9 +254,7 @@ def _want_int(key, value) -> int:
 
 
 def _want_num(key, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key}: expected a number, got {value!r}")
-    return float(value)
+    return check_real(f"{key}:", value)
 
 
 def _want_str(key, value) -> str:

@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, check_int
 
 MAX_QUBITS = 12
 
@@ -126,10 +126,10 @@ def partial_trace(rho, traced: Iterable[int], n_qubits: int | None = None) -> np
     rho = _as_matrix(rho, "partial trace input")
     if rho.shape[0] != rho.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
-    n = qubit_count(rho.shape[0]) if n_qubits is None else int(n_qubits)
+    n = qubit_count(rho.shape[0]) if n_qubits is None else check_int("n_qubits", n_qubits, ValueError)
     if 2 ** n != rho.shape[0]:
         raise ValueError(f"matrix dimension {rho.shape[0]} does not match {n} qubits")
-    traced = sorted({int(q) for q in traced})
+    traced = sorted({check_int("traced qubit", q, ValueError) for q in traced})
     for q in traced:
         if not 0 <= q < n:
             raise ValueError(f"traced qubit {q} out of range for a {n}-qubit register")

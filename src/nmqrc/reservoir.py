@@ -52,14 +52,12 @@ The v nodes are read in one of two bases, chosen at build time:
   feature is a real product of T = tau + tau^dag on the rest pairs
   a <= a', each scaled by the coefficient of its kind b + b', with a
   table of O_i(t_j) on the upper triangles of the sector blocks. Every
-  rest pair occurs in an entry of each parity sector, so the table folds
-  the rows of the entries that share a rest pair and a kind into one, and
-  a block's readout gathers each rest pair of tau once: a 4+3 class has
-  1,056 entries, 528 rest pairs and 800 folded rows. The engine stores A_b
-  itself, not its conjugate; the step mixes A_s from it, takes Y = A_s tau
-  and tau', two complex products, checks the stepped trace on the diagonal
-  of tau', as Tr (Y A^dag) = Tr tau', and records tau; no eigenbasis
-  operand is formed.
+  rest pair occurs in an entry of each parity sector, so the table holds
+  one sum of entries per rest pair and kind, and a block's readout gathers
+  each rest pair of tau once: a 4+3 class has 1,056 entries, 528 rest
+  pairs and 800 such sums. The engine stores A_b itself, not its
+  conjugate; the step mixes A_s from it, takes Y = A_s tau and tau', two
+  complex products, and records tau; no eigenbasis operand is formed.
 * The eigenbasis otherwise, as for the echo-state pair's 50 nodes. The
   engine also stacks the real readout factors G_b = W^T P_b, and a step
   takes the readout rows G_s tau, forms the diagonal sector blocks of
@@ -80,12 +78,14 @@ read the sector-diagonal entries of a Hermitian state against Hermitian
 observables, so in both entry (q, p) of a block is the conjugate of entry
 (p, q) and the readout runs over the upper triangles only.
 
-Each step checks the trace of the stepped state and writes its readout
-record, the node operand or tau, into a block buffer; the products with the
-table then run once for the whole block of inputs, so the table is read
-once per block. The Hermiticity the readout relies on is checked by a bound
-on the imaginary part of every feature: in the eigenbasis step, and in the
-class basis once per block, before any row of the block is written. No
+Each step checks the trace of the stepped state on the next tau, as
+Tr (Y A^dag) = Tr tau', and writes its readout record, the node operand or
+tau, into a block buffer; the products with the table then run once for
+the whole block of inputs, so the table is read once per block. The
+Hermiticity the readout relies on is checked by a bound on the imaginary
+part of every feature, with the same readout norm sqrt(c d) in both bases:
+in the eigenbasis step, and in the class basis once per block, before any
+row of the block is written. No
 d x d class block is formed on the way. The stepped state is Y A^dag over
 the evolution rows; ``run_trajectory`` builds the final register-order
 state from it once, and ``dual_trajectory`` traces the environment out of
@@ -108,7 +108,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, check_int
+from .errors import ConfigError, NumericalError, check_int, check_real
 from .hamiltonian import HamiltonianRealization, _sector_eig
 from .linalg import DensityMatrix, _components, _ground_matrix
 
@@ -124,9 +124,10 @@ STEP_TRACE_ATOL = 1e-9
 # reads in the class basis; otherwise it reads in the eigenbasis, whose
 # folded phase table holds as many nodes as fit, and further nodes reuse it
 # after a phase shift. About 2 MB: a 4+3 register at z_only takes 8,448
-# reals per node and class, so one class at v = 10 (stm-serial) takes a
-# class-basis table of 0.68 MB, and the 5-qubit narma-readout engine (272
-# entries, 15 observables, v = 20) one of 1.3 MB; the two classes of the
+# reals per node and class, so one class at v = 10 (stm-serial) fits with
+# 0.68 MB, and the 5-qubit narma-readout engine (272 entries, 15
+# observables, v = 20) with 1.3 MB; their class-basis tables, one column per
+# rest pair and kind, take 0.51 and 1.0 MB. The two classes of the
 # echo-state pair at v = 50 read in the eigenbasis, in 4 spans of 14 nodes
 # (1.9 MB).
 _BATCH_LIMIT = 250_000
@@ -151,10 +152,9 @@ class ReservoirConfig:
     multiplex: str = "per_node"
 
     def __post_init__(self):
-        if isinstance(self.tau, bool) or not isinstance(self.tau, (int, float, np.integer, np.floating)):
-            raise ConfigError(f"tau must be a real number, got {self.tau!r}")
-        if not (np.isfinite(self.tau) and self.tau > 0):
-            raise ConfigError(f"tau must be finite and > 0, got {self.tau}")
+        object.__setattr__(self, "tau", check_real("tau", self.tau))
+        if self.tau <= 0:
+            raise ConfigError(f"tau must be > 0, got {self.tau}")
         object.__setattr__(self, "v", check_int("v", self.v))
         if self.v < 1:
             raise ConfigError(f"virtual-node count v must be >= 1, got {self.v}")
@@ -267,12 +267,14 @@ class _StepEngine:
     the sector blocks, and the folded ``phase_table`` holds the nodes that
     fit. In the class basis the record is tau itself, and
     ``observable_table`` holds the Heisenberg-evolved observables of every
-    node on the same entries in the class basis, folded into a row per rest
-    pair and kind, read against the rest pairs gathered from tau. ``step``
-    also returns the stepped class blocks in
-    factored form (Y, conj(A)), rho = Y A^dag with one evolution row each,
-    and ``trace_out`` takes partial traces of that, the register-order
-    state included.
+    node on the same entries in the class basis, summed over the entries of
+    each rest pair and kind, read against the rest pairs gathered from tau.
+    Both bases check the stepped trace on the next tau and bound the
+    imaginary part of the features with ``skew_weight`` and ``row_norm``.
+    ``step`` also returns the stepped class blocks in factored form
+    (Y, conj(A)), rho = Y A^dag with one evolution row each, and
+    ``trace_out`` takes partial traces of that, the register-order state
+    included.
 
     H is real, so the eigenvectors ``w`` are real. In the eigenbasis so are
     the readout factors, and three of the step's four products take a real
@@ -322,18 +324,16 @@ class _StepEngine:
         self.evolve_phase = np.exp(-1j * self.v * self.dt * lam).reshape(c, k, m, 1)
         self.u = (w * self.evolve_phase.swapaxes(-1, -2)) @ w_h
 
-        # The upper triangles p <= q of the k diagonal blocks of each class,
-        # entry (block, p, q) at offset block m^2 + p m + q, which both bases
-        # read. |Im feature| <= ||K||_F / 2 * max_i ||O_i||_F for the
+        # Both bases read the upper triangles p <= q of the k diagonal blocks
+        # of each class. |Im feature| <= ||K||_F / 2 * max_i ||O_i||_F for the
         # anti-Hermitian part K of the state read and the observable blocks
-        # O_i: an upper entry off the diagonal stands for two entries of K,
-        # and each weight is repeated for its two reals.
+        # O_i: ``skew_weight`` counts an upper entry off the diagonal for two
+        # entries of K, and ||O_i||_F over the sector blocks is ||S_i||_F =
+        # sqrt(c d) at every node and in either basis, S_i the c d signs of
+        # the Z string, as a unitary change of basis keeps the norm.
         p_idx, q_idx = np.triu_indices(m)
-        base = np.arange(c * k)[:, None] * (m * m)  # offset of each block
-        upper = (base + p_idx * m + q_idx).ravel()
-        self.entries = upper.size
-        diagonal = np.tile(p_idx == q_idx, c * k)
-        self.skew_weight = np.repeat(np.where(diagonal, 1.0, 2.0), 2)
+        self.entries = c * k * p_idx.size
+        self.row_norm = math.sqrt(c * d)
         sign = signs[:, order >> p.n_env].reshape(self.n_obs, c, k, m)
         # A table of every node and observable in the class basis costs
         # 2 entries v n_obs reals; within _BATCH_LIMIT the engine reads there.
@@ -360,11 +360,10 @@ class _StepEngine:
         b, g, col = bit[..., None], cls[..., None], a[..., None]
         evolve[b, g, row.reshape(c, k, m)[cls, sector], col] = self.u[cls, sector, :, at].conj()
         self.split = 2 * evolve[0].size
-        # The row ``step`` writes per input, and the complex values per input
-        # that a block's readout is budgeted: the class basis gathers two
-        # values per rest pair from each carried tau, at most two per entry.
-        self.record = (c, r, r) if self.basis == "class" else (self.entries,)
-        self.block_width = 2 * self.entries if self.basis == "class" else self.entries
+        # The stepped trace Tr (Y A^dag) = Tr tau', which both bases check, as
+        # one dot product with the identity blocks
+        self._identity = np.zeros((c, r, r), dtype=complex)
+        self._identity[:, np.arange(r), np.arange(r)] = 1.0
         if self.basis == "class":
             self._build_class_readout(lam, w, w_h, sign, p_idx, q_idx, a, bit, evolve)
             return
@@ -382,11 +381,18 @@ class _StepEngine:
         # fit under _BATCH_LIMIT reals; later nodes reuse it after a phase
         # shift of z by its whole span. It is built in Fortran order, each
         # column contiguous, which the product with a block of operands reads
-        # fastest.
+        # fastest. ``step`` writes z per input, its upper entries (block, p, q)
+        # at offset block m^2 + p m + q, each with its weight repeated for its
+        # two reals.
+        self.record = (self.entries,)
+        self.block_width = self.entries
+        base = np.arange(c * k)[:, None] * (m * m)  # offset of each block
+        upper = (base + p_idx * m + q_idx).ravel()
+        diagonal = np.tile(p_idx == q_idx, c * k)
+        self.skew_weight = np.repeat(np.where(diagonal, 1.0, 2.0), 2)
         self.triangles = np.stack([upper, (base + q_idx * m + p_idx).ravel()])
         delta = (lam[:, p_idx] - lam[:, q_idx]).ravel()
         rows = ((w_h * sign[..., None, :]) @ w).swapaxes(-1, -2).reshape(self.n_obs, -1)
-        self.row_norm = float(np.max(np.linalg.norm(rows, axis=1), initial=0.0))
         nodes = max(1, min(self.v, _BATCH_LIMIT // (2 * self.entries * self.n_obs)))
         # conj(c_ij), (node, obs, entry), read as reals is (Re c, -Im c)
         phases = np.exp(1j * self.dt * np.outer(np.arange(1, nodes + 1), delta))
@@ -423,26 +429,34 @@ class _StepEngine:
         (y, x): conj(O) against conj(z) has the same real product, so every
         entry reads T on a rest pair a <= a'. Each rest pair occurs in
         several sector entries, at least one per parity sector, so the table
-        folds the rows of the entries that share a rest pair and a
-        coefficient kind bx + by (c_0^2, c_0 c_1 or c_1^2) into one, and
-        ``features`` gathers each pair once: ``pairs`` holds the flat indices
-        of tau[a, a'] and tau[a', a]. The pairs are sorted by the set of
-        kinds of their entries, so that every kind of a run of pairs with
-        one set is a block of table rows; ``spans`` holds, per run and kind,
-        the run's reals in the operand, the kind and those table rows.
+        has one column per rest pair and coefficient kind bx + by (c_0^2,
+        c_0 c_1 or c_1^2), the sum of its entries' rows, and ``features``
+        gathers each pair once: ``pairs`` holds the flat indices of
+        tau[a, a'] and tau[a', a]. The pairs are sorted by the set of kinds
+        of their entries, those with a = a' last, so that every kind of a
+        run of pairs with one set is a block of table columns; ``spans``
+        holds, per run and kind, the run's reals in the operand, the kind
+        and those table rows.
 
         The table is built node by node. U_t = W e^{-i Lambda t} W^T comes
         from the per-eigenvalue phasors e^{-i lam t}, and the upper entries
         of O_i(t) = U_t^dag S_i U_t, S_i the signs of the Z string, are the
         products conj(U_t[z, x]) U_t[z, y] of two columns of U_t summed
         against the signs, for every observable in one real product. W is
-        real, so U_t is symmetric and its columns are read as rows."""
+        real, so U_t is symmetric and its columns are read as rows. A column
+        has one entry, or two of kind 1, (a, 0), (a', 1) and (a, 1), (a', 0):
+        a node's rows gather every column's first entry and add its second,
+        or a slot of -0 after the last entry, which leaves every value as it
+        is. Once every node is in, the columns of the diagonal entries,
+        weighted 1/2, are halved."""
         k, m, d = self.shape
         c, r = self.classes, d // 2
         n = self.n_obs
-        # ||O_i(t)||_F over the sector blocks is ||S_i||_F = sqrt(c d) for every
-        # node: the blocks of U_t are unitary and S_i is a diagonal of signs.
-        self.row_norm = math.sqrt(c * d)
+        # The row ``step`` writes per input, tau, and the complex values per
+        # input that a block's readout is budgeted: it gathers two values per
+        # rest pair from each carried tau, at most two per entry.
+        self.record = (c, r, r)
+        self.block_width = 2 * self.entries
         # Each upper entry (x, y), x and y class states counted over all the
         # classes, turned so that a_x <= a_y, and its rest pair, named by the
         # flat index of tau[a_x, a_y] in a carried state.
@@ -453,17 +467,12 @@ class _StepEngine:
         x, y = np.where(turned, y, x), np.where(turned, x, y)
         kind = bit[x] + bit[y]
         key = rest[x] * r + a.ravel()[y]
-        # The pairs, sorted by the set of kinds of their entries and, within
-        # a run of one set, those with two entries of kind 1, (a, 0), (a', 1)
-        # and (a, 1), (a', 0), first and those with a = a' last.
         has = np.zeros((c * r * r, 3), dtype=bool)
         has[key, kind] = True
         kinds = has @ np.array([1, 2, 4])
-        twice = np.bincount(key, weights=kind == 1, minlength=kinds.size) == 2
         keys = np.flatnonzero(kinds)
-        kinds, twice, diagonal = kinds[keys], twice[keys], keys // r % r == keys % r
-        order = np.argsort(3 * kinds + 1 - twice + diagonal, kind="stable")
-        keys, kinds, twice, diagonal = keys[order], kinds[order], twice[order], diagonal[order]
+        keys = keys[np.argsort(2 * kinds[keys] + (keys // r % r == keys % r), kind="stable")]
+        kinds = kinds[keys]
         rank = np.empty(c * r * r, dtype=int)
         rank[keys] = np.arange(keys.size)
         pair = rank[key]
@@ -475,31 +484,24 @@ class _StepEngine:
         self.skew_weight = np.repeat(skew.reshape(-1, 3), 2, axis=0)
 
         # Table columns: run after run, each kind of the run in turn, the
-        # run's pairs in order. Then a column for the second entry of kind 1,
-        # (a, 1), (a', 0), of each pair with two, folded into the first once
-        # every node is in. Within a run these pairs lead and the pairs with
-        # a = a', whose entries of kinds 0 and 2 lie on the diagonal and are
-        # weighted 1/2, trail, so each is a slice of columns.
+        # run's pairs in order; ``column`` is that of each (pair, kind).
         runs = np.flatnonzero(np.diff(kinds)) + 1
-        spans, folds, halves, width = [], [], [], 0
+        spans, width = [], 0
+        column = np.zeros((keys.size, 3), dtype=int)
         for lo, hi in zip([0, *runs], [*runs, keys.size]):
             for coef in range(3):
                 if kinds[lo] >> coef & 1:
                     spans.append((lo, hi, coef, width))
+                    column[lo:hi, coef] = np.arange(width, width + hi - lo)
                     width += hi - lo
-        done = width
-        for lo, hi, coef, col in spans:
-            if coef != 1:
-                halves.append(slice(col + hi - lo - np.count_nonzero(diagonal[lo:hi]), col + hi - lo))
-            elif twice[lo]:
-                count = np.count_nonzero(twice[lo:hi])
-                folds.append((slice(col, col + count), slice(done, done + count)))
-                done += count
-        # The entries in column order: by (second entry, run, kind, pair).
-        later = (kind == 1) & twice[pair] & (bit[x] == 1)
-        run = np.searchsorted(runs, pair, side="right")
-        entry = np.argsort(((later * (runs.size + 1) + run) * 3 + kind) * keys.size + pair)
-        entry = entry * n + np.arange(n)[:, None]  # into the products, entry after entry
+        col = column[pair, kind]
+        # The first and second entry of each column, x.size for none, into
+        # the products, entry after entry
+        count = np.bincount(col, minlength=width)
+        end = np.cumsum(count)  # where each column's entries end in column order
+        entry = np.argsort(col, kind="stable")
+        entry = np.stack([entry[end - count], np.where(count == 2, entry[end - 1], x.size)])
+        entry = entry[:, None, :] * n + np.arange(n)[:, None]
         # The real product of (entry, z) with the signs of each block, as
         # interleaved reals: S (z, obs) with each sign on the (Re, Im)
         # diagonal.
@@ -511,33 +513,28 @@ class _StepEngine:
         phasors = np.stack([phasors.conj(), phasors], axis=1).reshape(self.v, 2, c, k, m, 1)
         gather = np.stack([x, y + c * k * m])
 
-        table = np.empty((self.v * n, x.size), dtype=complex)
-        # per-node buffer, reused: a fresh one would fault in every page again
+        table = np.empty((self.v * n, width), dtype=complex)
+        # per-node buffers, reused: a fresh one would fault in every page again
         rows = np.empty((2, x.size, m), dtype=complex)
+        heisenberg = np.full((x.size + 1) * n, -0.0, dtype=complex)  # O_i(t)[x, y], then the slot of -0
+        products = heisenberg[:-n].view(float).reshape(c * k, -1, 2 * n)
+        picked = np.empty((2, n, width), dtype=complex)
         for j in range(self.v):
             u_t = _product(w, np.multiply(phasors[j], w_h, order="C"))
             np.take(u_t.reshape(-1, m), gather, axis=0, out=rows, mode="clip")
             rows[0] *= rows[1]  # conj(U_t[z, x]) U_t[z, y], (entry, z)
-            # O_i(t)[x, y] of each entry and observable
-            heisenberg = (rows[0].view(float).reshape(c * k, -1, 2 * m) @ signs).ravel().view(complex)
-            np.take(heisenberg, entry, out=table[j * n:(j + 1) * n], mode="clip")
-        for first, second in folds:
-            table[:, first] += table[:, second]
-        for half in halves:
-            table[:, half] *= 0.5
-        # The folded table keeps the columns of the second entries: a compact
-        # copy would hold both at once.
-        self.observable_table = table[:, :width].view(float).T  # each column contiguous
-        self.spans = [(slice(2 * lo, 2 * hi), coef, self.observable_table[2 * col:2 * (col + hi - lo)])
-                      for lo, hi, coef, col in spans]
+            np.matmul(rows[0].view(float).reshape(c * k, -1, 2 * m), signs, out=products)
+            np.take(heisenberg, entry, out=picked, mode="clip")
+            np.add(picked[0], picked[1], out=table[j * n:(j + 1) * n])
+        table[:, col[x == y]] *= 0.5
+        self.observable_table = table.view(float).T  # each column contiguous
+        self.spans = [(slice(2 * lo, 2 * hi), coef, self.observable_table[2 * start:2 * (start + hi - lo)])
+                      for lo, hi, coef, start in spans]
         self._buffers = None
         # (amplitudes) @ factors gives A_s as reals, mixed into a buffer kept
         # from step to step
         self.factors = evolve.conj().reshape(2, -1).view(float)
         self._mix = np.empty(self.factors.shape[1])
-        # Tr tau' as one dot product, with the identity blocks
-        self._identity = np.zeros((c, r, r), dtype=complex)
-        self._identity[:, np.arange(r), np.arange(r)] = 1.0
 
     def to_state(self, rho: np.ndarray) -> np.ndarray:
         """tau of the register-order matrix ``rho``: the Hermitian part of the
@@ -598,8 +595,8 @@ class _StepEngine:
         stepped class blocks as (Y, conj(A)), rho = Y A^dag, each
         (classes, d, r) over the evolution rows. The map is linear in
         ``tau``, so it also steps the difference of two states; ``trace`` is
-        the trace the stepped state must keep: 1 for a density matrix, 0 up
-        to rounding for a difference of two.
+        the trace the stepped state must keep, read on the next tau: 1 for a
+        density matrix, 0 up to rounding for a difference of two.
         """
         if self.basis == "class":
             return self._class_step(tau, s, z, trace)
@@ -623,17 +620,16 @@ class _StepEngine:
 
         # U P_s tau = W (E o Y), gathered into evolution rows.
         y_ev = _product(self.w, y * self.evolve_phase).reshape(c * d, r).take(self.gather, axis=0)
-        _check_trace(np.dot(y_ev.ravel(), a_conj.ravel()), trace)
         # Tr_q (Y A^dag): rows 2a and 2a + 1 hold rest a, so each class's
         # evolution rows read as r x 2r make it one product
         tau = y_ev.reshape(c, r, d) @ a_conj.reshape(c, r, d).swapaxes(-1, -2)
+        _check_trace(np.vdot(self._identity, tau), trace)
         return tau, (y_ev.reshape(c, d, r), a_conj)
 
     def _class_step(self, tau, s, z, trace):
         """``step`` in the class basis: z is tau, and the evolution rows are
         U P_s tau = A_s tau, one complex product. A_s is mixed from the
-        stored A_b and conjugated once. The trace check reads the diagonal
-        of the next tau, as Tr (Y A^dag) = Tr tau'."""
+        stored A_b and conjugated once."""
         z[...] = tau
         d = self.shape[2]
         c, r = self.classes, d // 2

@@ -51,6 +51,24 @@ class TestParams:
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             params(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [("h_sys", True), ("h_env", False), ("alpha", "1"), ("beta", None),
+                                              ("j0", 1j), ("h_sys", np.bool_(True))])
+    def test_non_real_fields_rejected(self, field, value):
+        # h_sys = True used to build h_sys = 1, and alpha = "1" escaped as
+        # numpy's TypeError
+        with pytest.raises(ConfigError, match=f"^{field} must be a real number"):
+            params(**{field: value})
+
+    @pytest.mark.parametrize("field", ["j0", "alpha", "beta", "h_sys", "h_env"])
+    def test_non_finite_fields_rejected(self, field):
+        with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+            params(**{field: np.nan})
+
+    def test_numpy_reals_stored_as_floats(self):
+        p = params(alpha=np.float32(0.5), beta=np.int64(2), h_sys=1, h_env=np.float64(0.25), j0=np.int32(1))
+        assert (p.alpha, p.beta, p.h_sys, p.h_env, p.j0) == (0.5, 2.0, 1.0, 0.25, 1.0)
+        assert all(type(x) is float for x in (p.alpha, p.beta, p.h_sys, p.h_env, p.j0))
+
     def test_negative_seed_rejected(self):
         # it used to fail inside numpy's default_rng
         with pytest.raises(ConfigError, match="seed must be >= 0"):
@@ -176,6 +194,41 @@ class TestCouplingsRoundTrip:
         rebuilt = import_couplings(json.loads(text))
         assert rebuilt.params == real.params
         assert np.array_equal(rebuilt.h_full, real.h_full)
+
+    @pytest.mark.parametrize("key", ["params", "j_sys", "j_env", "g"])
+    def test_missing_key_named(self, key):
+        # a missing key used to raise a bare KeyError
+        doc = export_couplings(build_hamiltonian(params(n_sys=2, n_env=1, seed=16)))
+        del doc[key]
+        with pytest.raises(ConfigError, match=f"no '{key}'"):
+            import_couplings(doc)
+
+    @pytest.mark.parametrize("edit, match", [
+        # the first two used to raise TypeError
+        (lambda doc: doc.update(params=[2, 1]), "'params' must be an object"),
+        (lambda doc: doc["params"].update(bogus=1), r"unknown \['bogus'\], missing \[\]"),
+        (lambda doc: doc["params"].pop("seed"), r"unknown \[\], missing \['seed'\]"),
+    ], ids=["not_an_object", "unknown", "missing"])
+    def test_bad_params_named(self, edit, match):
+        doc = export_couplings(build_hamiltonian(params(n_sys=2, n_env=1, seed=16)))
+        edit(doc)
+        with pytest.raises(ConfigError, match=match):
+            import_couplings(doc)
+
+    @pytest.mark.parametrize("key, value", [("j_sys", [1.5, 0.0, 0.0]), ("j_env", None),
+                                            ("g", [[np.nan, 0.0], [0.0, 0.0], [0.0, 0.0]])])
+    def test_coupling_outside_its_bound_rejected(self, key, value):
+        # a null j_env or a NaN g used to build an H with NaN entries
+        doc = export_couplings(build_hamiltonian(params(n_sys=3, n_env=2, seed=17)))
+        doc[key] = value
+        with pytest.raises(ConfigError, match=f"^{key} exceeds the"):
+            import_couplings(doc)
+
+    @pytest.mark.parametrize("doc", [None, [], "params"])
+    def test_document_must_be_an_object(self, doc):
+        # None used to raise TypeError
+        with pytest.raises(ConfigError, match="couplings document must be an object"):
+            import_couplings(doc)
 
     def test_export_import_env_free(self):
         real = build_hamiltonian(params(n_sys=3, n_env=0, seed=12))

@@ -75,6 +75,17 @@ class TestRegimes:
         with pytest.raises(ConfigError, match="output directory"):
             parse_regime(f"{label}:1:1", "esp")
 
+    @pytest.mark.parametrize("alpha, beta", [(True, 1.0), (1.0, False), ("1", 1.0), (1.0, None), (np.nan, 1.0)])
+    def test_non_real_rates_rejected(self, alpha, beta):
+        # alpha = True used to build a regime of alpha 1
+        with pytest.raises(ConfigError, match="^regime 'x': (alpha|beta) must be (a real number|finite)"):
+            RegimeSpec("x", alpha, beta)
+
+    def test_numpy_rates_stored_as_floats(self):
+        r = RegimeSpec("x", np.float32(0.5), np.int64(2))
+        assert (r.alpha, r.beta) == (0.5, 2.0)
+        assert all(type(x) is float for x in (r.alpha, r.beta))
+
 
 class TestExperimentConfig:
     def test_h_env_defaults_to_alpha_j0(self):
@@ -123,6 +134,24 @@ class TestExperimentConfig:
         base = load_config(task=task, scale="quick")
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             dataclasses.replace(base, **{field: value})
+
+    @pytest.mark.parametrize("field, value", [("h_sys", True), ("j0", "1"), ("h_env", False), ("h_env", "0.5"),
+                                              ("j0", None), ("h_sys", 1j), ("tau", True)])
+    def test_non_real_fields_rejected(self, field, value):
+        # h_sys = True used to run as h_sys = 1, and j0 = "1" escaped as
+        # numpy's TypeError
+        with pytest.raises(ConfigError, match=f"^{field} must be a real number"):
+            tiny_stm_config(**{field: value})
+
+    def test_non_finite_h_env_rejected(self):
+        with pytest.raises(ConfigError, match="^h_env must be finite"):
+            tiny_stm_config(h_env=np.inf)
+
+    def test_numpy_reals_stored_as_floats(self):
+        # a numpy float32 tau used to fail the run_meta.json echo
+        cfg = tiny_stm_config(j0=np.float32(0.5), h_sys=np.int64(1), h_env=np.float64(0.25), tau=np.float32(0.5))
+        assert (cfg.j0, cfg.h_sys, cfg.h_env, cfg.tau) == (0.5, 1.0, 0.25, 0.5)
+        json.dumps(config_to_dict(cfg))  # the run_meta.json echo
 
     def test_numpy_integers_stored_as_ints(self):
         cfg = tiny_stm_config(workers=np.int64(2), seeds=(np.int32(0), np.int64(1)), tau_d_max=np.int16(3))
@@ -244,6 +273,15 @@ class TestDefaultsAndFiles:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"schema_version": 1, "task": "stm", "v": "fifty"}))
         with pytest.raises(ConfigError, match="v:"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key, value, match", [("tau", True, "a real number"), ("j0", "1", "a real number"),
+                                                   ("h_sys", float("nan"), "finite"), ("h_env", float("inf"), "finite"),
+                                                   ("tau", 10 ** 400, "finite")])  # an int no float holds
+    def test_number_values_named(self, tmp_path, key, value, match):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"schema_version": 1, "task": "stm", key: value}))
+        with pytest.raises(ConfigError, match=f"^{key}: must be {match}"):
             load_config(path)
 
     def test_overrides(self):

@@ -203,6 +203,20 @@ class TestPropagator:
 
 
 class TestPartialTrace:
+    @pytest.mark.parametrize("traced, n_qubits, match", [
+        ([0.7], 2, "traced qubit must be an integer, got 0.7"),  # used to trace qubit 0
+        ([True], 2, "traced qubit must be an integer, got True"),  # used to trace qubit 1
+        ([0], 2.9, "n_qubits must be an integer, got 2.9"),  # used to read as 2
+    ])
+    def test_qubits_must_be_integers(self, traced, n_qubits, match):
+        with pytest.raises(ValueError, match=match):
+            partial_trace(np.eye(4) / 4, traced, n_qubits)
+
+    def test_numpy_integer_qubits_accepted(self):
+        rho = np.kron(np.diag([0.25, 0.75]), np.eye(2) / 2)
+        assert np.allclose(partial_trace(rho, [np.int64(0)], np.int64(2)), np.eye(2) / 2)
+        assert np.allclose(partial_trace(rho, (np.int32(1),)), np.diag([0.25, 0.75]))
+
     def test_product_state_factorization(self):
         rng = np.random.default_rng(19)
         rho_a = random_density(rng, 1)

@@ -624,9 +624,8 @@ def test_error_inside_a_block_names_its_step(driver, what, monkeypatch):
 
 def test_trace_drift_names_its_step(monkeypatch):
     # blocks of 4 inputs; the carried state's trace drifts by 2e-9 before
-    # step 5, the second input of the second block. The class basis reads
-    # the stepped trace on the next tau, the eigenbasis as the sum of Y
-    # times conj(A); both name step 5.
+    # step 5, the second input of the second block. Both bases read the
+    # stepped trace on the next tau and name step 5.
     real = build_hamiltonian(ReservoirParams(n_sys=2, n_env=1, alpha=1.0, beta=1.0,
                                              h_sys=0.5, h_env=1.0, seed=83))
     original = rmod._StepEngine.step
@@ -698,6 +697,43 @@ def test_block_buffer_stays_within_its_budget():
     big = 2 * (1024 * 1025 // 2)  # upper-triangle entries of two 1024-state sectors
     assert 2 * big > rmod._BLOCK_LIMIT
     assert rmod._block_inputs(big) == 1
+
+
+def class_layout(name):
+    """A class-basis engine that no workload builds: the alpha = 0 4+3
+    register from the ground state, a 2+2 register whose classes the
+    whole-register support joins, and that register with X fields on qubits
+    0 and 3, which leave it one sector."""
+    if name == "alpha_zero":
+        real = build_hamiltonian(ReservoirParams(n_sys=4, n_env=3, alpha=0.0, beta=0.7,
+                                                 h_sys=0.5, h_env=0.0, seed=63))
+        return engine_for(real, ReservoirConfig(tau=0.4, v=3, observables="z_and_zz"), DensityMatrix(oracle.ground(7)))
+    real = build_hamiltonian(ReservoirParams(n_sys=2, n_env=2, alpha=1.2, beta=0.8, h_sys=0.5, h_env=1.0, seed=45))
+    if name == "one_sector":
+        h = real.h_full + 0.3 * oracle.embed_pauli("X", 0, 4) + 0.2 * oracle.embed_pauli("X", 3, 4)
+        real = HamiltonianRealization(real.params, real.couplings, h)
+    return rmod._StepEngine(real, ReservoirConfig(tau=0.6, v=4, observables="z_and_zz"), whole_register(4))
+
+
+@pytest.mark.parametrize("name, folded, spans", [
+    ("alpha_zero", (72, 36, 56), [(0, 16, 1), (16, 36, 0), (16, 36, 2)]),
+    ("joined", (40, 20, 32), [(0, 8, 1), (8, 20, 0), (8, 20, 2)]),
+    ("one_sector", (136, 36, 108), [(0, 36, 0), (0, 36, 1), (0, 36, 2)]),
+])
+def test_class_table_has_a_column_per_pair_and_kind(name, folded, spans):
+    # (entries, rest pairs, table columns) and the spans, (first pair, last
+    # pair + 1, kind), of layouts that no workload has. The runs of pairs
+    # follow the set of kinds they are read in: with parity sectors kind 1
+    # alone, then kinds 0 and 2; one sector reads every pair in all three.
+    # The table holds those columns alone: no column of a second entry
+    # stays allocated behind it.
+    engine = class_layout(name)
+    assert engine.basis == "class"
+    table = engine.observable_table
+    assert (engine.entries, engine.pairs.shape[1], table.shape[0] // 2) == folded
+    assert [(reals.start // 2, reals.stop // 2, coef) for reals, coef, _ in engine.spans] == spans
+    assert sum(rows.shape[0] for *_, rows in engine.spans) == table.shape[0]
+    assert table.base.nbytes == table.nbytes
 
 
 def test_class_basis_matches_the_eigenbasis_on_the_workloads():
