@@ -44,7 +44,7 @@ import numpy as np
 
 from .hamiltonian import HamiltonianRealization
 from .linalg import DensityMatrix, _ground_matrix, _hermitian_skew, _mixed_matrix, partial_trace, trace_norm
-from .reservoir import ReservoirConfig, _check_inputs, _step_inputs, _StepEngine
+from .reservoir import ReservoirConfig, _check_inputs, _initial_matrix, _step_inputs, _StepEngine
 
 BACKFLOW_TOL = 1e-6
 
@@ -98,12 +98,7 @@ def dual_trajectory(
     if initial_states is None:
         rho1, rho2 = _mixed_matrix(p.n_qubits), _ground_matrix(p.n_qubits)
     else:
-        for state in initial_states:
-            if state.qubit_count != p.n_qubits:
-                raise ValueError(
-                    f"initial state has {state.qubit_count} qubits but the realization has {p.n_qubits}"
-                )
-        rho1, rho2 = (state.matrix for state in initial_states)
+        rho1, rho2 = (_initial_matrix(state, p.n_qubits) for state in initial_states)
     inputs = _check_inputs(inputs)
     engine = _StepEngine(real, replace(cfg, observables="z_only"), (rho1 != 0) | (rho2 != 0))
     env = range(p.n_sys, p.n_qubits)

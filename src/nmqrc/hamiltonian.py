@@ -210,12 +210,11 @@ def build_hamiltonian(params: ReservoirParams, couplings: CouplingSet | None = N
 
 
 def _check_couplings(params: ReservoirParams, couplings: CouplingSet) -> None:
-    expect = (comb(params.n_sys, 2), comb(params.n_env, 2), (params.n_sys, params.n_env))
-    got = (couplings.j_sys.shape[0], couplings.j_env.shape[0], couplings.g.shape)
-    if params.n_env == 0 and couplings.g.size == 0:
-        got = (got[0], got[1], expect[2])
-    if got != expect:
-        raise ConfigError(f"coupling counts {got} do not match params {expect}")
+    expect = {"j_sys": (comb(params.n_sys, 2),), "j_env": (comb(params.n_env, 2),), "g": (params.n_sys, params.n_env)}
+    for key, shape in expect.items():
+        got = getattr(couplings, key).shape
+        if got != shape and not (key == "g" and params.n_env == 0 and couplings.g.size == 0):
+            raise ConfigError(f"coupling counts: {key} has shape {got}, but its params need {shape}")
     # every coupling within its bound, which a NaN is not
     slack = 1e-12
     if not np.all(np.abs(couplings.j_sys) <= params.j0 + slack):
@@ -249,9 +248,10 @@ def export_couplings(realization: HamiltonianRealization) -> dict:
 
 def import_couplings(doc: dict) -> HamiltonianRealization:
     """Rebuild a realization from an exported couplings document. A document
-    or a ``params`` that is not an object, a missing key, or a param that is
-    missing or that ReservoirParams does not take raises ConfigError naming
-    it."""
+    or a ``params`` that is not an object, a missing key, a param that is
+    missing or that ReservoirParams does not take, or a coupling array that
+    holds a non-number or has the wrong shape for ``params`` raises
+    ConfigError naming it."""
     if not isinstance(doc, dict):
         raise ConfigError(f"couplings document must be an object, got {doc!r}")
     for key in ("params", "j_sys", "j_env", "g"):
@@ -265,6 +265,10 @@ def import_couplings(doc: dict) -> HamiltonianRealization:
     if unknown or missing:
         raise ConfigError(f"couplings 'params': unknown {sorted(unknown)}, missing {sorted(missing)}")
     params = ReservoirParams(**doc["params"])
-    g = np.asarray(doc["g"], dtype=float).reshape(params.n_sys, params.n_env if params.n_env else 0)
-    couplings = CouplingSet(j_sys=np.asarray(doc["j_sys"]), j_env=np.asarray(doc["j_env"]), g=g)
-    return build_hamiltonian(params, couplings)
+    arrays = {}
+    for key in ("j_sys", "j_env", "g"):
+        try:
+            arrays[key] = np.asarray(doc[key], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"couplings {key!r} must hold numbers: {exc}") from None
+    return build_hamiltonian(params, CouplingSet(**arrays))

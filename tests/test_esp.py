@@ -306,9 +306,10 @@ def test_step_checks_the_trace_it_is_given():
     engine = _StepEngine(real, ReservoirConfig(tau=0.5, v=2), np.ones((8, 8), dtype=bool))
     state = engine.to_state(oracle.ground(3))
     z = np.empty(engine.record, dtype=complex)
-    engine.step(state, 0.3, z)
+    amplitudes = np.sqrt([1.0 - 0.3, 0.3])
+    engine.step(state, amplitudes, z)
     with pytest.raises(NumericalError, match="trace"):
-        engine.step(state, 0.3, z, trace=0.0)
+        engine.step(state, amplitudes, z, trace=0.0)
 
 
 class TestWindowStats:

@@ -224,6 +224,20 @@ class TestCouplingsRoundTrip:
         with pytest.raises(ConfigError, match=f"^{key} exceeds the"):
             import_couplings(doc)
 
+    def test_wrong_shape_named(self):
+        # used to raise numpy's ValueError from a reshape
+        doc = export_couplings(build_hamiltonian(params(n_sys=2, n_env=2, seed=16)))
+        doc["g"] = [0.1, 0.2, 0.3]
+        with pytest.raises(ConfigError, match=r"^coupling counts: g has shape \(1, 3\), but its params need \(2, 2\)$"):
+            import_couplings(doc)
+
+    def test_non_number_named(self):
+        # used to raise numpy's ValueError from a float conversion
+        doc = export_couplings(build_hamiltonian(params(n_sys=2, n_env=1, seed=16)))
+        doc["j_sys"] = ["a"]
+        with pytest.raises(ConfigError, match="^couplings 'j_sys' must hold numbers"):
+            import_couplings(doc)
+
     @pytest.mark.parametrize("doc", [None, [], "params"])
     def test_document_must_be_an_object(self, doc):
         # None used to raise TypeError

@@ -408,14 +408,18 @@ class TestWorkerPool:
             "stm": tiny_stm_config(v=100, split=split, regimes=(parse_regime("non_markov", "stm"),)),
             "narma": tiny_narma_config(n_sys=4, n_env=0, tau=0.5, v=20, split=split, orders=(1, 5, 10),
                                        regimes=(parse_regime("fn", "narma"),)),
+            "esp": ExperimentConfig(task="esp", n_sys=4, n_env=3, tau=0.5, v=50, multiplex="sub_step",
+                                    seeds=(0, 1), esp_steps=100, window=(50, 101),
+                                    regimes=(parse_regime("non_markov", "esp"),)),
         }
         for task, cfg in configs.items():
-            summaries = []
+            outputs = []
+            names = ["summary.csv", *(f"records_seed{seed}.csv" for seed in cfg.seeds if task == "esp")]
             for workers in (1, 2):
                 out = tmp_path / f"{task}{workers}"
                 getattr(harness, f"run_{task}")(dataclasses.replace(cfg, output_dir=str(out), workers=workers))
-                summaries.append((out / task / cfg.regimes[0].label / "summary.csv").read_bytes())
-            assert summaries[0] == summaries[1], task
+                outputs.append([(out / task / cfg.regimes[0].label / name).read_bytes() for name in names])
+            assert outputs[0] == outputs[1], task
 
 
 class TestRunNarma:

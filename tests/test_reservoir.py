@@ -6,12 +6,12 @@ import pytest
 
 from nmqrc import linalg
 from nmqrc.errors import ConfigError, NumericalError
+from nmqrc.esp import dual_trajectory
 from nmqrc.hamiltonian import CouplingSet, ReservoirParams, build_hamiltonian
 from nmqrc.linalg import DensityMatrix
 from nmqrc.reservoir import (
     FeatureMatrix,
     ReservoirConfig,
-    _encode,
     _observables,
     _step_inputs,
     _StepEngine,
@@ -45,24 +45,44 @@ def inject(rho, s):
     return step(still(rho.qubit_count), rho, s, ReservoirConfig(tau=1.0, v=1))[0].matrix
 
 
-class TestEncodeInput:
-    """``_encode`` gives the amplitudes of the pure input state; their outer
+class TestInputAmplitudes:
+    """``_step_inputs`` hands each step, and each block's readout, the
+    amplitudes (sqrt(1-s), sqrt(s)) of the pure input state; their outer
     product is its density matrix."""
 
+    @staticmethod
+    def amplitudes(inputs):
+        """The amplitude rows each step of ``inputs`` took, after checking
+        that the readout took the same rows."""
+        rho0 = oracle.ground(3)
+        engine = _StepEngine(make_real(), ReservoirConfig(tau=1.0, v=2), rho0 != 0)
+        stepped, read = [], []
+        step, features = engine.step, engine.features
+
+        def spy_step(tau, amplitudes, z, trace):
+            stepped.append(amplitudes.copy())
+            return step(tau, amplitudes, z, trace)
+
+        def spy_features(z, amplitudes, out):
+            read.extend(amplitudes.copy())
+            features(z, amplitudes, out)
+
+        engine.step, engine.features = spy_step, spy_features
+        inputs = np.array(inputs)
+        _step_inputs(engine, engine.to_state(rho0), inputs, np.empty((inputs.size, 2 * engine.n_obs)))
+        assert np.array_equal(read, stepped)
+        return np.array(stepped)
+
     def test_endpoints(self):
-        assert _encode(0.0) == (1.0, 0.0)
-        assert _encode(1.0) == (0.0, 1.0)
-        assert np.allclose(np.outer(_encode(0.0), _encode(0.0)), np.diag([1.0, 0.0]))
-        assert np.allclose(np.outer(_encode(1.0), _encode(1.0)), np.diag([0.0, 1.0]))
+        zero, one = self.amplitudes([0.0, 1.0])
+        assert zero.tolist() == [1.0, 0.0]
+        assert one.tolist() == [0.0, 1.0]
+        assert np.allclose(np.outer(zero, zero), np.diag([1.0, 0.0]))
+        assert np.allclose(np.outer(one, one), np.diag([0.0, 1.0]))
 
     def test_half(self):
-        assert np.allclose(np.outer(_encode(0.5), _encode(0.5)), np.full((2, 2), 0.5))
-
-    def test_range_guard(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            _encode(1.2)
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            _encode(-0.1)
+        (half,) = self.amplitudes([0.5])
+        assert np.allclose(np.outer(half, half), np.full((2, 2), 0.5))
 
 
 class TestReservoirConfig:
@@ -294,10 +314,11 @@ class TestRunTrajectory:
         engine = _StepEngine(real, cfg, rho0 != 0)
         tau = engine.to_state(rho0)
         z = np.empty((inputs.size, *engine.record), dtype=complex)
-        for k, s in enumerate(inputs):
-            tau, stepped = engine.step(tau, s, z[k])
+        amplitudes = np.sqrt(np.stack([1.0 - inputs, inputs], axis=1))
+        for k, amps in enumerate(amplitudes):
+            tau, stepped = engine.step(tau, amps, z[k])
         rows = np.empty((inputs.size, cfg.v * engine.n_obs))
-        engine.features(z, inputs, rows)
+        engine.features(z, amplitudes, rows)
         assert np.array_equal(feats.values[:, :-1], rows)
         assert np.array_equal(final.matrix, engine.trace_out(stepped, engine.trace_index(())))
 
@@ -333,11 +354,26 @@ class TestRunTrajectory:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             run_trajectory(make_real(), [0.2, bad], ReservoirConfig(tau=1.0, v=2))
 
+    @pytest.mark.parametrize("bad", [1.2, -0.1])
+    @pytest.mark.parametrize("driver", [run_trajectory, dual_trajectory])
+    def test_out_of_range_input_rejected_before_any_step(self, driver, bad, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(_StepEngine, "step", no_step)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            driver(make_real(), [0.2, bad], ReservoirConfig(tau=1.0, v=2))
+
     def test_initial_state_mismatch(self):
-        real = make_real()
-        with pytest.raises(ValueError, match="initial state"):
-            run_trajectory(real, [0.5], ReservoirConfig(tau=1.0, v=2),
-                           initial_state=DensityMatrix(oracle.ground(2)))
+        # both drivers check an initial state's size with one message
+        real, cfg = make_real(), ReservoirConfig(tau=1.0, v=2)
+        small = DensityMatrix(oracle.ground(2))
+        message = "^initial state has 2 qubits but the realization has 3$"
+        with pytest.raises(ValueError, match=message):
+            run_trajectory(real, [0.5], cfg, initial_state=small)
+        for pair in [(small, DensityMatrix(oracle.ground(3))), (DensityMatrix(oracle.ground(3)), small)]:
+            with pytest.raises(ValueError, match=message):
+                dual_trajectory(real, [0.5], cfg, initial_states=pair)
 
     def test_step_errors_carry_the_step_index(self, monkeypatch):
         from nmqrc import reservoir as rmod

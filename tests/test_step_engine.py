@@ -68,9 +68,10 @@ def step_once(engine, tau, s, trace=1.0):
     """One engine step read out on its own: (next tau, feature slice,
     stepped state)."""
     z = np.empty((1, *engine.record), dtype=complex)
-    tau, stepped = engine.step(tau, s, z[0], trace)
+    amplitudes = np.sqrt([[1.0 - s, s]])
+    tau, stepped = engine.step(tau, amplitudes[0], z[0], trace)
     out = np.empty((1, engine.v * engine.n_obs))
-    engine.features(z, np.array([s]), out)
+    engine.features(z, amplitudes, out)
     return tau, out[0], stepped
 
 
