@@ -242,7 +242,7 @@ def export_couplings(realization: HamiltonianRealization) -> dict:
         },
         "j_sys": c.j_sys.tolist(),
         "j_env": c.j_env.tolist(),
-        "g": c.g.reshape(p.n_sys, p.n_env).tolist() if p.n_env else [[] for _ in range(p.n_sys)],
+        "g": c.g.reshape(p.n_sys, p.n_env).tolist(),
     }
 
 

@@ -3,7 +3,11 @@
 A run is fully determined by an ExperimentConfig. Config files are flat JSON
 key-value documents with an explicit ``schema_version``; unknown keys and
 keys that do not apply to the selected task are rejected outright, so a
-typo in a regime parameter cannot silently skew a comparison.
+typo in a regime parameter cannot silently skew a comparison. Beyond that,
+``load_config`` only converts the file's forms (regime strings, the split
+and window keys); ExperimentConfig checks every value, so a file value and
+a constructor argument go through the same checks, and a ConfigError names
+the key.
 
 Seed policy: the Hamiltonian realization for seed k uses k directly, while
 the benchmark input stream for seed k is drawn from a derived stream
@@ -19,7 +23,7 @@ import json
 import os
 import sys
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields as dc_fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -70,6 +74,8 @@ def parse_regime(text: str, task: str) -> RegimeSpec:
     """Parse a preset name ('markov', 'non_markov', 'intermediate', 'fn')
     or a custom 'label:alpha:beta' triple."""
     presets = _TASKS[task].presets
+    if not isinstance(text, str):
+        raise ConfigError(f"regimes must be preset names or label:alpha:beta triples, got {text!r}")
     if text == "fn":
         return RegimeSpec(label="fn", alpha=0.0, beta=0.0, n_env=0)
     if text in presets:
@@ -114,15 +120,27 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_task(self.task)
-        if not self.seeds:
-            raise ConfigError("seeds must be non-empty")
         # integers checked, and numpy ones made plain ints for the JSON echo
         for name in ("n_sys", "n_env", "v", "tau_d_max", "esp_steps", "workers"):
             object.__setattr__(self, name, check_int(name, getattr(self, name)))
-        for name in ("seeds", "orders", "window"):
-            object.__setattr__(self, name, tuple(check_int(name, x) for x in getattr(self, name)))
+        for name in ("seeds", "orders"):
+            object.__setattr__(self, name, tuple(check_int(name, x) for x in _sequence(name, getattr(self, name))))
+        if len(_sequence("window", self.window)) != 2:
+            raise ConfigError(f"window must be a (start, end) pair, got {self.window!r}")
+        object.__setattr__(self, "window", tuple(check_int(f"{key} of window", x)  # the file's keys
+                                                 for key, x in zip(("window_start", "window_end"), self.window)))
         for name in ("j0", "h_sys", "tau") if self.h_env is None else ("j0", "h_sys", "tau", "h_env"):
             object.__setattr__(self, name, check_real(name, getattr(self, name)))
+        if self.output_dir is not None and not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string or None, got {self.output_dir!r}")
+        if not isinstance(self.split, SplitSpec):
+            raise ConfigError(f"split must be a SplitSpec, got {self.split!r}")
+        object.__setattr__(self, "regimes", _sequence("regimes", self.regimes))
+        for r in self.regimes:
+            if not isinstance(r, RegimeSpec):
+                raise ConfigError(f"regimes must be RegimeSpec values, got {r!r}")
+        if not self.seeds:
+            raise ConfigError("seeds must be non-empty")
         for s in self.seeds:
             if s < 0:
                 raise ConfigError(f"seeds must be non-negative integers, got {s!r}")
@@ -137,12 +155,9 @@ class ExperimentConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         # Probe the module-level constructors so any invalid field fails here,
         # before a run starts, with the module's own message.
-        try:
-            reservoir_config(self)
-            for regime in self.regimes:
-                make_params(self, regime, seed=0)
-        except (ConfigError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        reservoir_config(self)
+        for regime in self.regimes:
+            make_params(self, regime, seed=0)
         if self.task == "stm":
             if self.tau_d_max < 0:
                 raise ConfigError(f"tau_d_max must be >= 0, got {self.tau_d_max}")
@@ -170,6 +185,14 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"window [{start}, {stop}) must satisfy 0 <= start < stop <= esp_steps + 1"
                 )
+
+
+def _sequence(name: str, value) -> tuple:
+    """``value`` as a tuple; a string or a value that is not a sequence
+    raises ConfigError."""
+    if isinstance(value, str) or not isinstance(value, Sequence):
+        raise ConfigError(f"{name} must be a sequence, got {value!r}")
+    return tuple(value)
 
 
 def make_params(cfg: ExperimentConfig, regime: RegimeSpec, seed: int) -> ReservoirParams:
@@ -249,65 +272,25 @@ TASKS = tuple(_TASKS)
 _TASK_KEYS = {key for spec in _TASKS.values() for key in spec.keys}
 
 
-def _want_int(key, value) -> int:
-    return check_int(f"{key}:", value)
-
-
-def _want_num(key, value) -> float:
-    return check_real(f"{key}:", value)
-
-
-def _want_str(key, value) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{key}: expected a string, got {value!r}")
-    return value
-
-
-def _or_null(want):
-    """The parser ``want`` that also accepts null, as None."""
-    return lambda key, value: None if value is None else want(key, value)
-
-
-def _want_int_list(key, value) -> tuple[int, ...]:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{key}: expected a non-empty list of integers, got {value!r}")
-    return tuple(_want_int(key, x) for x in value)
-
-
-def _want_str_list(key, value) -> tuple[str, ...]:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{key}: expected a non-empty list of strings, got {value!r}")
-    return tuple(_want_str(key, x) for x in value)
-
-
-# Every config-file key and its parser.
-_PARSERS = {
-    "schema_version": _want_int, "task": _want_str,
-    "n_sys": _want_int, "n_env": _want_int, "j0": _want_num, "h_sys": _want_num,
-    "h_env": _or_null(_want_num), "tau": _want_num, "v": _want_int,
-    "observables": _want_str, "multiplex": _want_str, "seeds": _want_int_list,
-    "regimes": _want_str_list, "output_dir": _or_null(_want_str), "workers": _want_int,
-    "washout": _want_int, "train": _want_int, "val": _want_int, "tau_d_max": _want_int,
-    "orders": _want_int_list, "esp_steps": _want_int, "window_start": _want_int, "window_end": _want_int,
-}
+# Every config-file key.
+_FILE_KEYS = {"schema_version", "task", "n_sys", "n_env", "j0", "h_sys", "h_env", "tau", "v", "observables",
+              "multiplex", "seeds", "regimes", "output_dir", "workers"} | _TASK_KEYS
 
 
 def _from_doc(task: str, doc: dict) -> ExperimentConfig:
     """Build a config from config-file values; keys the doc leaves out keep
-    the task's paper defaults. ``config_to_dict`` is its inverse."""
+    the task's paper defaults. ``config_to_dict`` is its inverse. Only the
+    file's own forms are converted here: ExperimentConfig checks every
+    value."""
     values = {**_TASKS[task].paper, **doc}
     kwargs = {f.name: values[f.name] for f in dc_fields(ExperimentConfig) if f.name in values}
-    kwargs.update(task=task, seeds=tuple(values["seeds"]),
-                  regimes=tuple(parse_regime(text, task) for text in values["regimes"]))
-    if "orders" in values:
-        kwargs["orders"] = tuple(values["orders"])
+    kwargs["task"] = task
+    if isinstance(values["regimes"], (list, tuple)):
+        kwargs["regimes"] = [parse_regime(text, task) for text in values["regimes"]]
     if "window_start" in values:
         kwargs["window"] = (values["window_start"], values["window_end"])
     if "washout" in values:
-        try:
-            kwargs["split"] = SplitSpec(values["washout"], values["train"], values["val"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        kwargs["split"] = SplitSpec(values["washout"], values["train"], values["val"])
     return ExperimentConfig(**kwargs)
 
 
@@ -330,37 +313,35 @@ def load_config(
     workers_override: int | None = None,
 ) -> ExperimentConfig:
     """Resolve a config: task defaults, then the file, then explicit overrides."""
-    data: dict = {}
+    doc: dict = {}
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
+                doc = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
+        if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")
-        version = data.get("schema_version")
-        if version is None or _want_int("schema_version", version) != CONFIG_SCHEMA_VERSION:
+        version = doc.get("schema_version")
+        if version is None or check_int("schema_version", version) != CONFIG_SCHEMA_VERSION:
             raise ConfigError(f"schema_version: expected {CONFIG_SCHEMA_VERSION}, got {version!r}")
-        file_task = data.get("task")
-        if file_task is not None:
-            _want_str("task", file_task)
-            if task is not None and file_task != task:
-                raise ConfigError(f"task: config file says {file_task!r} but {task!r} was requested")
-            task = file_task
+        if "task" in doc:
+            _check_task(doc["task"])
+            if task is not None and doc["task"] != task:
+                raise ConfigError(f"task: config file says {doc['task']!r} but {task!r} was requested")
+            task = doc["task"]
     if task is None:
         raise ConfigError("no task given (pass one or set 'task' in the config file)")
     _check_task(task)
 
     spec = _TASKS[task]
-    for key in data:
-        if key not in _PARSERS:
+    for key in doc:
+        if key not in _FILE_KEYS:
             raise ConfigError(f"{key}: unknown config key")
         if key in _TASK_KEYS and key not in spec.keys:
             raise ConfigError(f"{key}: not applicable to task {task!r}")
-    doc = {key: _PARSERS[key](key, value) for key, value in data.items()}
     if scale is not None:
         _check_scale(scale)
         if scale == "quick":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, check_int
+from .errors import ConfigError, DivergenceError, check_int
 
 NARMA_CONSTANTS = (0.3, 0.05, 1.5, 0.1)
 NARMA_DEFAULT_ORDERS = (1, 5, 10, 20, 30, 40, 50)
@@ -35,13 +35,13 @@ class SplitSpec:
 
     def __post_init__(self):
         for name in ("washout", "train", "val"):
-            object.__setattr__(self, name, check_int(name, getattr(self, name), ValueError))
+            object.__setattr__(self, name, check_int(name, getattr(self, name)))
         if self.washout < 0:
-            raise ValueError(f"washout must be >= 0, got {self.washout}")
+            raise ConfigError(f"washout must be >= 0, got {self.washout}")
         if self.train < 1:
-            raise ValueError(f"train length must be >= 1, got {self.train}")
+            raise ConfigError(f"train length must be >= 1, got {self.train}")
         if self.val < 1:
-            raise ValueError(f"val length must be >= 1, got {self.val}")
+            raise ConfigError(f"val length must be >= 1, got {self.val}")
 
     @property
     def total(self) -> int:

@@ -158,6 +158,16 @@ class TestExperimentConfig:
         assert cfg == tiny_stm_config(workers=2, seeds=(0, 1), tau_d_max=3)
         json.dumps(config_to_dict(cfg))  # the run_meta.json echo
 
+    @pytest.mark.parametrize("field, value", [
+        ("seeds", 5), ("orders", 3), ("regimes", ("markov",)), ("regimes", RegimeSpec("x", 1.0, 1.0)),
+        ("split", (10, 20, 5)), ("window", (1,)), ("output_dir", 5),
+    ])
+    def test_malformed_fields_rejected(self, field, value):
+        # each used to escape as a TypeError, an AttributeError or an
+        # unpacking ValueError, or (window, output_dir) to be accepted
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            tiny_stm_config(**{field: value})
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="non-negative"):
             tiny_stm_config(seeds=(0, -1))
@@ -272,7 +282,7 @@ class TestDefaultsAndFiles:
     def test_type_errors_named(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"schema_version": 1, "task": "stm", "v": "fifty"}))
-        with pytest.raises(ConfigError, match="v:"):
+        with pytest.raises(ConfigError, match="^v must be"):
             load_config(path)
 
     @pytest.mark.parametrize("key, value, match", [("tau", True, "a real number"), ("j0", "1", "a real number"),
@@ -281,8 +291,31 @@ class TestDefaultsAndFiles:
     def test_number_values_named(self, tmp_path, key, value, match):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"schema_version": 1, "task": "stm", key: value}))
-        with pytest.raises(ConfigError, match=f"^{key}: must be {match}"):
+        with pytest.raises(ConfigError, match=f"^{key} must be {match}"):
             load_config(path)
+
+    @pytest.mark.parametrize("task, key", [(task, key) for task in harness.TASKS
+                                           for key in config_to_dict(load_config(task=task))])
+    def test_wrong_json_type_names_the_key(self, tmp_path, task, key):
+        # every file key, window_start and window_end included, is named as
+        # itself, not as the ExperimentConfig field it feeds
+        doc = config_to_dict(load_config(task=task))
+        default = doc[key]
+        if key in ("h_env", "output_dir"):  # null is valid here
+            wrong = ["0.5", True] if key == "h_env" else [5, True, ["runs"]]
+        elif isinstance(default, int):
+            wrong = ["7", 2.5, True, None]
+        elif isinstance(default, float):
+            wrong = ["0.5", True, None]
+        elif isinstance(default, str):
+            wrong = [5, None, [default]]
+        else:
+            wrong = [5, json.dumps(default), {"0": 1}, [None], None]
+        path = tmp_path / "cfg.json"
+        for value in wrong:
+            path.write_text(json.dumps({**doc, key: value}))
+            with pytest.raises(ConfigError, match=rf"^{key}\b"):
+                load_config(path)
 
     def test_overrides(self):
         cfg = load_config(None, task="stm", scale="quick", seeds_override=2,
