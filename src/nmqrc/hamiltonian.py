@@ -18,7 +18,7 @@ g row-major over (i, k)) so a seed maps to a stable realization.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import combinations
 from math import comb
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConfigError, check_int, check_real
-from .linalg import _components, hermitian_eig
+from .linalg import _components, _frozen, _replay, hermitian_eig
 
 
 @dataclass(frozen=True)
@@ -73,12 +73,6 @@ class ReservoirParams:
         return 2 ** self.n_qubits
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class CouplingSet:
     """Sampled couplings: j_sys over system pairs, j_env over environment
@@ -93,9 +87,7 @@ class CouplingSet:
         object.__setattr__(self, "j_env", _frozen(np.ravel(self.j_env)))
         object.__setattr__(self, "g", _frozen(np.atleast_2d(self.g)))
 
-    def __reduce__(self):
-        # Unpickled arrays come back writable; the constructor freezes them.
-        return type(self), (self.j_sys, self.j_env, self.g)
+    __reduce__ = _replay
 
 
 def sample_couplings(params: ReservoirParams) -> CouplingSet:
@@ -153,17 +145,13 @@ class HamiltonianRealization:
             raise ValueError(f"h_full has shape {h_full.shape}, but the register needs {(dim, dim)}")
         if np.iscomplexobj(h_full) and h_full.imag.any():
             raise ValueError("h_full has a nonzero imaginary part; the reservoir Hamiltonian is real")
-        # A copy, so the caller's array cannot change the realization later.
-        h_full = np.array(h_full.real, dtype=float)
+        h_full = _frozen(h_full.real)
         # The engine reads H through its nonzero pattern, so an entry whose
         # transpose is zero could be skipped without an error.
         linalg.assert_hermitian(h_full, "h_full")
-        h_full.flags.writeable = False
         object.__setattr__(self, "h_full", h_full)
 
-    def __reduce__(self):
-        # Unpickled arrays come back writable; the constructor freezes them.
-        return type(self), (self.params, self.couplings, self.h_full)
+    __reduce__ = _replay
 
     @classmethod
     def _adopt(cls, params: ReservoirParams, couplings: CouplingSet, h_full: np.ndarray) -> "HamiltonianRealization":
@@ -230,16 +218,7 @@ def export_couplings(realization: HamiltonianRealization) -> dict:
     p = realization.params
     c = realization.couplings
     return {
-        "params": {
-            "n_sys": p.n_sys,
-            "n_env": p.n_env,
-            "alpha": p.alpha,
-            "beta": p.beta,
-            "h_sys": p.h_sys,
-            "h_env": p.h_env,
-            "seed": p.seed,
-            "j0": p.j0,
-        },
+        "params": asdict(p),
         "j_sys": c.j_sys.tolist(),
         "j_env": c.j_env.tolist(),
         "g": c.g.reshape(p.n_sys, p.n_env).tolist(),

@@ -96,7 +96,12 @@ def parse_regime(text: str, task: str) -> RegimeSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one run, including output layout."""
+    """Everything needed to reproduce one run, including output layout.
+
+    The field defaults are the stm and esp protocol (4 + 3 qubits, h_sys
+    0.5, v 50, z_only) for every task: ``load_config(task="narma")`` gives
+    NARMA's (5 + 2 qubits, h_sys 1.0, v 20, z_and_zz), and a constructor
+    call with task "narma" does not."""
 
     task: str
     n_sys: int = 4
@@ -144,13 +149,13 @@ class ExperimentConfig:
         for s in self.seeds:
             if s < 0:
                 raise ConfigError(f"seeds must be non-negative integers, got {s!r}")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError("seeds must be distinct")
         if not self.regimes:
             raise ConfigError("regimes must be non-empty")
-        labels = [r.label for r in self.regimes]
-        if len(set(labels)) != len(labels):
-            raise ConfigError("regime labels must be distinct")
+        # a repeat would run, and write, the same job or summary row twice
+        for name, values in (("seeds", self.seeds), ("regime labels", [r.label for r in self.regimes]),
+                             ("orders", self.orders)):
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} must be distinct")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         # Probe the module-level constructors so any invalid field fails here,
@@ -552,7 +557,9 @@ def _run_jobs(cfg: ExperimentConfig, jobs: list) -> tuple[list, bool]:
             # imported here: it loads multiprocessing, which a serial run never needs
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=min(cfg.workers, len(jobs)), initializer=_pin_blas) as pool:
+            # more processes than the cores this process may use only add memory and switching
+            cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+            with ProcessPoolExecutor(max_workers=min(cfg.workers, len(jobs), cores), initializer=_pin_blas) as pool:
                 outs = list(pool.map(_job, jobs))
     finally:
         if pinned is not None:

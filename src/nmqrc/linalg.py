@@ -18,7 +18,7 @@ Conventions shared by the whole package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 import numpy as np
@@ -40,6 +40,21 @@ def _as_matrix(a, what: str = "matrix", dtype=complex) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{what} contains non-finite entries")
     return a
+
+
+def _frozen(a, dtype=float) -> np.ndarray:
+    """A read-only C-ordered copy of ``a``: the array a value type keeps, so
+    the caller's array cannot change it later."""
+    a = np.array(a, dtype=dtype, order="C")
+    a.flags.writeable = False
+    return a
+
+
+def _replay(value):
+    """``__reduce__`` of a frozen dataclass: unpickling re-runs the
+    constructor on the fields, which checks them again and freezes the
+    arrays that pickle brings back writable."""
+    return type(value), tuple(getattr(value, f.name) for f in fields(value))
 
 
 def qubit_count(dim: int) -> int:
@@ -170,11 +185,7 @@ def trace_norm(a) -> float:
 
 def pseudoinverse(a) -> np.ndarray:
     """Moore-Penrose pseudoinverse; singular values below DEFAULT_RCOND * sigma_max are dropped."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"pseudoinverse input must be 2-dimensional, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("pseudoinverse input contains non-finite entries")
+    a = _as_matrix(a, "pseudoinverse input", float)
     try:
         return np.linalg.pinv(a, rcond=DEFAULT_RCOND)
     except np.linalg.LinAlgError as exc:
@@ -204,13 +215,9 @@ class DensityMatrix:
         w_min = _min_eigenvalue(m)
         if w_min < -EIGENVALUE_ATOL:
             raise ValueError(f"density matrix has eigenvalue {w_min:.3e} < -{EIGENVALUE_ATOL:.1e}")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _frozen(m, complex))
 
-    def __reduce__(self):
-        # Unpickled arrays come back writable; the constructor freezes them.
-        return type(self), (self.matrix,)
+    __reduce__ = _replay
 
     @property
     def dim(self) -> int:

@@ -111,7 +111,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, check_int, check_real
 from .hamiltonian import HamiltonianRealization, _sector_eig
-from .linalg import DensityMatrix, _components, _ground_matrix
+from .linalg import DensityMatrix, _components, _frozen, _ground_matrix, _replay
 
 OBSERVABLE_KINDS = ("z_only", "z_and_zz")
 MULTIPLEX_MODES = ("per_node", "sub_step")
@@ -209,14 +209,10 @@ class FeatureMatrix:
                 raise ValueError("non-bias feature outside [-1, 1] tolerance band")
             if not np.all(vals[:, -1] == 1.0):
                 raise ValueError("bias column must be identically 1")
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _frozen(vals))
         object.__setattr__(self, "labels", tuple(self.labels))
 
-    def __reduce__(self):
-        # Unpickled arrays come back writable; the constructor freezes them.
-        return type(self), (self.values, self.labels)
+    __reduce__ = _replay
 
 
 def _check_inputs(inputs) -> np.ndarray:

@@ -86,6 +86,15 @@ def stm_targets(s, tau_d: int) -> np.ndarray:
     return y
 
 
+def _raw_inputs(u) -> np.ndarray:
+    """``u`` as a flat float array; every value (so no NaN) must lie in
+    the generation range [0, 0.5]."""
+    u = np.asarray(u, dtype=float).ravel()
+    if not np.all((u >= 0.0) & (u <= NARMA_INPUT_MAX)):
+        raise ValueError(f"raw inputs must lie in [0, {NARMA_INPUT_MAX}]")
+    return u
+
+
 def narma_series(u, order: int) -> np.ndarray:
     """Order-n autoregressive series driven by u in [0, 0.5].
 
@@ -94,12 +103,10 @@ def narma_series(u, order: int) -> np.ndarray:
     value is not finite, raises DivergenceError naming the first step past
     the guard and its value.
     """
-    u = np.asarray(u, dtype=float).ravel()
     n = check_int("order", order, ValueError)
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    if not np.all((u >= 0.0) & (u <= NARMA_INPUT_MAX)):
-        raise ValueError(f"raw inputs must lie in [0, {NARMA_INPUT_MAX}]")
+    u = _raw_inputs(u)
     a, b, c, d = NARMA_CONSTANTS
     steps = max(u.size - n, 0)
     # c u[k-n] u[k-1] for k = n .. len(u)-1, the same two products in the
@@ -126,7 +133,4 @@ def narma_series(u, order: int) -> np.ndarray:
 
 def scale_inputs(u) -> np.ndarray:
     """Min-max scale from the declared generation range [0, 0.5] to [0, 1]."""
-    u = np.asarray(u, dtype=float).ravel()
-    if not np.all((u >= 0.0) & (u <= NARMA_INPUT_MAX)):
-        raise ValueError(f"raw inputs must lie in [0, {NARMA_INPUT_MAX}]")
-    return u / NARMA_INPUT_MAX
+    return _raw_inputs(u) / NARMA_INPUT_MAX

@@ -195,6 +195,34 @@ class TestCouplingsRoundTrip:
         assert rebuilt.params == real.params
         assert np.array_equal(rebuilt.h_full, real.h_full)
 
+    def test_exported_text_is_pinned(self):
+        # the text of a couplings_seed*.json file, key order included
+        real = build_hamiltonian(ReservoirParams(n_sys=2, n_env=1, alpha=1.0, beta=1.0, h_sys=0.5, h_env=1.0, seed=16))
+        assert json.dumps(export_couplings(real), indent=2) == """{
+  "params": {
+    "n_sys": 2,
+    "n_env": 1,
+    "alpha": 1.0,
+    "beta": 1.0,
+    "h_sys": 0.5,
+    "h_env": 1.0,
+    "seed": 16,
+    "j0": 1.0
+  },
+  "j_sys": [
+    0.13383367775873012
+  ],
+  "j_env": [],
+  "g": [
+    [
+      -0.13851170901962884
+    ],
+    [
+      -0.8118523490769509
+    ]
+  ]
+}"""
+
     @pytest.mark.parametrize("key", ["params", "j_sys", "j_env", "g"])
     def test_missing_key_named(self, key):
         # a missing key used to raise a bare KeyError

@@ -117,6 +117,15 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="distinct"):
             tiny_stm_config(seeds=(0, 0))
 
+    def test_repeated_orders_rejected(self, tmp_path):
+        # a repeated order used to run and write its summary.csv row twice
+        with pytest.raises(ConfigError, match="^orders must be distinct"):
+            tiny_narma_config(orders=(2, 2, 5))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"schema_version": 1, "task": "narma", "orders": [2, 2, 5]}))
+        with pytest.raises(ConfigError, match="^orders must be distinct"):
+            load_config(path)
+
     def test_window_validation(self):
         with pytest.raises(ConfigError, match="window"):
             ExperimentConfig(task="esp", n_sys=2, n_env=1, v=2, seeds=(0,),
@@ -420,6 +429,32 @@ class TestWorkerPool:
             assert get_threads() == 2  # the caller's count comes back
         finally:
             set_threads(before)
+
+    def test_pool_is_capped_at_the_usable_cores(self, monkeypatch):
+        # starts no process: the pool is a stand-in that runs the jobs here
+        import concurrent.futures
+
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(harness, "_job", lambda job: job)
+        jobs = list(range(10))
+        assert harness._run_jobs(tiny_stm_config(workers=64), jobs)[0] == jobs
+        assert sizes == [2]
 
     def test_run_meta_says_whether_workers_were_pinned(self, tmp_path):
         pinnable = harness._blas_threads() is not None
